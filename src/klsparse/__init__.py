@@ -18,11 +18,9 @@ from .components import (
     ComponentSet,
     NotSparseInputError,
     OrderRegimeViolationError,
-    StructureViolationError,
     components_of,
     detect_block,
     extract_with_components,
-    record_block,
 )
 from .generators import (
     FAMILIES,
@@ -73,6 +71,7 @@ from .pebble import (
     ExtractionReport,
     PebbleEngine,
     Reason,
+    ReversalBoundError,
     SparsityParams,
     UnweightedInputError,
     Verdict,
@@ -119,12 +118,12 @@ __all__ = [
     "PebbleEngine",
     "PhaseOneResult",
     "Reason",
+    "ReversalBoundError",
     "ReversalPath",
     "STRATEGY_NAMES",
     "SparsityParams",
     "StalePathError",
     "Strategy",
-    "StructureViolationError",
     "TwoKEngine",
     "UnweightedInputError",
     "Verdict",
@@ -151,7 +150,6 @@ __all__ = [
     "parse_graph",
     "phase_one_sparsity_check",
     "random_labeled_tree",
-    "record_block",
     "serialize_graph",
     "zero_pair_indegrees",
 ]

@@ -15,7 +15,6 @@ import time
 from .components import (
     NotSparseInputError,
     OrderRegimeViolationError,
-    StructureViolationError,
     components_of,
     extract_with_components,
 )
@@ -57,9 +56,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_graph(path: str | None) -> Multigraph:
+    # bytes, so that parse_graph reports undecodable input as a parse error
     if path is None or path == "-":
-        return parse_graph(sys.stdin.read())
-    with open(path, encoding="utf-8") as fh:
+        return parse_graph(getattr(sys.stdin, "buffer", sys.stdin).read())
+    with open(path, "rb") as fh:
         return parse_graph(fh.read())
 
 
@@ -367,7 +367,6 @@ def main(argv: list[str] | None = None) -> int:
     except (
         WrongRegimeError,
         OrderRegimeViolationError,
-        StructureViolationError,
         NotSparseInputError,
         NotSimpleInputError,
         UnweightedInputError,

@@ -1,9 +1,12 @@
 """Online (k,l)-component tracking on top of the extraction engine.
 
 A block is a node set whose induced subgraph is tight (meets the counting
-bound with equality); a component is an inclusion-maximal block.  After an
-accepted edge uv leaves indeg(u) + indeg(v) at its ceiling 2k - l, one
-extra backward probe settles whether a new block appeared:
+bound with equality); a component is an inclusion-maximal block.  The
+engine's one block store (:class:`ComponentSet`) is fed by every failed
+search and rejects covered edges with zero traversal; this module adds
+the probe that makes the stored blocks the components.  After an accepted
+edge uv leaves indeg(u) + indeg(v) at its ceiling 2k - l, one extra
+backward probe settles whether a new block appeared:
 
 * the probe reaches a node with indegree below k outside {u, v}: no tight
   set contains both endpoints, nothing to record;
@@ -13,16 +16,9 @@ extra backward probe settles whether a new block appeared:
   endpoints saturated, so it avoids that reach; the complement itself
   satisfies sum(indeg) = k|X| - l exactly).
 
-The probe result is read without reversing anything.  Recorded blocks are
-then merged: for l <= k components are pairwise disjoint, so a disjoint-set
-forest with a "component" flag per root suffices and overlapping records
-coalesce; for k < l < 2k two components can share at most one node, so each
-node carries the list of components through it, a fully swallowed old
-component is dropped, and a 2+-node proper overlap is structurally
-impossible on sparse input (raised as a violation if ever observed).
-
-Future accepted edges with both endpoints inside one recorded component are
-rejected outright, with zero digraph traversal.
+The probe result is read without reversing anything and recorded in the
+same store, which merges overlapping blocks: components stay pairwise
+disjoint for l <= k and share at most one node for k < l.
 """
 
 from __future__ import annotations
@@ -32,24 +28,16 @@ from dataclasses import dataclass
 from .multigraph import Multigraph
 from .orientation import InnerDigraph, Instrumentation
 from .pebble import (
+    ComponentSet,  # re-exported: the engine's block store
     ExtractionReport,
     PebbleEngine,
-    Reason,
     SparsityParams,
     Verdict,
 )
 
-DISJOINT = "disjoint"
-NODE_SHARING = "node-sharing"
-
 
 class OrderRegimeViolationError(ValueError):
     """Strategy/regime combination unsupported by component tracking."""
-
-
-class StructureViolationError(RuntimeError):
-    """Recorded components overlapped in two or more nodes; on sparse input
-    in the node-sharing regime this cannot happen."""
 
 
 class NotSparseInputError(ValueError):
@@ -101,156 +89,9 @@ def detect_block(
     return Block(frozenset(x for x in range(digraph.n) if x not in outside))
 
 
-class _DisjointComponents:
-    """Components under l <= k: pairwise disjoint node sets, kept as a
-    disjoint-set forest with a flag marking roots that are components."""
-
-    regime = DISJOINT
-
-    def __init__(self, n: int) -> None:
-        self._parent = list(range(n))
-        self._size = [1] * n
-        self._flag = bytearray(n)
-
-    def _find(self, x: int) -> int:
-        parent = self._parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def covers(self, u: int, v: int) -> bool:
-        ru = self._find(u)
-        if not self._flag[ru]:
-            return False
-        return ru == self._find(v)
-
-    def record(self, nodes) -> None:
-        it = iter(nodes)
-        try:
-            first = next(it)
-        except StopIteration:
-            return
-        root = self._find(first)
-        for x in it:
-            rx = self._find(x)
-            if rx == root:
-                continue
-            if self._size[root] < self._size[rx]:
-                root, rx = rx, root
-            self._parent[rx] = root
-            self._size[root] += self._size[rx]
-        self._flag[root] = 1
-
-    def components(self) -> list[list[int]]:
-        groups: dict[int, list[int]] = {}
-        for x in range(len(self._parent)):
-            r = self._find(x)
-            if self._flag[r]:
-                groups.setdefault(r, []).append(x)
-        return sorted(groups.values())
-
-
-class _SharingComponents:
-    """Components under k < l < 2k: two components share at most one node,
-    so each node keeps the ids of the components through it."""
-
-    regime = NODE_SHARING
-
-    def __init__(self, n: int) -> None:
-        self._node_comps: list[list[int]] = [[] for _ in range(n)]
-        self._comp_nodes: dict[int, set[int]] = {}
-        self._next_id = 0
-
-    def covers(self, u: int, v: int) -> bool:
-        a = self._node_comps[u]
-        b = self._node_comps[v]
-        if len(b) < len(a):
-            a, b = b, a
-            u, v = v, u
-        comp_nodes = self._comp_nodes
-        for c in a:
-            if v in comp_nodes[c]:
-                return True
-        return False
-
-    def record(self, nodes) -> None:
-        new = set(nodes)
-        overlap: dict[int, int] = {}
-        for x in new:
-            for c in self._node_comps[x]:
-                overlap[c] = overlap.get(c, 0) + 1
-        for c, shared in overlap.items():
-            old = self._comp_nodes[c]
-            if shared == len(old):
-                # swallowed whole: the new block supersedes it
-                for x in old:
-                    self._node_comps[x].remove(c)
-                del self._comp_nodes[c]
-            elif shared >= 2:
-                raise StructureViolationError(
-                    f"components overlap in {shared} nodes; "
-                    "input cannot be (k,l)-sparse in this regime"
-                )
-        cid = self._next_id
-        self._next_id += 1
-        self._comp_nodes[cid] = new
-        for x in new:
-            self._node_comps[x].append(cid)
-
-    def components(self) -> list[list[int]]:
-        return sorted(sorted(ns) for ns in self._comp_nodes.values())
-
-
-class ComponentSet:
-    """Recorded components plus the pair-coverage query, regime-dispatched
-    on the parameters."""
-
-    def __init__(self, n: int, params: SparsityParams) -> None:
-        params.require_augmenting_regime()
-        self.params = params
-        if params.l <= params.k:
-            self._impl = _DisjointComponents(n)
-        else:
-            self._impl = _SharingComponents(n)
-
-    @property
-    def regime(self) -> str:
-        return self._impl.regime
-
-    def covers(self, u: int, v: int) -> bool:
-        """True when one recorded component contains both u and v."""
-        return self._impl.covers(u, v)
-
-    def record(self, nodes) -> None:
-        """Merge a detected block into the records (singletons ignored)."""
-        nodes = list(nodes)
-        if len(nodes) < 2:
-            return
-        self._impl.record(nodes)
-
-    def components(self) -> list[list[int]]:
-        """Sorted node lists of the current components."""
-        return self._impl.components()
-
-
-def record_block(components: ComponentSet, block: Block) -> None:
-    """Convenience wrapper: fold a detected block into the records."""
-    components.record(block.nodes)
-
-
 class ComponentEngine(PebbleEngine):
-    """Extraction engine that tracks components online and short-circuits
-    edges already covered by one."""
-
-    def __init__(
-        self,
-        graph: Multigraph,
-        params: SparsityParams,
-        counters: Instrumentation | None = None,
-    ) -> None:
-        super().__init__(graph, params, counters)
-        self.components = ComponentSet(graph.n, params)
+    """Extraction engine that also probes each accepted edge for the
+    maximal block through it, recording it in ``blocks``."""
 
     def preaccept(self, edge: int, tail: int, head: int) -> None:
         raise OrderRegimeViolationError(
@@ -259,14 +100,12 @@ class ComponentEngine(PebbleEngine):
         )
 
     def _process_edge(self, edge: int, strategy) -> Verdict:
-        u, v = self.graph.endpoints(edge)
-        if self.components.covers(u, v):
-            return Verdict(edge, False, 0, Reason.COVERED_BY_COMPONENT)
         verdict = super()._process_edge(edge, strategy)
         if verdict.accepted:
+            u, v = self.graph.endpoints(edge)
             block = detect_block(self.digraph, u, v, self.params)
             if block is not None:
-                self.components.record(block.nodes)
+                self.blocks.record(block.nodes)
         return verdict
 
 
@@ -306,7 +145,7 @@ def extract_with_components(
             f"k < l; use one of the node-order Comp strategies"
         )
     report = engine.run(order)
-    return report, engine.components.components()
+    return report, engine.blocks.components()
 
 
 def components_of(

@@ -13,6 +13,8 @@ Loops and parallel edges are allowed.
 
 from __future__ import annotations
 
+import math
+
 
 class GraphParseError(ValueError):
     """Malformed edge-list input; ``line`` is the 1-based offending line."""
@@ -70,23 +72,31 @@ class Multigraph:
         edge_v: list[int] = []
         incidence: list[list[int]] = [[] for _ in range(n)]
         degree = [0] * n
-        for e, (u, v) in enumerate(edges):
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge {e}: endpoint out of range [0, {n})")
-            if u > v:
-                u, v = v, u
-            edge_u.append(u)
-            edge_v.append(v)
-            incidence[u].append(e)
-            if v != u:
-                incidence[v].append(e)
-            degree[u] += 1
-            degree[v] += 1
+        try:
+            for e, (u, v) in enumerate(edges):
+                if not (0 <= u < n and 0 <= v < n):
+                    raise ValueError(f"edge {e}: endpoint out of range [0, {n})")
+                if u > v:
+                    u, v = v, u
+                edge_u.append(u)
+                edge_v.append(v)
+                # indexing raises TypeError for non-integer endpoints
+                incidence[u].append(e)
+                if v != u:
+                    incidence[v].append(e)
+                degree[u] += 1
+                degree[v] += 1
+        except TypeError:
+            raise ValueError(
+                f"edge {e}: endpoints must be a pair of integers, got {edges[e]!r}"
+            ) from None
         if weights is not None:
             weights = [float(w) for w in weights]
             for e, w in enumerate(weights):
-                if w < 0:
-                    raise ValueError(f"edge {e}: negative weight {w}")
+                if not 0 <= w < math.inf:  # also rejects NaN
+                    raise ValueError(
+                        f"edge {e}: weight must be finite and non-negative, got {w}"
+                    )
         self.edge_u = edge_u
         self.edge_v = edge_v
         self.weights = weights
@@ -129,13 +139,20 @@ class Multigraph:
 def parse_graph(text: str | bytes) -> Multigraph:
     """Parse edge-list text into a :class:`Multigraph`.
 
-    Raises a :class:`GraphParseError` subclass naming the offending 1-based
-    line number: :class:`MalformedHeaderError`, :class:`MalformedEdgeError`,
+    Raises a :class:`GraphParseError` naming the offending 1-based line
+    number: the base class for bytes that are not UTF-8, otherwise one of
+    :class:`MalformedHeaderError`, :class:`MalformedEdgeError`,
     :class:`NodeIdOutOfRangeError`, :class:`EdgeCountMismatchError` or
     :class:`NegativeWeightError`.
     """
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = text.count(b"\n", 0, exc.start) + 1
+            raise GraphParseError(
+                f"input is not valid UTF-8 (byte offset {exc.start})", line
+            ) from None
     lines = text.splitlines()
     eof = len(lines) + 1
 
@@ -204,7 +221,11 @@ def parse_graph(text: str | bytes) -> Multigraph:
                     f"weight must be a decimal number, got {tokens[2]!r}",
                     lineno,
                 ) from None
-            if not (w >= 0):  # also rejects NaN
+            if not math.isfinite(w):
+                raise MalformedEdgeError(
+                    f"weight must be finite, got {tokens[2]!r}", lineno
+                )
+            if w < 0:
                 raise NegativeWeightError(f"negative weight {tokens[2]}", lineno)
             weights.append(w)
         edges.append((u, v))

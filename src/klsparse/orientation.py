@@ -69,6 +69,7 @@ class InnerDigraph:
         "in_arcs",
         "indeg",
         "counters",
+        "last_closure",
         "_stamp",
         "_parent",
         "_epoch",
@@ -86,6 +87,7 @@ class InnerDigraph:
         self.in_arcs: list[list[int]] = [[] for _ in range(n)]
         self.indeg: list[int] = [0] * n
         self.counters = counters if counters is not None else Instrumentation()
+        self.last_closure: list[int] = []
         self._stamp = [0] * n
         self._parent = [0] * n
         self._epoch = 0
@@ -188,10 +190,12 @@ class InnerDigraph:
 
         Searches backward from the targets, so the first source found is one
         of minimum arc distance; returns None when the backward closure holds
-        no eligible deficient node.
+        no eligible deficient node, and leaves that closure (targets
+        included) in ``last_closure``.
         """
-        source, _ = self._backward_search(targets, forbidden_sources)
+        source, visited = self._backward_search(targets, forbidden_sources)
         if source < 0:
+            self.last_closure = visited
             return None
         arc_tail = self.arc_tail
         arc_head = self.arc_head

@@ -7,6 +7,13 @@ each reorientation step reverses one path found by a backward search from
 form the independent sets of a matroid, so any processing order yields a
 maximum-size subgraph and non-increasing weight order yields a maximum-
 weight one.
+
+A failed search leaves a tight block behind: its backward closure X has no
+arc entering from outside and every node but the endpoints at indegree k,
+so X induces at least k|X| - l accepted edges, and stays tight as more are
+accepted.  The engine records every such closure in one block store, and
+rejects a later edge inside a recorded block (or a loop at a node of one)
+with zero traversal.
 """
 
 from __future__ import annotations
@@ -24,6 +31,12 @@ class WrongRegimeError(ValueError):
 
 class UnweightedInputError(ValueError):
     """Weighted extraction was asked for a graph without weights."""
+
+
+class ReversalBoundError(RuntimeError):
+    """An edge took more path reversals than the proven bound allows;
+    impossible on a digraph built by the engine, so it signals a corrupted
+    orientation state."""
 
 
 class Reason(enum.Enum):
@@ -64,6 +77,11 @@ class SparsityParams:
     def loop_threshold(self) -> int:
         """A loop at v is acceptable once indeg(v) is at most this."""
         return self.k - self.l - 1
+
+    @property
+    def reversal_bound(self) -> int:
+        """Most path reversals one acceptance can take: l + 1."""
+        return self.l + 1
 
     def tight_size(self, n: int) -> int:
         """Edge count of a tight subgraph on n nodes: max(k*n - l, 0)."""
@@ -109,12 +127,93 @@ class ExtractionReport:
         return len(self.accepted)
 
 
+class ComponentSet:
+    """Tight node sets (blocks) with the pair-coverage query.
+
+    By the block union lemma (Lee & Streinu, Pebble game algorithms and
+    sparse graphs, 2008) two tight blocks sharing at least one node for
+    l <= k, or two nodes for k < l, have a tight union.  A record merges
+    every block it meets that far into the largest block involved (union
+    by size: only the smaller sets move) and repeats while the grown block
+    meets another, so stored blocks stay disjoint for l <= k and share at
+    most one node for k < l.  Each node lists the ids of its blocks.
+    """
+
+    def __init__(self, n: int, params: SparsityParams) -> None:
+        params.require_augmenting_regime()
+        self.params = params
+        self._threshold = 1 if params.l <= params.k else 2
+        self._node_blocks: list[list[int]] = [[] for _ in range(n)]
+        self._block_nodes: dict[int, set[int]] = {}
+        self._next_id = 0
+
+    def covers(self, u: int, v: int) -> bool:
+        """True when one recorded block contains both u and v (for a
+        loop, when u lies in any block)."""
+        a = self._node_blocks[u]
+        if not a or u == v:
+            return bool(a)
+        b = self._node_blocks[v]
+        if len(b) < len(a):
+            a, v = b, u
+        block_nodes = self._block_nodes
+        for c in a:
+            if v in block_nodes[c]:
+                return True
+        return False
+
+    def record(self, nodes) -> None:
+        """Merge a tight node set into the records (singletons ignored)."""
+        pending = set(nodes)
+        if len(pending) < 2:
+            return
+        node_blocks = self._node_blocks
+        block_nodes = self._block_nodes
+        threshold = self._threshold
+        # ``pending`` nodes join block ``target`` (-1: a new block) once no
+        # other block meets target plus pending in ``threshold`` nodes
+        target, members = -1, set()
+        while True:
+            met: dict[int, int] = {}
+            for x in pending:
+                for c in node_blocks[x]:
+                    met[c] = met.get(c, 0) + 1
+            merging = [
+                c for c, shared in met.items()
+                if shared >= threshold or not members.isdisjoint(block_nodes[c])
+            ]
+            if not merging:
+                break
+            if target >= 0:
+                merging.append(target)
+            target = max(merging, key=lambda c: len(block_nodes[c]))
+            members = block_nodes[target]
+            for c in merging:
+                if c != target:
+                    for x in block_nodes.pop(c):
+                        node_blocks[x].remove(c)
+                        pending.add(x)
+            pending = {x for x in pending if x not in members}
+        if target < 0:
+            target = self._next_id
+            self._next_id += 1
+            members = block_nodes[target] = set()
+        members |= pending
+        for x in pending:
+            node_blocks[x].append(target)
+
+    def components(self) -> list[list[int]]:
+        """Sorted node lists of the recorded blocks."""
+        return sorted(sorted(nodes) for nodes in self._block_nodes.values())
+
+
 class PebbleEngine:
     """Streaming acceptance engine for one graph and one (k, l) pair.
 
     Drives a strategy's edge order through :meth:`try_accept`, maintaining
-    the inner digraph, the processed flags shared with the strategy, and
-    the early-termination cutoff at max(k*n - l, 0) arcs.
+    the inner digraph, the processed flags shared with the strategy, the
+    block store fed by failed searches, and the early-termination cutoff
+    at max(k*n - l, 0) arcs.
     """
 
     def __init__(
@@ -129,6 +228,7 @@ class PebbleEngine:
         self.counters = counters if counters is not None else Instrumentation()
         self.digraph = InnerDigraph(graph.n, params.k, self.counters)
         self.processed = [False] * graph.m
+        self.blocks = ComponentSet(graph.n, params)
         self.report = ExtractionReport(params=params, n=graph.n, m=graph.m,
                                        counters=self.counters)
         self._tight_size = params.tight_size(graph.n)
@@ -137,9 +237,11 @@ class PebbleEngine:
         """Process edge ``e``: augment until the acceptance condition holds
         or the search fails, inserting the arc on success.
 
-        Reversals performed before a rejection are kept; they only reorient
-        the same accepted set.  ``preferred_head`` is honoured if its
-        indegree allows, otherwise the other endpoint takes the arc.
+        An edge inside a recorded block is rejected before any search; a
+        failed search records its closure as a block.  Reversals performed
+        before a rejection are kept; they only reorient the same accepted
+        set.  ``preferred_head`` is honoured if its indegree allows,
+        otherwise the other endpoint takes the arc.
         """
         g = self.graph
         u = g.edge_u[e]
@@ -147,8 +249,11 @@ class PebbleEngine:
         p = self.params
         digraph = self.digraph
         indeg = digraph.indeg
+        blocks = self.blocks
         reversals = 0
 
+        if blocks.covers(u, v):
+            return Verdict(e, False, 0, Reason.COVERED_BY_COMPONENT)
         if u == v:
             limit = p.loop_threshold
             if limit < 0:
@@ -156,6 +261,7 @@ class PebbleEngine:
             while indeg[u] > limit:
                 path = digraph.find_reversal_path((u,))
                 if path is None:
+                    blocks.record(digraph.last_closure)
                     return Verdict(e, False, reversals, Reason.INDEGREE_BLOCKED)
                 digraph.reverse(path)
                 reversals += 1
@@ -165,6 +271,7 @@ class PebbleEngine:
             while indeg[u] + indeg[v] >= threshold:
                 path = digraph.find_reversal_path((u, v))
                 if path is None:
+                    blocks.record(digraph.last_closure)
                     return Verdict(e, False, reversals, Reason.INDEGREE_BLOCKED)
                 digraph.reverse(path)
                 reversals += 1
@@ -176,7 +283,10 @@ class PebbleEngine:
                 # because the indegree sum is below 2k
                 head = u if (indeg[u], u) <= (indeg[v], v) else v
             digraph.insert_arc(e, u + v - head, head)
-        assert reversals <= p.l + 1
+        if reversals > p.reversal_bound:
+            raise ReversalBoundError(
+                f"edge {e} took {reversals} reversals, bound {p.reversal_bound}"
+            )
         return Verdict(e, True, reversals, Reason.ACCEPTED)
 
     def preaccept(self, e: int, tail: int, head: int) -> None:

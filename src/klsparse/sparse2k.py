@@ -16,7 +16,13 @@ from __future__ import annotations
 
 from .multigraph import Multigraph
 from .orientation import InnerDigraph, Instrumentation
-from .pebble import ExtractionReport, Reason, SparsityParams, Verdict
+from .pebble import (
+    ExtractionReport,
+    Reason,
+    ReversalBoundError,
+    SparsityParams,
+    Verdict,
+)
 
 
 class NotSimpleInputError(ValueError):
@@ -26,6 +32,11 @@ class NotSimpleInputError(ValueError):
 class OrientationInfeasibleError(RuntimeError):
     """Zeroing an endpoint indegree failed; impossible on a digraph built
     by this engine, so it signals a corrupted orientation state."""
+
+
+def _zeroing_bound(k: int) -> int:
+    """Most reversals zeroing both endpoints can take: k per endpoint."""
+    return 2 * k
 
 
 def zero_pair_indegrees(digraph: InnerDigraph, u: int, v: int) -> int:
@@ -44,7 +55,11 @@ def zero_pair_indegrees(digraph: InnerDigraph, u: int, v: int) -> int:
                 )
             digraph.reverse(path)
             reversals += 1
-    assert reversals <= 2 * digraph.k
+    bound = _zeroing_bound(digraph.k)
+    if reversals > bound:
+        raise ReversalBoundError(
+            f"zeroing nodes {u} and {v} took {reversals} reversals, bound {bound}"
+        )
     return reversals
 
 

@@ -1,0 +1,176 @@
+"""Tests for the engine's block store: tight blocks found by failed
+searches, the covered-edge short cut, and order invariance."""
+
+from __future__ import annotations
+
+import hashlib
+import random
+
+from klsparse import (
+    STRATEGY_NAMES,
+    ComponentSet,
+    Multigraph,
+    PebbleEngine,
+    Reason,
+    SparsityParams,
+    extract,
+    extract_weighted,
+    extract_with_components,
+    gen_erdos_renyi,
+    is_sparse_bruteforce,
+    make_strategy,
+)
+from conftest import ALL_PAIRS
+
+
+def _random_multigraph(rng: random.Random, n: int, m: int) -> Multigraph:
+    return Multigraph(n, [(rng.randrange(n), rng.randrange(n)) for _ in range(m)])
+
+
+def _induced(graph: Multigraph, edges, nodes: set[int]) -> int:
+    return sum(
+        1 for e in edges if graph.edge_u[e] in nodes and graph.edge_v[e] in nodes
+    )
+
+
+def _check_blocks(graph, params, report, blocks) -> None:
+    """Every stored block is tight in the accepted subgraph, and every
+    covered edge lies inside one of them."""
+    k, l = params.k, params.l
+    node_sets = [set(b) for b in blocks]
+    for nodes in node_sets:
+        assert len(nodes) >= 2
+        assert _induced(graph, report.accepted, nodes) == k * len(nodes) - l
+    for v in report.verdicts:
+        if v.reason is Reason.COVERED_BY_COMPONENT:
+            assert not v.accepted and v.reversals_used == 0
+            u, w = graph.endpoints(v.edge)
+            assert any(u in nodes and w in nodes for nodes in node_sets)
+
+
+def test_stored_blocks_are_tight_for_every_strategy():
+    rng = random.Random(71)
+    covered = 0
+    for _ in range(6):
+        n = rng.randint(8, 40)
+        g = _random_multigraph(rng, n, rng.randint(n, 4 * n))
+        for k, l in ALL_PAIRS:
+            p = SparsityParams(k, l)
+            for name in STRATEGY_NAMES:
+                strategy = make_strategy(name, g, p, seed=rng.randrange(1, 100))
+                engine = PebbleEngine(g, p)
+                report = engine.run(strategy)
+                _check_blocks(g, p, report, engine.blocks.components())
+                covered += sum(
+                    v.reason is Reason.COVERED_BY_COMPONENT for v in report.verdicts
+                )
+                if strategy.uses_components:
+                    strategy = make_strategy(name, g, p, seed=1)
+                    report, comps = extract_with_components(g, p, strategy)
+                    _check_blocks(g, p, report, comps)
+    assert covered > 1000
+
+
+def _naive_greedy(graph: Multigraph, params: SparsityParams, order) -> set[int]:
+    """Accept each edge in ``order`` iff the accepted set stays sparse, by
+    exhaustive subset enumeration."""
+    accepted: list[int] = []
+    for e in order:
+        trial = Multigraph(graph.n, [graph.endpoints(f) for f in accepted + [e]])
+        if is_sparse_bruteforce(trial, params)[0]:
+            accepted.append(e)
+    return set(accepted)
+
+
+def test_fixed_order_matches_naive_greedy():
+    rng = random.Random(73)
+    for _ in range(8):
+        n = rng.randint(4, 8)
+        m = rng.randint(n, 14)
+        g = _random_multigraph(rng, n, m)
+        weighted = Multigraph(
+            n, g.edges(), weights=[float(rng.randint(0, 3)) for _ in range(m)]
+        )
+        for k, l in ALL_PAIRS:
+            p = SparsityParams(k, l)
+            runs = [extract(g, p, make_strategy("Basic", g, p, seed=s))
+                    for s in range(4)]
+            order = list(range(m))
+            rng.shuffle(order)
+            explicit = extract(g, p, order)
+            assert [v.edge for v in explicit.verdicts] == order
+            runs.append(explicit)
+            runs.append(extract_weighted(weighted, p))
+            for report in runs:
+                seen = [v.edge for v in report.verdicts]
+                assert report.accepted == _naive_greedy(g, p, seen), (
+                    g.edges(), k, l, seen,
+                )
+
+
+def test_default_extract_digest_pinned():
+    # sha256 of the sorted accepted ids, one per line, computed before the
+    # block store existed: a fixed order yields the same greedy set
+    g = gen_erdos_renyi(300, 0.1, seed=7)
+    report = extract(g, SparsityParams(2, 3))
+    text = "\n".join(str(e) for e in sorted(report.accepted))
+    assert report.accepted_count == 597
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "48d2c29dc13706bbd6f0ca28c631556a01211fcd9fbd19d8656b09996425dbf1"
+    )
+
+
+def test_failed_search_closure_rejects_later_edges_without_search():
+    # (2,3) on four nodes: after the triangle, the first parallel edge
+    # fails its search and leaves a block through 0 and 1 behind; the
+    # second one is covered by it
+    g = Multigraph(4, [(0, 1), (0, 2), (1, 2), (0, 1), (0, 1)])
+    p = SparsityParams(2, 3)
+    engine = PebbleEngine(g, p)
+    report = engine.run(make_strategy("Basic", g, p))
+    reasons = [v.reason for v in report.verdicts]
+    assert reasons == [Reason.ACCEPTED] * 3 + [
+        Reason.INDEGREE_BLOCKED, Reason.COVERED_BY_COMPONENT,
+    ]
+    assert report.verdicts[-1].reversals_used == 0
+    assert engine.blocks.covers(0, 1)
+    _check_blocks(g, p, report, engine.blocks.components())
+
+
+def test_loop_in_block_is_covered():
+    p = SparsityParams(2, 1)
+    blocks = ComponentSet(4, p)
+    blocks.record([0, 1])
+    assert blocks.covers(1, 1)
+    assert not blocks.covers(2, 2)
+    assert not blocks.covers(1, 2)
+
+
+def test_merge_threshold_follows_regime():
+    # l <= k: one shared node merges
+    disjoint = ComponentSet(6, SparsityParams(2, 1))
+    disjoint.record([0, 1, 2])
+    disjoint.record([2, 3])
+    disjoint.record([4, 5])
+    assert disjoint.components() == [[0, 1, 2, 3], [4, 5]]
+    assert disjoint.covers(0, 3) and not disjoint.covers(3, 4)
+
+    # k < l: one shared node keeps blocks apart, two merge
+    sharing = ComponentSet(6, SparsityParams(2, 3))
+    sharing.record([0, 1, 2])
+    sharing.record([2, 3])
+    assert sharing.components() == [[0, 1, 2], [2, 3]]
+    assert not sharing.covers(0, 3)
+    sharing.record([1, 2, 3])
+    assert sharing.components() == [[0, 1, 2, 3]]
+
+
+def test_merge_cascades_through_grown_block():
+    # {1,4} meets {1,2,3} and {2,3,4} in one node each, but the union of
+    # those two (they share {2,3}) contains it: all three merge
+    blocks = ComponentSet(5, SparsityParams(2, 3))
+    blocks.record([1, 2, 3])
+    blocks.record([1, 4])
+    blocks.record([2, 3, 4])
+    assert blocks.components() == [[1, 2, 3, 4]]
+    assert blocks.covers(1, 4)

@@ -176,6 +176,13 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "parse error" in err
 
 
+def test_undecodable_input_is_parse_error(tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"kl-graph 2 1\n0 \xff1\n")
+    assert main(["decide", "-k", "1", "-l", "1", "--input", str(bad)]) == 2
+    assert "line 2" in capsys.readouterr().err
+
+
 def test_usage_errors(tmp_path, capsys):
     tri = write_graph(tmp_path, Multigraph(3, [(0, 1), (0, 2), (1, 2)]))
     # l > 2k is outside every regime

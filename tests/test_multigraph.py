@@ -6,6 +6,7 @@ import pytest
 
 from klsparse import (
     EdgeCountMismatchError,
+    GraphParseError,
     MalformedEdgeError,
     MalformedHeaderError,
     Multigraph,
@@ -125,3 +126,25 @@ def test_parse_weight_on_unweighted_graph():
 def test_parse_missing_weight_on_weighted_graph():
     with pytest.raises(MalformedEdgeError):
         parse_graph("kl-graph 2 1 weighted\n0 1\n")
+
+
+def test_nan_weight_rejected_by_constructor():
+    with pytest.raises(ValueError, match="edge 0"):
+        Multigraph(3, [(0, 1), (1, 2)], weights=[float("nan"), 1.0])
+
+
+def test_parse_infinite_weight_rejected():
+    with pytest.raises(MalformedEdgeError) as info:
+        parse_graph("kl-graph 2 2 weighted\n0 1 1.5\n0 1 inf\n")
+    assert info.value.line == 3
+
+
+def test_non_integer_endpoint_rejected():
+    with pytest.raises(ValueError, match="edge 1"):
+        Multigraph(2, [(0, 1), (0.5, 1)])
+
+
+def test_parse_undecodable_bytes_names_line():
+    with pytest.raises(GraphParseError) as info:
+        parse_graph(b"kl-graph 2 1\n0 \xff\n")
+    assert info.value.line == 2

@@ -8,6 +8,7 @@ from klsparse import (
     Instrumentation,
     Multigraph,
     Reason,
+    ReversalBoundError,
     SparsityParams,
     UnweightedInputError,
     WrongRegimeError,
@@ -93,6 +94,12 @@ def test_reversal_bound_per_acceptance():
             for v in rep.verdicts:
                 if v.accepted:
                     assert v.reversals_used <= l + 1
+
+
+def test_reversal_bound_is_checked_without_assert(monkeypatch):
+    monkeypatch.setattr(SparsityParams, "reversal_bound", property(lambda p: -1))
+    with pytest.raises(ReversalBoundError):
+        extract(complete_graph(3), SparsityParams(2, 3))
 
 
 def test_verdict_reasons_cover_run():

@@ -10,6 +10,7 @@ from klsparse import (
     Multigraph,
     NotSimpleInputError,
     Reason,
+    ReversalBoundError,
     SparsityParams,
     TwoKEngine,
     extract_maximal_2k,
@@ -110,3 +111,9 @@ def test_verdict_reasons():
 def test_empty_and_tiny_graphs():
     assert extract_maximal_2k(Multigraph(1, []), 2).accepted_count == 0
     assert extract_maximal_2k(Multigraph(2, [(0, 1)]), 1).accepted_count == 1
+
+
+def test_zeroing_bound_is_checked_without_assert(monkeypatch):
+    monkeypatch.setattr("klsparse.sparse2k._zeroing_bound", lambda k: -1)
+    with pytest.raises(ReversalBoundError):
+        extract_maximal_2k(Multigraph(3, [(0, 1), (1, 2)]), 1)
