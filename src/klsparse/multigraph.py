@@ -91,12 +91,20 @@ class Multigraph:
                 f"edge {e}: endpoints must be a pair of integers, got {edges[e]!r}"
             ) from None
         if weights is not None:
-            weights = [float(w) for w in weights]
+            checked: list[float] = []
             for e, w in enumerate(weights):
+                try:
+                    w = float(w)
+                except (TypeError, ValueError):
+                    raise ValueError(
+                        f"edge {e}: weight must be a number, got {w!r}"
+                    ) from None
                 if not 0 <= w < math.inf:  # also rejects NaN
                     raise ValueError(
                         f"edge {e}: weight must be finite and non-negative, got {w}"
                     )
+                checked.append(w)
+            weights = checked
         self.edge_u = edge_u
         self.edge_v = edge_v
         self.weights = weights

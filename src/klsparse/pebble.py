@@ -102,29 +102,66 @@ class Verdict:
     reason: Reason
 
 
+_REASONS = tuple(Reason)
+_CODE = {reason: code for code, reason in enumerate(_REASONS)}
+_EARLY_TERMINATED = _CODE[Reason.EARLY_TERMINATED]
+
+
 @dataclass
 class ExtractionReport:
     """Outcome of one extraction run.
 
-    ``accepted`` is the accepted edge-id set; ``verdicts`` lists one entry
-    per processed edge in processing order.  The classification flags are
-    filled by :func:`decide` and stay None otherwise.
+    ``accepted`` is the accepted edge-id set and ``order`` the processed
+    edge ids in processing order.  Per-edge outcomes are kept compact: a
+    reason code per edge id and the non-zero reversal counts, written by
+    :meth:`record`.  Codes start at EARLY_TERMINATED, so the edges an
+    engine lists in ``order`` after the tight size need no write at all.
+    ``verdicts`` builds the :class:`Verdict` list from these records on
+    demand.  The classification flags are filled by :func:`decide` and
+    stay None otherwise.
     """
 
     params: SparsityParams
     n: int
     m: int
     accepted: set[int] = field(default_factory=set)
-    verdicts: list[Verdict] = field(default_factory=list)
+    order: list[int] = field(default_factory=list)
     counters: Instrumentation = field(default_factory=Instrumentation)
     total_weight: float | None = None
     is_sparse: bool | None = None
     is_tight: bool | None = None
     is_spanning: bool | None = None
 
+    def __post_init__(self) -> None:
+        self._reasons = bytearray([_EARLY_TERMINATED]) * self.m
+        self._reversals: dict[int, int] = {}
+
     @property
     def accepted_count(self) -> int:
         return len(self.accepted)
+
+    def record(self, verdict: Verdict) -> None:
+        """Append one processed edge's verdict."""
+        e = verdict.edge
+        self.order.append(e)
+        self._reasons[e] = _CODE[verdict.reason]
+        if verdict.reversals_used:
+            self._reversals[e] = verdict.reversals_used
+        self.counters.edges_processed += 1
+        if verdict.accepted:
+            self.counters.edges_accepted += 1
+            self.accepted.add(e)
+
+    @property
+    def verdicts(self) -> list[Verdict]:
+        """One :class:`Verdict` per processed edge, in processing order."""
+        reasons, reversals = self._reasons, self._reversals
+        accepted = _CODE[Reason.ACCEPTED]
+        return [
+            Verdict(e, reasons[e] == accepted, reversals.get(e, 0),
+                    _REASONS[reasons[e]])
+            for e in self.order
+        ]
 
 
 class ComponentSet:
@@ -213,7 +250,8 @@ class PebbleEngine:
     Drives a strategy's edge order through :meth:`try_accept`, maintaining
     the inner digraph, the processed flags shared with the strategy, the
     block store fed by failed searches, and the early-termination cutoff
-    at max(k*n - l, 0) arcs.
+    at max(k*n - l, 0) arcs, after which :meth:`run` only drains the
+    order.
     """
 
     def __init__(
@@ -296,35 +334,46 @@ class PebbleEngine:
         construction; the indegree bound is still enforced on insert.
         """
         self.digraph.insert_arc(e, tail, head)
-        self._record(Verdict(e, True, 0, Reason.ACCEPTED))
-
-    def early_terminated(self) -> bool:
-        return self.digraph.arc_count >= self._tight_size
-
-    def _record(self, verdict: Verdict) -> None:
-        e = verdict.edge
         self.processed[e] = True
-        self.counters.edges_processed += 1
-        if verdict.accepted:
-            self.counters.edges_accepted += 1
-            self.report.accepted.add(e)
-        self.report.verdicts.append(verdict)
+        self.report.record(Verdict(e, True, 0, Reason.ACCEPTED))
 
     def _process_edge(self, e: int, strategy) -> Verdict:
         preferred = strategy.orient(self.graph.edge_u[e], self.graph.edge_v[e])
         return self.try_accept(e, preferred)
 
     def run(self, strategy) -> ExtractionReport:
-        """Drain ``strategy``'s edge order through the engine."""
+        """Drain ``strategy``'s edge order through the engine.
+
+        Once the digraph holds max(k*n - l, 0) arcs no further edge can be
+        accepted, so the main loop stops there, and a tail loop only marks
+        each remaining edge of the strategy's order processed, lists it in
+        the report (its reason code already reads EARLY_TERMINATED) and
+        tells the strategy; it makes no verdict and no search.
+        """
         strategy.start(self)
-        while (e := strategy.next_edge()) is not None:
-            if self.early_terminated():
-                self.counters.early_termination_hit = 1
-                verdict = Verdict(e, False, 0, Reason.EARLY_TERMINATED)
-            else:
-                verdict = self._process_edge(e, strategy)
-            self._record(verdict)
-            strategy.on_processed(e, verdict.accepted)
+        digraph = self.digraph
+        tight_size = self._tight_size
+        processed = self.processed
+        record = self.report.record
+        next_edge = strategy.next_edge
+        on_processed = strategy.on_processed
+        while digraph.arc_count < tight_size:
+            e = next_edge()
+            if e is None:
+                return self.report
+            verdict = self._process_edge(e, strategy)
+            processed[e] = True
+            record(verdict)
+            on_processed(e, verdict.accepted)
+        order = self.report.order
+        cut = len(order)
+        while (e := next_edge()) is not None:
+            processed[e] = True
+            order.append(e)
+            on_processed(e, False)
+        if len(order) > cut:
+            self.counters.edges_processed += len(order) - cut
+            self.counters.early_termination_hit = 1
         return self.report
 
 

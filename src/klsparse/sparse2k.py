@@ -111,11 +111,7 @@ class TwoKEngine:
             verdict = Verdict(e, True, reversals, Reason.ACCEPTED)
         else:
             verdict = Verdict(e, False, reversals, Reason.INDEGREE_BLOCKED)
-        self.counters.edges_processed += 1
-        if verdict.accepted:
-            self.counters.edges_accepted += 1
-            self.report.accepted.add(e)
-        self.report.verdicts.append(verdict)
+        self.report.record(verdict)
         return verdict
 
     def run(self) -> ExtractionReport:

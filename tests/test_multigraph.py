@@ -148,3 +148,13 @@ def test_parse_undecodable_bytes_names_line():
     with pytest.raises(GraphParseError) as info:
         parse_graph(b"kl-graph 2 1\n0 \xff\n")
     assert info.value.line == 2
+
+
+def test_none_weight_rejected_by_constructor():
+    with pytest.raises(ValueError, match="edge 0: weight must be a number"):
+        Multigraph(2, [(0, 1)], weights=[None])
+
+
+def test_non_numeric_weight_names_edge():
+    with pytest.raises(ValueError, match="edge 1: weight must be a number"):
+        Multigraph(2, [(0, 1), (0, 1)], weights=[1.0, "x"])

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from klsparse import (
+    STRATEGY_NAMES,
     Instrumentation,
     Multigraph,
+    PebbleEngine,
     Reason,
     ReversalBoundError,
     SparsityParams,
@@ -15,7 +19,10 @@ from klsparse import (
     decide,
     extract,
     extract_weighted,
+    gen_erdos_renyi,
+    make_strategy,
 )
+from klsparse.heuristics import BasicStrategy
 from conftest import complete_graph
 
 
@@ -190,3 +197,77 @@ def test_report_shape():
     assert rep.accepted_count == len(rep.accepted)
     assert rep.total_weight is None
     assert rep.is_sparse is None
+
+
+# sha256 of the verdict stream and of the counters over every strategy with
+# seeds 0 and 3; both graphs reach the tight size early under every strategy
+_PINNED_STREAMS = {
+    ((80, 0.3, 5), (2, 3)): (
+        "df57889eb24989f1e350f2548f9470f48e73783f32877e54c066b8516ac47a51",
+        "dcf3544ed22ce0afd6662e40d6a69dd8935437f89ff26ce759dd5476b97622d4",
+    ),
+    ((60, 0.4, 6), (1, 1)): (
+        "fbd4958909b6446e95e7c64bebed8a92099d364ba1658927f76138724b78b237",
+        "21bc3cea5e3efe034461aba13fafac3b19133ee902cee8c919b6a2a8e3f07a09",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_PINNED_STREAMS))
+def test_verdict_stream_pinned(case):
+    (n, prob, graph_seed), pair = case
+    g = gen_erdos_renyi(n, prob, seed=graph_seed)
+    p = SparsityParams(*pair)
+    verdicts, counters = hashlib.sha256(), hashlib.sha256()
+    for name in STRATEGY_NAMES:
+        for seed in (0, 3):
+            rep = PebbleEngine(g, p).run(make_strategy(name, g, p, seed=seed))
+            c = rep.counters
+            assert c.early_termination_hit == 1, name
+            verdicts.update(repr([
+                (v.edge, v.accepted, v.reversals_used, v.reason.value)
+                for v in rep.verdicts
+            ]).encode())
+            counters.update(repr((
+                c.bfs_node_visits, c.path_reversals, c.edges_processed,
+                c.edges_accepted, c.early_termination_hit,
+            )).encode())
+    assert (verdicts.hexdigest(), counters.hexdigest()) == _PINNED_STREAMS[case]
+
+
+def test_no_engine_work_after_tight_size(monkeypatch):
+    calls = {"try_accept": 0, "orient": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(PebbleEngine, "try_accept",
+                        counted("try_accept", PebbleEngine.try_accept))
+    monkeypatch.setattr(BasicStrategy, "orient",
+                        counted("orient", BasicStrategy.orient))
+    g = complete_graph(50)
+    rep = extract(g, SparsityParams(1, 1))
+    assert calls == {"try_accept": 49, "orient": 49}
+    verdicts = rep.verdicts
+    assert len(verdicts) == g.m == 1225
+    assert all(v.accepted for v in verdicts[:49])
+    tail = verdicts[49:]
+    assert len(tail) == 1176
+    assert all(v.reason is Reason.EARLY_TERMINATED and not v.accepted
+               and v.reversals_used == 0 for v in tail)
+    assert rep.counters.edges_processed == g.m
+    assert rep.counters.early_termination_hit == 1
+
+
+def test_verdicts_built_from_compact_records():
+    g = complete_graph(6)
+    rep = extract(g, SparsityParams(2, 3))
+    verdicts = rep.verdicts
+    assert [v.edge for v in verdicts] == rep.order
+    assert {v.edge for v in verdicts if v.accepted} == rep.accepted
+    assert verdicts == rep.verdicts  # rebuilt equal on each read
+    with pytest.raises(AttributeError):
+        rep.verdicts = []
