@@ -82,11 +82,8 @@ def detect_block(
         targets = (u, v)
     if digraph.saturated_closure(targets) is None:
         return None
-    reach = digraph.multi_source_forward_reach(
-        lambda x: indeg[x] < k, excluded=targets
-    )
-    outside = set(reach)
-    return Block(frozenset(x for x in range(digraph.n) if x not in outside))
+    digraph.multi_source_forward_reach(lambda x: indeg[x] < k, excluded=targets)
+    return Block(frozenset(digraph.unstamped()).union(targets))
 
 
 class ComponentEngine(PebbleEngine):

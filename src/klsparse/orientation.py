@@ -227,38 +227,44 @@ class InnerDigraph:
         excluded: Iterable[int] = (),
     ) -> list[int]:
         """Nodes reachable by directed paths from any non-excluded node
-        satisfying ``is_source``; excluded nodes are never visited."""
+        satisfying ``is_source``; excluded nodes are never visited.
+
+        The excluded nodes are stamped up front, so afterwards
+        :meth:`unstamped` lists exactly the nodes neither reached nor
+        excluded.
+        """
         self._epoch += 1
         epoch = self._epoch
         stamp = self._stamp
-        arc_tail = self.arc_tail
         arc_head = self.arc_head
         inc = self.inc
         c = self.counters
 
-        banned = set(excluded)
+        for v in excluded:
+            stamp[v] = epoch
         queue = [
-            v for v in range(self.n) if v not in banned and is_source(v)
+            v for v in range(self.n) if stamp[v] != epoch and is_source(v)
         ]
         for v in queue:
             stamp[v] = epoch
         visits = len(queue)
-        qi = 0
-        while qi < len(queue):
-            x = queue[qi]
-            qi += 1
+        append = queue.append
+        for x in queue:
+            # an in-arc's head is x itself, already stamped
             for a in inc[x]:
-                if arc_tail[a] != x:
-                    continue
                 y = arc_head[a]
-                if stamp[y] == epoch or y in banned:
-                    continue
-                stamp[y] = epoch
-                visits += 1
-                queue.append(y)
+                if stamp[y] != epoch:
+                    stamp[y] = epoch
+                    visits += 1
+                    append(y)
         c.bfs_node_visits += visits
         c.lazy_reset_work += visits
         return queue
+
+    def unstamped(self) -> list[int]:
+        """Nodes the latest traversal did not stamp, in id order."""
+        epoch = self._epoch
+        return [x for x, s in enumerate(self._stamp) if s != epoch]
 
     def undirected_edges(self) -> list[tuple[int, int, int]]:
         """Current arcs as ``(min_endpoint, max_endpoint, edge_id)`` tuples,

@@ -152,6 +152,15 @@ class ExtractionReport:
             self.counters.edges_accepted += 1
             self.accepted.add(e)
 
+    def reason_counts(self) -> dict[Reason, int]:
+        """Number of processed edges per verdict reason (every reason
+        listed, zeros included)."""
+        counts = [0] * len(_REASONS)
+        reasons = self._reasons
+        for e in self.order:
+            counts[reasons[e]] += 1
+        return dict(zip(_REASONS, counts))
+
     @property
     def verdicts(self) -> list[Verdict]:
         """One :class:`Verdict` per processed edge, in processing order."""
@@ -169,17 +178,21 @@ class ComponentSet:
 
     By the block union lemma (Lee & Streinu, Pebble game algorithms and
     sparse graphs, 2008) two tight blocks sharing at least one node for
-    l <= k, or two nodes for k < l, have a tight union.  A record merges
-    every block it meets that far into the largest block involved (union
-    by size: only the smaller sets move) and repeats while the grown block
-    meets another, so stored blocks stay disjoint for l <= k and share at
-    most one node for k < l.  Each node lists the ids of its blocks.
+    l <= k, two nodes for k < l < 2k, or three nodes for l = 2k have a
+    tight union: i(X | Y) >= i(X) + i(Y) - i(X & Y), and the sparsity
+    bound i(X & Y) <= k|X & Y| - l holds from that many shared nodes on.
+    A record merges every block it meets that far into the largest block
+    involved (union by size: only the smaller sets move) and repeats
+    while the grown block, counted with the nodes still to join it, meets
+    another that far.  Stored blocks thus stay disjoint for l <= k, share
+    at most one node for k < l < 2k and at most two for l = 2k.  Each
+    node lists the ids of its blocks.
     """
 
     def __init__(self, n: int, params: SparsityParams) -> None:
-        params.require_augmenting_regime()
         self.params = params
-        self._threshold = 1 if params.l <= params.k else 2
+        k, l = params.k, params.l
+        self._threshold = 1 if l <= k else 2 if l < 2 * k else 3
         self._node_blocks: list[list[int]] = [[] for _ in range(n)]
         self._block_nodes: dict[int, set[int]] = {}
         self._next_id = 0
@@ -217,7 +230,8 @@ class ComponentSet:
                     met[c] = met.get(c, 0) + 1
             merging = [
                 c for c, shared in met.items()
-                if shared >= threshold or not members.isdisjoint(block_nodes[c])
+                if shared >= threshold
+                or shared + len(members & block_nodes[c]) >= threshold
             ]
             if not merging:
                 break

@@ -9,7 +9,16 @@ insertable exactly when every other node can still reach spare capacity:
 a forward search from the nodes of indegree below k (u and v excluded)
 must cover all of V minus {u, v}.  Accepted arcs point at the larger
 endpoint id.  One pass over the edges yields an inclusion-wise maximal
-(k,2k)-sparse subgraph in O(nm) total time.
+(k,2k)-sparse subgraph.
+
+A failed search exposes a tight block: the nodes it did not reach, with
+u and v, are saturated off the endpoints and entered by no arc from the
+reached side, so they induce k|X| - 2k accepted edges on |X| >= 3 nodes.
+The engine records each one in the block store shared with
+:class:`~klsparse.pebble.PebbleEngine` and rejects a later edge inside a
+recorded block with no zeroing and no search.  So the forward reach,
+O(n + m) each, runs only for accepted edges and for rejections that
+create or grow a block; every other edge costs one coverage query.
 """
 
 from __future__ import annotations
@@ -17,6 +26,7 @@ from __future__ import annotations
 from .multigraph import Multigraph
 from .orientation import InnerDigraph, Instrumentation
 from .pebble import (
+    ComponentSet,
     ExtractionReport,
     Reason,
     ReversalBoundError,
@@ -76,7 +86,8 @@ def insertable(digraph: InnerDigraph, u: int, v: int) -> bool:
 
 
 class TwoKEngine:
-    """One-pass maximality engine for l = 2k on a simple graph."""
+    """One-pass maximality engine for l = 2k on a simple graph, with the
+    tight blocks exposed by failed searches in ``blocks``."""
 
     def __init__(
         self,
@@ -98,19 +109,26 @@ class TwoKEngine:
         self.graph = graph
         self.counters = counters if counters is not None else Instrumentation()
         self.digraph = InnerDigraph(graph.n, k, self.counters)
+        self.blocks = ComponentSet(graph.n, self.params)
         self.report = ExtractionReport(
             params=self.params, n=graph.n, m=graph.m, counters=self.counters
         )
 
     def process(self, e: int) -> Verdict:
         u, v = self.graph.edge_u[e], self.graph.edge_v[e]
-        reversals = zero_pair_indegrees(self.digraph, u, v)
-        if insertable(self.digraph, u, v):
-            # arc toward the larger id (v, by canonical endpoint storage)
-            self.digraph.insert_arc(e, u, v)
-            verdict = Verdict(e, True, reversals, Reason.ACCEPTED)
+        digraph = self.digraph
+        if self.blocks.covers(u, v):
+            verdict = Verdict(e, False, 0, Reason.COVERED_BY_COMPONENT)
         else:
-            verdict = Verdict(e, False, reversals, Reason.INDEGREE_BLOCKED)
+            reversals = zero_pair_indegrees(digraph, u, v)
+            if insertable(digraph, u, v):
+                # arc toward the larger id (v, by canonical endpoint storage)
+                digraph.insert_arc(e, u, v)
+                verdict = Verdict(e, True, reversals, Reason.ACCEPTED)
+            else:
+                # the reach's stamps still mark u, v and every reached node
+                self.blocks.record(digraph.unstamped() + [u, v])
+                verdict = Verdict(e, False, reversals, Reason.INDEGREE_BLOCKED)
         self.report.record(verdict)
         return verdict
 

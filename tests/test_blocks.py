@@ -13,7 +13,9 @@ from klsparse import (
     PebbleEngine,
     Reason,
     SparsityParams,
+    TwoKEngine,
     extract,
+    extract_maximal_2k,
     extract_weighted,
     extract_with_components,
     gen_erdos_renyi,
@@ -39,7 +41,8 @@ def _check_blocks(graph, params, report, blocks) -> None:
     k, l = params.k, params.l
     node_sets = [set(b) for b in blocks]
     for nodes in node_sets:
-        assert len(nodes) >= 2
+        # at l = 2k the counting bound starts at three nodes
+        assert len(nodes) >= (3 if l == 2 * k else 2)
         assert _induced(graph, report.accepted, nodes) == k * len(nodes) - l
     for v in report.verdicts:
         if v.reason is Reason.COVERED_BY_COMPONENT:
@@ -174,3 +177,69 @@ def test_merge_cascades_through_grown_block():
     blocks.record([2, 3, 4])
     assert blocks.components() == [[1, 2, 3, 4]]
     assert blocks.covers(1, 4)
+
+
+def test_maximal_2k_blocks_are_tight():
+    rng = random.Random(79)
+    covered = 0
+    for _ in range(12):
+        n = rng.randint(8, 60)
+        g = gen_erdos_renyi(n, rng.uniform(0.1, 0.6), seed=rng.randrange(10**6))
+        for k in (1, 2, 3):
+            engine = TwoKEngine(g, k)
+            report = engine.run()
+            _check_blocks(g, engine.params, report, engine.blocks.components())
+            counts = report.reason_counts()
+            assert counts[Reason.ACCEPTED] == report.accepted_count
+            assert counts[Reason.EARLY_TERMINATED] == 0
+            assert sum(counts.values()) == g.m
+            covered += counts[Reason.COVERED_BY_COMPONENT]
+    assert covered > 1000
+
+
+def test_maximal_2k_digests_pinned():
+    # sha256 of the sorted accepted ids, computed before the l = 2k pass
+    # had a block store: the greedy maximal set depends only on the order
+    # (the first case is the maximal-2k-er benchmark's pinned input)
+    cases = [
+        (gen_erdos_renyi(300, 0.05, seed=1000), 2, 596,
+         "6185ae7962957580ef9dfd423c781181ec95f88774aa737bc98b2f36b9ee845b"),
+        (gen_erdos_renyi(200, 0.1, seed=3000), 3, 594,
+         "8dca351f647e8df0de0c82287fb79d2420eac4272b102f0e0280f133fad6c2c3"),
+    ]
+    for g, k, count, digest in cases:
+        report = extract_maximal_2k(g, k)
+        text = "\n".join(str(e) for e in sorted(report.accepted))
+        assert report.accepted_count == count
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_merge_threshold_at_l_equals_2k():
+    # two shared nodes keep blocks apart, three merge; the grown block
+    # still shares only two nodes with the first one
+    blocks = ComponentSet(5, SparsityParams(2, 4))
+    blocks.record([0, 1, 2])
+    blocks.record([1, 2, 3])
+    assert blocks.components() == [[0, 1, 2], [1, 2, 3]]
+    assert not blocks.covers(0, 3)
+    blocks.record([1, 2, 3, 4])
+    assert blocks.components() == [[0, 1, 2], [1, 2, 3, 4]]
+    assert blocks.covers(1, 4) and not blocks.covers(0, 4)
+
+
+def test_merge_at_l_equals_2k_counts_pending_and_target():
+    # the record meets {5,6,7} in two nodes and {0,1,2,5} in three; once
+    # it joins {0,1,2,5}, that block plus the record meets {5,6,7} in three
+    blocks = ComponentSet(8, SparsityParams(2, 4))
+    blocks.record([0, 1, 2, 5])
+    blocks.record([5, 6, 7])
+    blocks.record([0, 1, 2, 6, 7])
+    assert blocks.components() == [[0, 1, 2, 5, 6, 7]]
+
+    # one node from the record and one from the target make only two
+    split = ComponentSet(8, SparsityParams(2, 4))
+    split.record([0, 1, 2, 5])
+    split.record([5, 6, 7])
+    split.record([0, 1, 2, 6])
+    assert split.components() == [[0, 1, 2, 5, 6], [5, 6, 7]]
+    assert not split.covers(0, 7)

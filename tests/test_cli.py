@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
 from itertools import combinations
 
-from klsparse import Multigraph, serialize_graph
+from klsparse import Multigraph, gen_erdos_renyi, serialize_graph
 from klsparse.cli import AGGREGATE_HEADER, BENCH_HEADER, main
 
 
@@ -122,6 +123,19 @@ def test_maximal_2k_output(tmp_path, capsys):
     assert main(["maximal-2k", "-k", "1", "--input", tri]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out == ["0", "accepted=1 of 3"]
+
+
+def test_maximal_2k_cli_output_pinned(tmp_path, capsys):
+    # stdout computed before the l = 2k pass had a block store; 596 of
+    # the 2150 edges are accepted
+    g = write_graph(tmp_path, gen_erdos_renyi(300, 0.05, seed=1000))
+    assert main(["maximal-2k", "-k", "2", "--input", g]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "e66d22863d40ab5d9dd8b0647245118fe4b16648b7016fd85cfbbb91d7ebb701"
+    )
+    assert main(["decide", "-k", "2", "-l", "4", "--input", g]) == 0
+    assert capsys.readouterr().out == "none\naccepted=596 of 2150 tight_size=596\n"
 
 
 def test_maximal_2k_rejects_multigraph(tmp_path, capsys):

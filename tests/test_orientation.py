@@ -115,6 +115,17 @@ def test_multi_source_forward_reach():
     assert sorted(reach) == [0]
 
 
+def test_unstamped_after_forward_reach():
+    d = InnerDigraph(4, 1)
+    d.insert_arc(0, 0, 1)
+    d.insert_arc(1, 2, 3)
+    # sources 0 and 2; excluding 2 leaves node 3 neither reached nor excluded
+    reach = d.multi_source_forward_reach(lambda x: d.indeg[x] < 1, excluded=(2,))
+    assert sorted(reach) == [0, 1]
+    assert d.unstamped() == [3]
+    assert d.counters.bfs_node_visits == 2
+
+
 def test_counters_accumulate():
     c = Instrumentation()
     d = InnerDigraph(3, 1, counters=c)

@@ -271,3 +271,15 @@ def test_verdicts_built_from_compact_records():
     assert verdicts == rep.verdicts  # rebuilt equal on each read
     with pytest.raises(AttributeError):
         rep.verdicts = []
+
+
+def test_reason_counts_match_verdicts():
+    # K_8 under (2,3): rejections, covered edges and a drained tail
+    g = complete_graph(8)
+    rep = extract(g, SparsityParams(2, 3))
+    counts = rep.reason_counts()
+    assert counts == {
+        reason: sum(v.reason is reason for v in rep.verdicts) for reason in Reason
+    }
+    assert counts[Reason.EARLY_TERMINATED] > 0
+    assert sum(counts.values()) == g.m
