@@ -33,6 +33,7 @@ from .pebble import (
     PebbleEngine,
     SparsityParams,
     Verdict,
+    resolve_order,
 )
 
 
@@ -121,14 +122,7 @@ def extract_with_components(
     """
     params.require_augmenting_regime()
     engine = ComponentEngine(graph, params, counters)
-    if order is None:
-        from .heuristics import make_strategy
-
-        order = make_strategy("NBasicComp", graph, params)
-    elif not hasattr(order, "next_edge"):
-        from .pebble import _FixedOrder
-
-        order = _FixedOrder(list(order))
+    order = resolve_order(order, graph, params, "NBasicComp")
     if order.kind == "two-phase":
         raise OrderRegimeViolationError(
             f"strategy {order.name} seeds the digraph in bulk and cannot "

@@ -2,27 +2,34 @@
 
 Four families:
 
-* edge orders   -- Basic, DegMin, IncProcMin, IncInDegMin
+* edge orders   -- Basic, DegMin, IncProcMin, IncInDegMin; DegMin walks
+                   NDegMin's order and only orients arcs by degree
 * node orders   -- NBasic, NDegMin, NProcMin, NInDegMin and their *Comp
                    variants (same order, flipped arc orientation, meant for
                    the component-based engine)
-* transposed    -- Transp, TranspOne (cyclic node sweeps)
+* transposed    -- Transp, TranspOne (one cyclic node sweep; TranspOne
+                   stays at a node while its edges keep being accepted)
 * two-phase     -- PForestsBFS/DFS, ForestsBFS/DFS, UnionBasic, UnionNBasic,
                    UnionTranspOne: seed the digraph with edge-disjoint
                    forests (and pseudoforests where k > l), then stream the
                    leftovers through a paired second-phase order
 
-Ordering never changes the accepted cardinality (matroid regime); it only
-moves the traversal work around.  Every strategy is deterministic for a
-fixed seed, with seed 0 meaning exact storage order where a shuffle would
-otherwise apply.
+A strategy is a configuration: which edge comes next and where its arc
+points.  The node orders, DegMin, the sweeps and UnionTranspOne's first
+phase step through incidence lists with one resumable cursor,
+:func:`_take`.  Ordering never changes the accepted cardinality
+(matroid regime); it only moves the traversal work around.  Every strategy
+is deterministic for a fixed seed, with seed 0 meaning exact storage order
+where a shuffle would otherwise apply.
 """
 
 from __future__ import annotations
 
 import random
 from collections import deque
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from functools import partial
 
 from .multigraph import Multigraph
 from .orientation import InnerDigraph
@@ -172,54 +179,23 @@ class BasicStrategy(Strategy):
         return u if self._coin.random() < 0.5 else v
 
 
-class DegMinStrategy(Strategy):
-    """Next edge at a node of minimum input-graph degree, arc oriented
-    toward the smaller-degree endpoint."""
-
-    name = "DegMin"
-    kind = EDGE_ORDER
+class _ProcCountStrategy(Strategy):
+    """Keeps ``_proc[v]``, the number of processed edges at node ``v`` (a
+    loop counts once), for the strategies keyed on it."""
 
     def start(self, engine):
         super().start(engine)
+        self._proc = [0] * self.graph.n
+
+    def on_processed(self, edge, accepted):
         g = self.graph
-        buckets: list[deque] = []
-        for v in range(g.n):
-            d = g.degree[v]
-            while len(buckets) <= d:
-                buckets.append(deque())
-            buckets[d].append(v)
-        self._buckets = buckets
-        self._min = 0
-        self._ptr = [0] * g.n
-
-    def next_edge(self):
-        g = self.graph
-        processed = self.engine.processed
-        buckets = self._buckets
-        ptr = self._ptr
-        while self._min < len(buckets):
-            b = buckets[self._min]
-            if not b:
-                self._min += 1
-                continue
-            v = b[0]  # degrees are static, so the node stays current
-            inc = g.incidence[v]
-            i = ptr[v]
-            while i < len(inc) and processed[inc[i]]:
-                i += 1
-            if i < len(inc):
-                ptr[v] = i + 1
-                return inc[i]
-            ptr[v] = i
-            b.popleft()
-        return None
-
-    def orient(self, u, v):
-        d = self.graph.degree
-        return u if (d[u], u) <= (d[v], v) else v
+        u, v = g.edge_u[edge], g.edge_v[edge]
+        self._proc[u] += 1
+        if v != u:
+            self._proc[v] += 1
 
 
-class IncProcMinStrategy(Strategy):
+class IncProcMinStrategy(_ProcCountStrategy):
     """Next edge minimizing the endpoints' processed-incident-edge total,
     arc oriented toward the endpoint with fewer processed edges."""
 
@@ -228,10 +204,8 @@ class IncProcMinStrategy(Strategy):
 
     def start(self, engine):
         super().start(engine)
-        g = self.graph
-        self._proc = [0] * g.n
         bq = BucketQueue()
-        for e in range(g.m):
+        for e in range(self.graph.m):
             bq.push(e, 0)
         self._bq = bq
 
@@ -246,13 +220,6 @@ class IncProcMinStrategy(Strategy):
     def orient(self, u, v):
         proc = self._proc
         return u if (proc[u], u) <= (proc[v], v) else v
-
-    def on_processed(self, edge, accepted):
-        g = self.graph
-        u, v = g.edge_u[edge], g.edge_v[edge]
-        self._proc[u] += 1
-        if v != u:
-            self._proc[v] += 1
 
 
 class IncInDegMinStrategy(Strategy):
@@ -279,6 +246,23 @@ class IncInDegMinStrategy(Strategy):
         return self._bq.pop(self._key)
 
 
+def _take(incidence: list[list[int]], ptr: list[int], flags, v: int) -> int | None:
+    """The incidence cursor: node ``v``'s next edge whose flag is clear,
+    from ``ptr[v]`` on, moving ``ptr[v]`` past it; None when the list is
+    drained.  Flagged edges are skipped for good, so each node's list is
+    walked once in total."""
+    inc = incidence[v]
+    i = ptr[v]
+    end = len(inc)
+    while i < end and flags[inc[i]]:
+        i += 1
+    if i < end:
+        ptr[v] = i + 1
+        return inc[i]
+    ptr[v] = i
+    return None
+
+
 class _NodeOrderStrategy(Strategy):
     """Shared machinery: select a node, drain all its unprocessed incident
     edges (in incidence order), move on.  Subclasses pick the node; the
@@ -301,31 +285,24 @@ class _NodeOrderStrategy(Strategy):
     def start(self, engine):
         super().start(engine)
         self._ptr = [0] * self.graph.n
-        self._cur = -1
+        self._cur = None
 
     def _select_node(self) -> int | None:
         raise NotImplementedError
 
     def next_edge(self):
-        g = self.graph
+        incidence = self.graph.incidence
         processed = self.engine.processed
         ptr = self._ptr
+        v = self._cur
         while True:
-            v = self._cur
-            if v >= 0:
-                inc = g.incidence[v]
-                i = ptr[v]
-                while i < len(inc) and processed[inc[i]]:
-                    i += 1
-                if i < len(inc):
-                    ptr[v] = i + 1
-                    return inc[i]
-                ptr[v] = i
-                self._cur = -1
-            v = self._select_node()
+            if v is not None:
+                e = _take(incidence, ptr, processed, v)
+                if e is not None:
+                    return e
+            v = self._cur = self._select_node()
             if v is None:
                 return None
-            self._cur = v
 
     def orient(self, u, v):
         c = self._cur
@@ -376,7 +353,20 @@ class NDegMinStrategy(_NodeOrderStrategy):
         return self._bq.pop(lambda v: g.degree[v])
 
 
-class NProcMinStrategy(_NodeOrderStrategy):
+class DegMinStrategy(NDegMinStrategy):
+    """NDegMin's order (nodes by minimum input-graph degree, each one's
+    edges drained in incidence order) as an edge order: arcs point toward
+    the smaller-degree endpoint, not toward the current node."""
+
+    _base_name = "DegMin"
+    kind = EDGE_ORDER
+
+    def orient(self, u, v):
+        d = self.graph.degree
+        return u if (d[u], u) <= (d[v], v) else v
+
+
+class NProcMinStrategy(_ProcCountStrategy, _NodeOrderStrategy):
     """Nodes by minimum processed-incident-edge count (monotone key, exact
     minimum); arcs toward the current node (outward in Comp)."""
 
@@ -386,23 +376,14 @@ class NProcMinStrategy(_NodeOrderStrategy):
 
     def start(self, engine):
         super().start(engine)
-        g = self.graph
-        self._proc = [0] * g.n
         bq = BucketQueue()
-        for v in range(g.n):
+        for v in range(self.graph.n):
             bq.push(v, 0)
         self._bq = bq
 
     def _select_node(self):
         proc = self._proc
         return self._bq.pop(lambda v: proc[v])
-
-    def on_processed(self, edge, accepted):
-        g = self.graph
-        u, v = g.edge_u[edge], g.edge_v[edge]
-        self._proc[u] += 1
-        if v != u:
-            self._proc[v] += 1
 
 
 class NInDegMinStrategy(_NodeOrderStrategy):
@@ -436,39 +417,30 @@ class TranspStrategy(Strategy):
 
     def start(self, engine):
         super().start(engine)
-        self._ptr = [0] * self.graph.n
-        self._cursor = 0
-        self._emitted = 0
-        self._last = -1
+        self._sweep(engine.processed)
 
-    def _take_at(self, v: int) -> int | None:
-        g = self.graph
-        processed = self.engine.processed
-        inc = g.incidence[v]
-        ptr = self._ptr
-        i = ptr[v]
-        while i < len(inc) and processed[inc[i]]:
-            i += 1
-        if i < len(inc):
-            ptr[v] = i + 1
-            return inc[i]
-        ptr[v] = i
-        return None
+    def _sweep(self, flags) -> None:
+        """Begin the sweep at node 0 over the edges not flagged in
+        ``flags``."""
+        self._flags = flags
+        self._ptr = [0] * self.graph.n
+        self._at = 0  # where the next scan starts
+        self._last = -1  # node of the last edge taken
 
     def next_edge(self):
-        g = self.graph
-        if self._emitted >= g.m:
-            return None
-        n = g.n
-        v = self._cursor
+        incidence = self.graph.incidence
+        ptr = self._ptr
+        flags = self._flags
+        n = len(incidence)
+        v = self._at
         for _ in range(n):
-            e = self._take_at(v)
+            e = _take(incidence, ptr, flags, v)
+            nxt = (v + 1) % n
             if e is not None:
                 self._last = v
-                self._cursor = (v + 1) % n
-                self._emitted += 1
+                self._at = nxt
                 return e
-            v = (v + 1) % n
+            v = nxt
         return None
 
     def orient(self, u, v):
@@ -476,43 +448,15 @@ class TranspStrategy(Strategy):
 
 
 class TranspOneStrategy(TranspStrategy):
-    """Cyclic node sweep that stays at the current node while its edges
+    """Transp's sweep, but it stays at the current node while its edges
     keep being accepted; a rejection (or running out of edges) moves the
-    sweep on.  ``advance_on_accept=True`` selects the inverted reading:
-    leave the node after its first accepted edge instead."""
+    sweep on."""
 
     name = "TranspOne"
 
-    def __init__(self, graph, params, seed=0, advance_on_accept=False):
-        super().__init__(graph, params, seed)
-        self._advance_on_accept = advance_on_accept
-
-    def start(self, engine):
-        super().start(engine)
-        self._advance_pending = False
-
-    def next_edge(self):
-        g = self.graph
-        if self._emitted >= g.m:
-            return None
-        n = g.n
-        v = self._last if self._last >= 0 else 0
-        if self._advance_pending or self._last < 0:
-            v = self._cursor
-            self._advance_pending = False
-        for _ in range(n):
-            e = self._take_at(v)
-            if e is not None:
-                self._last = v
-                self._cursor = (v + 1) % n
-                self._emitted += 1
-                return e
-            v = (v + 1) % n
-        return None
-
     def on_processed(self, edge, accepted):
-        if accepted == self._advance_on_accept:
-            self._advance_pending = True
+        if accepted:
+            self._at = self._last
 
 
 @dataclass
@@ -676,10 +620,11 @@ def _structure_union_scan(
     graph: Multigraph,
     used: bytearray,
     take_extra: bool,
-    stream: list[int],
+    stream: Iterable[int],
 ) -> list[tuple[int, int, int]]:
     """Grow one forest (plus one cycle edge per component when asked) with
-    a union-find pass over ``stream``."""
+    a union-find pass over ``stream``, marking each edge it takes in
+    ``used`` before it reads the next one."""
     g = graph
     uf = _UnionFind(g.n)
     tree: list[int] = []
@@ -700,55 +645,28 @@ def _structure_union_scan(
             uf.cycled[ru] = 1
             used[e] = 1
             extras.append(e)
-    return _orient_structure_edges(g, tree, extras)
-
-
-def _structure_union_transpone(
-    graph: Multigraph,
-    used: bytearray,
-    take_extra: bool,
-) -> list[tuple[int, int, int]]:
-    """Union-find pass in TranspOne order: cyclic node sweep, staying at a
-    node while its edges keep joining the structure."""
-    g = graph
-    uf = _UnionFind(g.n)
-    tree: list[int] = []
-    extras: list[int] = []
-    considered = bytearray(g.m)
-    left = g.m - sum(used)
-    if g.n == 0 or left == 0:
-        return []
-    ptr = [0] * g.n
-    cursor = 0
-    idle = 0
-    while left > 0 and idle < g.n:
-        inc = g.incidence[cursor]
-        i = ptr[cursor]
-        while i < len(inc) and (used[inc[i]] or considered[inc[i]]):
-            i += 1
-        ptr[cursor] = i
-        if i >= len(inc):
-            cursor = (cursor + 1) % g.n
-            idle += 1
-            continue
-        idle = 0
-        e = inc[i]
-        ptr[cursor] = i + 1
-        left -= 1
-        u, v = g.edge_u[e], g.edge_v[e]
-        ru, rv = uf.find(u), uf.find(v)
-        if ru != rv and not (take_extra and uf.cycled[ru] and uf.cycled[rv]):
-            uf.union(ru, rv)
-            used[e] = 1
-            tree.append(e)
-        elif ru == rv and take_extra and not uf.cycled[ru]:
-            uf.cycled[ru] = 1
-            used[e] = 1
-            extras.append(e)
         else:
-            considered[e] = 1
-            cursor = (cursor + 1) % g.n
+            continue
+        if len(tree) == g.n - 1 and (extras or not take_extra):
+            # one spanning component that takes no further edge
+            break
     return _orient_structure_edges(g, tree, extras)
+
+
+def _transpone_stream(
+    graph: Multigraph, params: SparsityParams, used: bytearray
+) -> Iterator[int]:
+    """The unused edges in TranspOne's sweep order, for
+    :func:`_structure_union_scan`: the scan's verdict on each yielded edge
+    is read back from ``used``, so the sweep stays at a node while its
+    edges keep joining the structure."""
+    seen = bytearray(used)
+    sweep = TranspOneStrategy(graph, params)
+    sweep._sweep(seen)
+    while (e := sweep.next_edge()) is not None:
+        seen[e] = 1
+        yield e
+        sweep.on_processed(e, bool(used[e]))
 
 
 def _nbasic_edge_sequence(graph: Multigraph, seed: int) -> list[int]:
@@ -796,14 +714,13 @@ def build_phase_one(
         if method == "union":
             if union_order == "basic":
                 stream = _shuffled(list(range(graph.m)), seed, "edge-order")
-                structure = _structure_union_scan(graph, used, take_extra, stream)
             elif union_order == "nbasic":
                 stream = _nbasic_edge_sequence(graph, seed)
-                structure = _structure_union_scan(graph, used, take_extra, stream)
             elif union_order == "transpone":
-                structure = _structure_union_transpone(graph, used, take_extra)
+                stream = _transpone_stream(graph, params, used)
             else:
                 raise ValueError(f"unknown union order {union_order!r}")
+            structure = _structure_union_scan(graph, used, take_extra, stream)
         else:
             structure = _structure_traversal(graph, used, take_extra, method == "dfs")
         arcs.extend(structure)
@@ -890,26 +807,8 @@ class TwoPhaseStrategy(Strategy):
 
 
 def _two_phase(name: str, method: str, pseudoforests: bool, second: str):
-    def factory(graph, params, seed=0, **kw):
-        return TwoPhaseStrategy(
-            graph,
-            params,
-            seed,
-            name=name,
-            method=method,
-            pseudoforests=pseudoforests,
-            second=second,
-            **kw,
-        )
-
-    return factory
-
-
-def _node_order(cls, comp: bool):
-    def factory(graph, params, seed=0, **kw):
-        return cls(graph, params, seed, comp=comp, **kw)
-
-    return factory
+    return partial(TwoPhaseStrategy, name=name, method=method,
+                   pseudoforests=pseudoforests, second=second)
 
 
 _FACTORIES = {
@@ -917,14 +816,14 @@ _FACTORIES = {
     "degmin": DegMinStrategy,
     "incprocmin": IncProcMinStrategy,
     "incindegmin": IncInDegMinStrategy,
-    "nbasic": _node_order(NBasicStrategy, False),
-    "ndegmin": _node_order(NDegMinStrategy, False),
-    "nprocmin": _node_order(NProcMinStrategy, False),
-    "nindegmin": _node_order(NInDegMinStrategy, False),
-    "nbasiccomp": _node_order(NBasicStrategy, True),
-    "ndegmincomp": _node_order(NDegMinStrategy, True),
-    "nprocmincomp": _node_order(NProcMinStrategy, True),
-    "nindegmincomp": _node_order(NInDegMinStrategy, True),
+    "nbasic": NBasicStrategy,
+    "ndegmin": NDegMinStrategy,
+    "nprocmin": NProcMinStrategy,
+    "nindegmin": NInDegMinStrategy,
+    "nbasiccomp": partial(NBasicStrategy, comp=True),
+    "ndegmincomp": partial(NDegMinStrategy, comp=True),
+    "nprocmincomp": partial(NProcMinStrategy, comp=True),
+    "nindegmincomp": partial(NInDegMinStrategy, comp=True),
     "pforestsbfs": _two_phase("PForestsBFS", "bfs", True, "basic"),
     "pforestsdfs": _two_phase("PForestsDFS", "dfs", True, "basic"),
     "forestsbfs": _two_phase("ForestsBFS", "bfs", False, "basic"),
@@ -942,11 +841,10 @@ def make_strategy(
     graph: Multigraph,
     params: SparsityParams,
     seed: int = 0,
-    **kwargs,
 ) -> Strategy:
     """Instantiate a strategy by catalog name (case-insensitive)."""
     factory = _FACTORIES.get(name.lower())
     if factory is None:
         valid = ", ".join(STRATEGY_NAMES)
         raise ValueError(f"unknown heuristic {name!r}; valid names: {valid}")
-    return factory(graph, params, seed, **kwargs)
+    return factory(graph, params, seed)

@@ -403,14 +403,21 @@ def extract(
     (default: Basic with seed 0); the accepted cardinality is
     order-independent, the work done is not.
     """
-    from .heuristics import make_strategy
+    strategy = resolve_order(order, graph, params, "Basic")
+    return PebbleEngine(graph, params, counters).run(strategy)
 
+
+def resolve_order(order, graph: Multigraph, params: SparsityParams, default: str):
+    """The strategy an ``order`` argument names: the ``default`` heuristic
+    (seed 0) for None, a :class:`_FixedOrder` for an explicit edge-id
+    sequence, and the object itself when it is already a strategy."""
     if order is None:
-        order = make_strategy("Basic", graph, params)
-    elif not hasattr(order, "next_edge"):
-        order = _FixedOrder(list(order))
-    engine = PebbleEngine(graph, params, counters)
-    return engine.run(order)
+        from .heuristics import make_strategy
+
+        return make_strategy(default, graph, params)
+    if hasattr(order, "next_edge"):
+        return order
+    return _FixedOrder(list(order))
 
 
 class _FixedOrder:

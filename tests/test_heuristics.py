@@ -244,3 +244,20 @@ def test_node_order_strategies_cover_isolated_free_graphs():
     for name in ("NBasic", "NDegMin", "NProcMin", "NInDegMin"):
         rep = extract(g, p, order=make_strategy(name, g, p, seed=6))
         assert rep.accepted_count == 2
+
+
+def test_degmin_emits_ndegmin_order():
+    # DegMin differs from NDegMin only in where an accepted arc points
+    rng = random.Random(23)
+    graphs = []
+    while len(graphs) < 12:
+        g = random_multigraph(rng, max_n=9, max_m=24)
+        if any(g.edge_u[e] == g.edge_v[e] for e in range(g.m)):
+            graphs.append(g)
+    for g in graphs:
+        for k, l in [(2, 3), (1, 1), (3, 4), (1, 0), (2, 1), (3, 5)]:
+            p = SparsityParams(k, l)
+            a = extract(g, p, order=make_strategy("DegMin", g, p, seed=3))
+            b = extract(g, p, order=make_strategy("NDegMin", g, p, seed=3))
+            assert a.order == b.order, (g.n, g.m, k, l)
+            assert a.accepted_count == b.accepted_count
