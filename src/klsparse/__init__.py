@@ -5,7 +5,8 @@ max(k|X| - l, 0) edges (for l = 2k only |X| >= 3 is constrained), and
 tight when it is sparse with exactly max(k|V| - l, 0) edges.  This
 package extracts maximum-size and maximum-weight sparse subgraphs for
 0 <= l < 2k by path augmentation over a bounded-indegree orientation,
-tracks (k,l)-components online, and computes inclusion-wise maximal
+finds the (k,l)-components of the accepted set in one offline pass over
+its final orientation, and computes inclusion-wise maximal
 (k,2k)-sparse subgraphs of simple graphs in O(nm).  A brute-force oracle,
 seeded benchmark generators, and a CLI round it out.
 """
@@ -14,10 +15,8 @@ from __future__ import annotations
 
 from .components import (
     Block,
-    ComponentEngine,
     ComponentSet,
     NotSparseInputError,
-    OrderRegimeViolationError,
     components_of,
     detect_block,
     extract_with_components,
@@ -94,7 +93,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Block",
     "BudgetExceededError",
-    "ComponentEngine",
     "ComponentSet",
     "DEFAULT_BUDGET",
     "EdgeCountMismatchError",
@@ -113,7 +111,6 @@ __all__ = [
     "NotSimpleInputError",
     "NotSparseInputError",
     "OracleBudget",
-    "OrderRegimeViolationError",
     "OrientationInfeasibleError",
     "PebbleEngine",
     "PhaseOneResult",

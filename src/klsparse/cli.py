@@ -14,9 +14,8 @@ import time
 
 from .components import (
     NotSparseInputError,
-    OrderRegimeViolationError,
     components_of,
-    extract_with_components,
+    extract_with_components,  # noqa: F401 - perfbench's tracer wraps this name
 )
 from .generators import FAMILIES, GenSpec
 from .heuristics import STRATEGY_NAMES, make_strategy
@@ -79,13 +78,9 @@ def _params(args) -> SparsityParams:
 
 
 def _run_extraction(graph, params, heuristic: str, seed: int):
-    """Extraction routed through the right engine for the strategy."""
+    """Extraction driven by the named strategy."""
     strategy = make_strategy(heuristic, graph, params, seed)
-    if strategy.uses_components:
-        report, _ = extract_with_components(graph, params, strategy)
-        return report
-    engine = PebbleEngine(graph, params)
-    return engine.run(strategy)
+    return PebbleEngine(graph, params).run(strategy)
 
 
 def _cmd_decide(args) -> int:
@@ -240,14 +235,9 @@ def _cmd_bench(args) -> int:
                         strategy = make_strategy(
                             heuristic, graph, params, trial_seed
                         )
-                        if strategy.uses_components:
-                            report, _ = extract_with_components(
-                                graph, params, strategy, counters
-                            )
-                        else:
-                            report = PebbleEngine(graph, params, counters).run(
-                                strategy
-                            )
+                        report = PebbleEngine(graph, params, counters).run(
+                            strategy
+                        )
                         runtime = time.perf_counter_ns() - t0
                         lines.append(
                             f"{family},{graph.n},{graph.m},{params.k},{params.l},"
@@ -366,7 +356,6 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except (
         WrongRegimeError,
-        OrderRegimeViolationError,
         NotSparseInputError,
         NotSimpleInputError,
         UnweightedInputError,

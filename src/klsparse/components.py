@@ -1,24 +1,25 @@
-"""Online (k,l)-component tracking on top of the extraction engine.
+"""(k,l)-components in one offline pass over the final orientation.
 
 A block is a node set whose induced subgraph is tight (meets the counting
 bound with equality); a component is an inclusion-maximal block.  The
-engine's one block store (:class:`ComponentSet`) is fed by every failed
-search and rejects covered edges with zero traversal; this module adds
-the probe that makes the stored blocks the components.  After an accepted
-edge uv leaves indeg(u) + indeg(v) at its ceiling 2k - l, one extra
-backward probe settles whether a new block appeared:
+components of the accepted set A are read off after the extraction, by
+the fact behind pebble-game component detection (Lee & Streinu, Pebble
+game algorithms and sparse graphs, 2008): in the sparse set A, the
+endpoints of an edge uv can be driven below indeg(u) + indeg(v) = 2k - l
+(for a loop, below indeg(u) = k - l) exactly when no tight set contains
+both.  So the pass walks A in processing order and, for each edge that no
+component found so far covers, reverses paths into its endpoints until
+they drop below that ceiling.  When a search fails instead, the probe
+:func:`detect_block` reads off the maximal block through the edge, which
+is its component.
 
-* the probe reaches a node with indegree below k outside {u, v}: no tight
-  set contains both endpoints, nothing to record;
-* the probe exhausts: a block through u and v exists, and the maximal one
-  is the complement of the forward-reach of the remaining deficient nodes
-  (a tight set is backward-closed with every node outside the edge's
-  endpoints saturated, so it avoids that reach; the complement itself
-  satisfies sum(indeg) = k|X| - l exactly).
-
-The probe result is read without reversing anything and recorded in the
-same store, which merges overlapping blocks: components stay pairwise
-disjoint for l <= k and share at most one node for k < l.
+Every component of at least two nodes induces an edge, and an edge inside
+a found component needs no probe, so the pass costs one probe per
+accepted edge that no component covers: one probe on a tight input.  The
+found blocks live in their own :class:`ComponentSet`, apart from the
+engine's store.  That store holds failed-search closures, which are tight
+but not maximal, and an edge inside one can still lie in a larger
+component.
 """
 
 from __future__ import annotations
@@ -28,17 +29,13 @@ from dataclasses import dataclass
 from .multigraph import Multigraph
 from .orientation import InnerDigraph, Instrumentation
 from .pebble import (
-    ComponentSet,  # re-exported: the engine's block store
+    ComponentSet,  # re-exported: the block store
     ExtractionReport,
     PebbleEngine,
+    ReversalBoundError,
     SparsityParams,
-    Verdict,
     resolve_order,
 )
-
-
-class OrderRegimeViolationError(ValueError):
-    """Strategy/regime combination unsupported by component tracking."""
 
 
 class NotSparseInputError(ValueError):
@@ -58,18 +55,17 @@ class Block:
 def detect_block(
     digraph: InnerDigraph, u: int, v: int, params: SparsityParams
 ) -> Block | None:
-    """Probe for a block through u and v right after their edge was
-    accepted; returns the maximal one, or None when no tight set contains
-    both endpoints.
+    """The maximal block through the accepted edge uv, or None when no
+    tight set contains both endpoints.
 
-    A new tight set must contain u and v, forcing their indegree sum to
-    the ceiling (below it: None without any traversal).  The backward
-    probe then looks for a deficient node with a path to {u, v}; finding
-    one refutes every candidate (tight sets are backward-closed and
-    saturated off the endpoints), while exhaustion certifies the backward
-    closure as tight.  The maximal tight set is the complement of the
-    forward-reach of the remaining deficient nodes, collected by a second
-    sweep.  Nothing is reversed; the digraph is left untouched.
+    A tight set through u and v forces their indegree sum to the ceiling
+    2k - l (below it: None without any traversal).  The backward probe
+    then looks for a deficient node with a path to {u, v}; finding one
+    refutes every candidate (tight sets are backward-closed and saturated
+    off the endpoints), while exhaustion certifies the backward closure as
+    tight.  The maximal tight set is the complement of the forward-reach
+    of the remaining deficient nodes, collected by a second sweep.
+    Nothing is reversed; the digraph is left untouched.
     """
     indeg = digraph.indeg
     k, l = params.k, params.l
@@ -87,24 +83,40 @@ def detect_block(
     return Block(frozenset(digraph.unstamped()).union(targets))
 
 
-class ComponentEngine(PebbleEngine):
-    """Extraction engine that also probes each accepted edge for the
-    maximal block through it, recording it in ``blocks``."""
-
-    def preaccept(self, edge: int, tail: int, head: int) -> None:
-        raise OrderRegimeViolationError(
-            "two-phase seeding can leave endpoint indegree sums above the "
-            "probe threshold, which breaks online block detection"
-        )
-
-    def _process_edge(self, edge: int, strategy) -> Verdict:
-        verdict = super()._process_edge(edge, strategy)
-        if verdict.accepted:
-            u, v = self.graph.endpoints(edge)
-            block = detect_block(self.digraph, u, v, self.params)
-            if block is not None:
-                self.blocks.record(block.nodes)
-        return verdict
+def _components(engine: PebbleEngine) -> ComponentSet:
+    """Components of the engine's accepted set, by one probe per accepted
+    edge that no component found so far covers.  Reorients the engine's
+    digraph; the accepted set is unchanged."""
+    graph, params, digraph = engine.graph, engine.params, engine.digraph
+    report = engine.report
+    indeg = digraph.indeg
+    bound = params.reversal_bound
+    found = ComponentSet(graph.n, params)
+    for e in report.order:
+        if e not in report.accepted:
+            continue
+        u, v = graph.edge_u[e], graph.edge_v[e]
+        if found.covers(u, v):
+            continue
+        if u == v:
+            targets, ceiling = (u,), params.k - params.l
+        else:
+            targets, ceiling = (u, v), params.pair_threshold
+        reversals = 0
+        while sum(indeg[x] for x in targets) >= ceiling:
+            path = digraph.find_reversal_path(targets)
+            if path is None:
+                block = detect_block(digraph, u, v, params)
+                if block is not None:
+                    found.record(block.nodes)
+                break
+            reversals += 1
+            if reversals > bound:
+                raise ReversalBoundError(
+                    f"edge {e} took {reversals} reversals, bound {bound}"
+                )
+            digraph.reverse(path)
+    return found
 
 
 def extract_with_components(
@@ -113,30 +125,12 @@ def extract_with_components(
     order=None,
     counters: Instrumentation | None = None,
 ) -> tuple[ExtractionReport, list[list[int]]]:
-    """Run an extraction with online component tracking.
-
-    For l <= k any non-two-phase strategy is allowed; for k < l the
-    orientation of arcs interacts with block detection, so only the
-    node-order Comp strategies are accepted.  Returns the report and the
-    final component list.
-    """
-    params.require_augmenting_regime()
-    engine = ComponentEngine(graph, params, counters)
-    order = resolve_order(order, graph, params, "NBasicComp")
-    if order.kind == "two-phase":
-        raise OrderRegimeViolationError(
-            f"strategy {order.name} seeds the digraph in bulk and cannot "
-            "drive component tracking"
-        )
-    if params.l > params.k and not (
-        order.kind == "node-order" and order.uses_components
-    ):
-        raise OrderRegimeViolationError(
-            f"strategy {order.name} cannot drive component tracking for "
-            f"k < l; use one of the node-order Comp strategies"
-        )
-    report = engine.run(order)
-    return report, engine.blocks.components()
+    """Run an extraction with any strategy (default NBasicComp, seed 0),
+    then find the components of its accepted set in one offline pass.
+    Returns the report and the sorted component list."""
+    engine = PebbleEngine(graph, params, counters)
+    report = engine.run(resolve_order(order, graph, params, "NBasicComp"))
+    return report, _components(engine).components()
 
 
 def components_of(

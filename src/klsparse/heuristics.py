@@ -5,8 +5,8 @@ Four families:
 * edge orders   -- Basic, DegMin, IncProcMin, IncInDegMin; DegMin walks
                    NDegMin's order and only orients arcs by degree
 * node orders   -- NBasic, NDegMin, NProcMin, NInDegMin and their *Comp
-                   variants (same order, flipped arc orientation, meant for
-                   the component-based engine)
+                   variants (same order, flipped arc orientation; NBasicComp
+                   is the default order of the component pass)
 * transposed    -- Transp, TranspOne (one cyclic node sweep; TranspOne
                    stays at a node while its edges keep being accepted)
 * two-phase     -- PForestsBFS/DFS, ForestsBFS/DFS, UnionBasic, UnionNBasic,
@@ -689,6 +689,7 @@ def build_phase_one(
     pseudoforests: bool = True,
     seed: int = 0,
     union_order: str = "basic",
+    edge_order: list[int] | None = None,
 ) -> PhaseOneResult:
     """Build the edge-disjoint first-phase structures.
 
@@ -697,7 +698,8 @@ def build_phase_one(
     plain forests.  Their union is (k,l)-sparse, and per-structure
     indegrees stay <= 1, so the seeded digraph respects the k bound.
     ``method`` is one of bfs / dfs / union; ``union_order`` picks the
-    union-find scan order (basic / nbasic / transpone).
+    union-find scan order (basic / nbasic / transpone); the basic scan
+    walks ``edge_order``, by default Basic's permutation for ``seed``.
     """
     params.require_augmenting_regime()
     if method not in ("bfs", "dfs", "union"):
@@ -710,10 +712,12 @@ def build_phase_one(
     arcs: list[tuple[int, int, int]] = []
     structures: list[list[int]] = []
     plan = [True] * n_pseudo + [False] * n_forest
+    if method == "union" and union_order == "basic" and edge_order is None:
+        edge_order = _shuffled(list(range(graph.m)), seed, "edge-order")
     for take_extra in plan:
         if method == "union":
             if union_order == "basic":
-                stream = _shuffled(list(range(graph.m)), seed, "edge-order")
+                stream = edge_order
             elif union_order == "nbasic":
                 stream = _nbasic_edge_sequence(graph, seed)
             elif union_order == "transpone":
@@ -778,6 +782,12 @@ class TwoPhaseStrategy(Strategy):
 
     def start(self, engine):
         super().start(engine)
+        factory = {
+            "basic": BasicStrategy,
+            "nbasic": NBasicStrategy,
+            "transpone": TranspOneStrategy,
+        }[self._second]
+        self._sub = factory(self.graph, self.params, self.seed)
         plan = build_phase_one(
             self.graph,
             self.params,
@@ -785,15 +795,11 @@ class TwoPhaseStrategy(Strategy):
             pseudoforests=self._pseudoforests,
             seed=self.seed,
             union_order=self._second if self._method == "union" else "basic",
+            # UnionBasic's scan walks the permutation its second phase uses
+            edge_order=self._sub._order if self._second == "basic" else None,
         )
         for e, t, h in plan.arcs:
             engine.preaccept(e, t, h)
-        factory = {
-            "basic": BasicStrategy,
-            "nbasic": NBasicStrategy,
-            "transpone": TranspOneStrategy,
-        }[self._second]
-        self._sub = factory(self.graph, self.params, self.seed)
         self._sub.start(engine)
 
     def next_edge(self):

@@ -1,4 +1,4 @@
-"""Tests for block detection and component tracking."""
+"""Tests for block detection and the offline component pass."""
 
 from __future__ import annotations
 
@@ -7,20 +7,24 @@ import random
 import pytest
 
 from klsparse import (
+    STRATEGY_NAMES,
     Block,
-    ComponentEngine,
     ComponentSet,
+    Instrumentation,
     Multigraph,
     NotSparseInputError,
-    OrderRegimeViolationError,
+    PebbleEngine,
     Reason,
+    ReversalBoundError,
     SparsityParams,
     components_of,
     detect_block,
     extract,
     extract_with_components,
+    gen_rigid,
     make_strategy,
 )
+from klsparse import components
 from klsparse.orientation import InnerDigraph
 from conftest import ALL_PAIRS, brute_force_components, random_multigraph
 
@@ -109,8 +113,9 @@ def test_sharing_regime_components_overlap_in_at_most_one_node():
 
 
 def test_covered_edges_short_circuit():
-    # triangle plus a parallel edge inside the tight triangle
-    g = Multigraph(3, [(0, 1), (0, 2), (1, 2), (0, 1)])
+    # triangle plus two parallel edges inside the tight triangle: the
+    # first copy's failed search records {0, 1}, the second is covered
+    g = Multigraph(3, [(0, 1), (0, 2), (1, 2), (0, 1), (0, 1)])
     p = SparsityParams(2, 3)
     rep, comps = extract_with_components(g, p)
     assert comps == [[0, 1, 2]]
@@ -120,37 +125,104 @@ def test_covered_edges_short_circuit():
     assert not covered[0].accepted
 
 
-def test_two_phase_strategies_rejected():
+def _accepted_subgraph(g: Multigraph, report) -> Multigraph:
+    return Multigraph(g.n, [g.endpoints(e) for e in sorted(report.accepted)])
+
+
+def test_every_strategy_matches_brute_force_on_the_accepted_subgraph():
+    # sparse and non-sparse inputs alike: the components are those of the
+    # accepted subgraph, whatever strategy (two-phase included) built it
+    rng = random.Random(39)
+    truth: dict[tuple, list[list[int]]] = {}
+    checked = non_sparse = 0
+    for _ in range(60):
+        g = random_multigraph(rng, max_n=7, max_m=16)
+        for k, l in ALL_PAIRS:
+            p = SparsityParams(k, l)
+            for name in STRATEGY_NAMES:
+                strategy = make_strategy(name, g, p, seed=rng.randrange(100))
+                report, comps = extract_with_components(g, p, strategy)
+                sub = _accepted_subgraph(g, report)
+                key = (g.n, tuple(sorted(sub.edges())), k, l)
+                if key not in truth:
+                    truth[key] = brute_force_components(sub, p)
+                assert comps == truth[key], (g.edges(), k, l, name)
+                non_sparse += report.accepted_count < g.m
+                checked += 1
+    assert checked == 60 * len(ALL_PAIRS) * len(STRATEGY_NAMES)
+    assert non_sparse > checked // 4
+
+
+TWO_PHASE = ("PForestsBFS", "PForestsDFS", "ForestsBFS", "ForestsDFS",
+             "UnionBasic", "UnionNBasic", "UnionTranspOne")
+
+
+def test_two_phase_strategies_accepted():
     g = Multigraph(3, [(0, 1), (0, 2), (1, 2)])
     p = SparsityParams(2, 3)
-    with pytest.raises(OrderRegimeViolationError):
-        extract_with_components(g, p, order=make_strategy("PForestsBFS", g, p))
+    for name in TWO_PHASE:
+        assert name in STRATEGY_NAMES
+        report, comps = extract_with_components(g, p, make_strategy(name, g, p))
+        assert report.accepted_count == 3
+        assert comps == [[0, 1, 2]], name
 
 
-def test_component_tracking_needs_comp_strategy_for_node_sharing():
-    g = Multigraph(3, [(0, 1), (0, 2), (1, 2)])
-    p = SparsityParams(2, 3)  # k < l
-    with pytest.raises(OrderRegimeViolationError):
-        extract_with_components(g, p, order=make_strategy("Basic", g, p))
-    # in the disjoint regime any single-phase strategy may drive tracking
+def test_component_pass_takes_any_strategy_for_node_sharing():
+    # k < l: components may share a node, and a strategy without the Comp
+    # orientation rule still drives the pass
+    g = Multigraph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
+    p = SparsityParams(2, 3)
+    for name in ("Basic", "NBasic", "Transp", "DegMin"):
+        report, comps = extract_with_components(g, p, make_strategy(name, g, p))
+        assert report.accepted_count == g.m
+        assert comps == [[0, 1, 2], [2, 3, 4]], name
+    # in the disjoint regime too
+    tri = Multigraph(3, [(0, 1), (0, 2), (1, 2)])
     p11 = SparsityParams(1, 1)
-    rep, comps = extract_with_components(
-        g, p11, order=make_strategy("Basic", g, p11)
-    )
+    rep, comps = extract_with_components(tri, p11, make_strategy("Basic", tri, p11))
     assert comps == [[0, 1, 2]]
+
+
+def test_tight_subsets_of_a_component_do_not_stop_the_pass():
+    # blocks the engine records at failed searches are tight but need not
+    # be maximal; an edge inside one still gets probed
+    g = Multigraph(5, [(3, 3), (0, 4), (2, 2), (2, 3), (4, 4), (0, 0)])
+    p = SparsityParams(1, 0)  # at l = 0 disjoint tight sets have a tight union
+    report, comps = extract_with_components(g, p, make_strategy("Basic", g, p, seed=3))
+    assert comps == [[0, 2, 3, 4]]
+
+    g = Multigraph(5, [(2, 4), (2, 4), (3, 4), (1, 4), (3, 4), (2, 3), (1, 4),
+                       (0, 4), (0, 1), (0, 1), (1, 4), (1, 4), (4, 4), (2, 3)])
+    p = SparsityParams(2, 3)  # parallel edges record 2-node blocks
+    report, comps = extract_with_components(g, p, make_strategy("Basic", g, p))
+    assert comps == [[0, 1, 4], [2, 3, 4]]
+
+
+def test_rigid_components_visits_stay_linear():
+    g = gen_rigid(200, seed=1000)
+    p = SparsityParams(2, 3)
+    tight = _accepted_subgraph(g, extract(g, p))
+    assert (tight.n, tight.m) == (1394, 2785)
+    counters = Instrumentation()
+    assert components_of(tight, p, counters) == [list(range(tight.n))]
+    # a block probe after every accepted edge makes about 3.9M visits here
+    assert counters.bfs_node_visits <= 20 * tight.m
+
+
+def test_pass_reversal_bound_is_checked_without_assert(monkeypatch):
+    g = Multigraph(3, [(0, 1), (0, 2), (1, 2)])  # the pass reverses a path
+    p = SparsityParams(2, 3)
+    engine = PebbleEngine(g, p)
+    engine.run(make_strategy("NBasicComp", g, p))
+    monkeypatch.setattr(SparsityParams, "reversal_bound", property(lambda p: 0))
+    with pytest.raises(ReversalBoundError):
+        components._components(engine)
 
 
 def test_components_of_rejects_non_sparse_input():
     k4_plus = Multigraph(3, [(0, 1), (0, 1), (0, 1), (1, 2)])
     with pytest.raises(NotSparseInputError):
         components_of(k4_plus, SparsityParams(2, 3))
-
-
-def test_component_engine_preaccept_refused():
-    g = Multigraph(2, [(0, 1)])
-    engine = ComponentEngine(g, SparsityParams(2, 3))
-    with pytest.raises(OrderRegimeViolationError):
-        engine.preaccept(0, 0, 1)
 
 
 def test_component_set_skips_singletons():
