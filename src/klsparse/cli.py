@@ -1,7 +1,10 @@
 """Command-line surface: decide, extract, components, maximal-2k,
 generate, verify, bench.
 
-Exit codes: 0 success, 2 input parse failure, 3 usage or regime error.
+Exit codes: 0 success, 2 input parse failure, 3 usage or regime error,
+4 internal error: an engine invariant failed (a reversal bound exceeded,
+an endpoint that cannot be drained, a stale reversal path or an indegree
+overflow), which signals a bug rather than bad input.
 All randomness flows from ``--seed``; nothing depends on the wall clock
 except the benchmark's runtime column.
 """
@@ -21,20 +24,26 @@ from .generators import FAMILIES, GenSpec
 from .heuristics import STRATEGY_NAMES, make_strategy
 from .multigraph import GraphParseError, Multigraph, parse_graph, serialize_graph
 from .oracle import BudgetExceededError, is_sparse_bruteforce
-from .orientation import Instrumentation
+from .orientation import IndegreeOverflowError, Instrumentation, StalePathError
 from .pebble import (
     PebbleEngine,
+    ReversalBoundError,
     SparsityParams,
     UnweightedInputError,
     WrongRegimeError,
     decide,
     extract_weighted,
 )
-from .sparse2k import NotSimpleInputError, extract_maximal_2k
+from .sparse2k import (
+    NotSimpleInputError,
+    OrientationInfeasibleError,
+    extract_maximal_2k,
+)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_USAGE = 3
+EXIT_INTERNAL = 4
 
 BENCH_HEADER = (
     "family,n,m,k,l,heuristic,trial_seed,accepted,"
@@ -365,6 +374,15 @@ def main(argv: list[str] | None = None) -> int:
     ) as exc:
         print(f"klsparse: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except (
+        ReversalBoundError,
+        OrientationInfeasibleError,
+        StalePathError,
+        IndegreeOverflowError,
+    ) as exc:
+        name = type(exc).__name__
+        print(f"klsparse: internal error: {name}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

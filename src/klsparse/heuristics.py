@@ -712,14 +712,16 @@ def build_phase_one(
     arcs: list[tuple[int, int, int]] = []
     structures: list[list[int]] = []
     plan = [True] * n_pseudo + [False] * n_forest
-    if method == "union" and union_order == "basic" and edge_order is None:
+    # the basic and nbasic orders depend only on the graph and the seed, so
+    # every structure of the plan walks the same list
+    if method == "union" and union_order == "nbasic":
+        edge_order = _nbasic_edge_sequence(graph, seed)
+    elif method == "union" and union_order == "basic" and edge_order is None:
         edge_order = _shuffled(list(range(graph.m)), seed, "edge-order")
     for take_extra in plan:
         if method == "union":
-            if union_order == "basic":
+            if union_order in ("basic", "nbasic"):
                 stream = edge_order
-            elif union_order == "nbasic":
-                stream = _nbasic_edge_sequence(graph, seed)
             elif union_order == "transpone":
                 stream = _transpone_stream(graph, params, used)
             else:

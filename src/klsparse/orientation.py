@@ -11,7 +11,7 @@ which keeps reset work proportional to the nodes visited.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Container, Iterable, Sequence
 
 
 class StalePathError(RuntimeError):
@@ -137,15 +137,18 @@ class InnerDigraph:
         self.counters.path_reversals += 1
 
     def _backward_search(
-        self, targets: Sequence[int], forbidden: Sequence[int]
+        self,
+        targets: Sequence[int],
+        forbidden: Sequence[int],
+        reached: Container[int] = (),
     ) -> tuple[int, list[int]]:
         """Backward BFS from ``targets`` along incoming arcs.
 
         Returns ``(source, visited)`` where ``source`` is the first node
         found with indegree below k outside ``forbidden`` and the targets
-        themselves, or -1 if the whole backward closure is saturated; in
-        either case ``visited`` lists every stamped node (the closure, when
-        the search exhausted).
+        themselves, or in ``reached``, or -1 if the whole backward closure
+        is saturated; in either case ``visited`` lists every stamped node
+        (the closure, when the search exhausted).
         """
         self._epoch += 1
         epoch = self._epoch
@@ -172,7 +175,7 @@ class InnerDigraph:
                 parent[y] = a
                 visits += 1
                 append(y)
-                if indeg[y] < k and y not in forbidden:
+                if indeg[y] < k and y not in forbidden or y in reached:
                     found = y
                     break
             if found >= 0:
@@ -208,18 +211,35 @@ class InnerDigraph:
             node = arc_head[a]
         return ReversalPath(steps=tuple(steps), source=source, target=node)
 
-    def saturated_closure(self, targets: Sequence[int]) -> list[int] | None:
+    def saturated_closure(
+        self,
+        targets: Sequence[int],
+        forbidden_sources: Sequence[int] = (),
+        reached: set[int] | None = None,
+    ) -> list[int] | None:
         """Backward closure of ``targets`` if it contains no deficient node
-        outside the targets, else None.
+        outside the targets and ``forbidden_sources``, else None.
 
         The returned list is every node with a directed path to a target
-        (targets included); all of them except possibly the targets have
-        indegree exactly k.
+        (targets included); all of them except possibly the targets and the
+        forbidden nodes have indegree exactly k.  The search stops at the
+        first eligible deficient node it meets.  ``reached`` may hold nodes
+        already known to have a path from such a node; the search stops at
+        them too, and a successful search adds the nodes of its path.
         """
-        source, visited = self._backward_search(targets, ())
-        if source >= 0:
-            return None
-        return visited
+        source, visited = self._backward_search(
+            targets, forbidden_sources, () if reached is None else reached
+        )
+        if source < 0:
+            return visited
+        if reached is not None:
+            # the source reaches every node on its path to the target
+            node = source
+            while node not in targets:
+                reached.add(node)
+                node = self.arc_head[self._parent[node]]
+            reached.add(node)
+        return None
 
     def multi_source_forward_reach(
         self,

@@ -4,21 +4,36 @@ At l = 2k the counting bound constrains only node sets of size >= 3, the
 accepted sets no longer form a matroid, and the augmenting engine's
 acceptance test stops being meaningful, so this path targets maximality
 instead of maximum size.  Per edge uv, the digraph is first reoriented so
-both endpoints reach indegree 0 (at most 2k reversals); uv is then
-insertable exactly when every other node can still reach spare capacity:
-a forward search from the nodes of indegree below k (u and v excluded)
-must cover all of V minus {u, v}.  Accepted arcs point at the larger
-endpoint id.  One pass over the edges yields an inclusion-wise maximal
-(k,2k)-sparse subgraph.
+both endpoints reach indegree 0 (at most 2k reversals).  Then uv is
+insertable exactly when every other node can still be reached from spare
+capacity, i.e. from a node of indegree below k outside {u, v}.  Only the
+saturated out-neighbours of u and v need checking: the unreached nodes
+other than u and v are saturated and entered only from themselves, u and
+v, so if none had an arc from u or v they would induce k arcs per node,
+which a simple (k,2k)-sparse graph cannot hold.  Each such neighbour w
+gets one backward search (the pebble game's search of Lee & Streinu,
+2008) with u and v forbidden as sources; uv is insertable exactly when
+every one of them finds a node of indegree below k.  Within one test the
+nodes on a path an earlier search found are known to be reached, so later
+searches stop at them and a neighbour among them is skipped.  Accepted
+arcs point at the larger endpoint id.  One pass over the edges yields an
+inclusion-wise maximal (k,2k)-sparse subgraph.
 
-A failed search exposes a tight block: the nodes it did not reach, with
-u and v, are saturated off the endpoints and entered by no arc from the
-reached side, so they induce k|X| - 2k accepted edges on |X| >= 3 nodes.
-The engine records each one in the block store shared with
+A failed probe exposes a tight block: the closure of w is saturated off
+the endpoints and entered by no arc from outside, so with u and v it
+induces k|X| - 2k accepted edges on |X| >= 3 nodes.  The engine records
+each one in the block store shared with
 :class:`~klsparse.pebble.PebbleEngine` and rejects a later edge inside a
-recorded block with no zeroing and no search.  So the forward reach,
-O(n + m) each, runs only for accepted edges and for rejections that
-create or grow a block; every other edge costs one coverage query.
+recorded block with no zeroing and no search.
+
+Cost per examined edge: at most 2k zeroing searches, plus at most one
+probe per saturated out-neighbour of u or v.  Every search stops at the
+first deficient node it meets and visits at most n nodes over at most kn
+arcs, O(n + kn) in the worst case; probes are usually far shorter.  This
+is the bound the code achieves, not one taken from the paper.  (A global
+forward reach from every deficient node, the test this replaces, costs
+Theta(n + kn) on every examined edge.)  Covered edges cost one coverage
+query.
 """
 
 from __future__ import annotations
@@ -75,14 +90,31 @@ def zero_pair_indegrees(digraph: InnerDigraph, u: int, v: int) -> int:
 
 def insertable(digraph: InnerDigraph, u: int, v: int) -> bool:
     """Insertability test for edge uv once both endpoints sit at
-    indegree 0: every node but u and v must be forward-reachable from a
-    node of indegree below k outside {u, v}."""
+    indegree 0: every saturated out-neighbour w of u or v must have a
+    backward path from a node of indegree below k outside {u, v}.
+
+    Probes the neighbours one backward search each, u's arcs first, and
+    stops at the first failure, leaving that search's closure (holding w
+    and never deficient off u and v) in ``digraph.last_closure``.  Nodes on
+    the path a probe found are reached as well, so later probes stop at
+    them and skip a neighbour among them.  Costs at most one search per
+    saturated out-neighbour, each O(n + kn) at worst.
+    """
     indeg = digraph.indeg
+    arc_head = digraph.arc_head
     k = digraph.k
-    reached = digraph.multi_source_forward_reach(
-        lambda x: indeg[x] < k, excluded=(u, v)
-    )
-    return len(reached) == digraph.n - 2
+    endpoints = (u, v)
+    reached: set[int] = set()
+    for x in endpoints:
+        # at indegree 0 every arc at x leaves x
+        for a in digraph.inc[x]:
+            w = arc_head[a]
+            if indeg[w] == k and w not in reached:
+                closure = digraph.saturated_closure((w,), endpoints, reached)
+                if closure is not None:
+                    digraph.last_closure = closure
+                    return False
+    return True
 
 
 class TwoKEngine:
@@ -126,8 +158,8 @@ class TwoKEngine:
                 digraph.insert_arc(e, u, v)
                 verdict = Verdict(e, True, reversals, Reason.ACCEPTED)
             else:
-                # the reach's stamps still mark u, v and every reached node
-                self.blocks.record(digraph.unstamped() + [u, v])
+                # the failed probe's closure, tight once u and v join it
+                self.blocks.record(digraph.last_closure + [u, v])
                 verdict = Verdict(e, False, reversals, Reason.INDEGREE_BLOCKED)
         self.report.record(verdict)
         return verdict

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from itertools import combinations
 
 from klsparse import (
     STRATEGY_NAMES,
@@ -195,6 +196,59 @@ def test_maximal_2k_blocks_are_tight():
             assert sum(counts.values()) == g.m
             covered += counts[Reason.COVERED_BY_COMPONENT]
     assert covered > 1000
+
+
+def test_maximal_2k_block_is_the_failed_probe_closure():
+    # K4 at k = 1: edge (0,2) fails at the saturated neighbour 1 of node 0,
+    # whose closure is {1, 0}; edge (0,3) likewise, giving a second block
+    engine = TwoKEngine(Multigraph(4, list(combinations(range(4), 2))), 1)
+    engine.run()
+    assert engine.blocks.components() == [[0, 1, 2], [0, 1, 3]]
+
+    rng = random.Random(83)
+    checked = smaller = 0
+    for _ in range(10):
+        n = rng.randint(20, 80)
+        g = gen_erdos_renyi(n, rng.uniform(0.05, 0.3), seed=rng.randrange(10**6))
+        for k in (1, 2, 3):
+            engine = TwoKEngine(g, k)
+            digraph = engine.digraph
+            recorded = []
+            record = engine.blocks.record
+
+            def spy(nodes, record=record, recorded=recorded):
+                recorded.append(nodes)
+                record(nodes)
+
+            engine.blocks.record = spy
+            for e in range(g.m):
+                verdict = engine.process(e)
+                if verdict.reason is not Reason.INDEGREE_BLOCKED:
+                    continue
+                u, v = g.endpoints(e)
+                closure = digraph.last_closure
+                assert recorded[-1] == closure + [u, v]
+                block = set(recorded[-1])
+                # the probe started at a saturated out-neighbour of u or v
+                w = closure[0]
+                assert w not in (u, v) and digraph.indeg[w] == k
+                assert any(
+                    digraph.arc_head[a] == w for x in (u, v) for a in digraph.inc[x]
+                )
+                assert len(block) >= 3
+                induced = _induced(g, engine.report.accepted, block)
+                assert induced == k * len(block) - 2 * k
+                # inside the nodes that no deficient node but u or v reaches
+                reach = digraph.multi_source_forward_reach(
+                    lambda x: digraph.indeg[x] < k, excluded=(u, v)
+                )
+                unreached = set(range(g.n)) - set(reach)
+                assert block <= unreached
+                smaller += len(block) < len(unreached)
+                checked += 1
+            _check_blocks(g, engine.params, engine.report, engine.blocks.components())
+    # the closure of one neighbour is often smaller than the unreached set
+    assert checked > 1000 and smaller > 100
 
 
 def test_maximal_2k_digests_pinned():

@@ -5,8 +5,19 @@ from __future__ import annotations
 import hashlib
 from itertools import combinations
 
-from klsparse import Multigraph, gen_erdos_renyi, serialize_graph
-from klsparse.cli import AGGREGATE_HEADER, BENCH_HEADER, main
+import pytest
+
+from klsparse import (
+    IndegreeOverflowError,
+    Multigraph,
+    OrientationInfeasibleError,
+    ReversalBoundError,
+    SparsityParams,
+    StalePathError,
+    gen_erdos_renyi,
+    serialize_graph,
+)
+from klsparse.cli import AGGREGATE_HEADER, BENCH_HEADER, EXIT_INTERNAL, main
 
 
 def write_graph(tmp_path, g: Multigraph, name: str = "g.txt") -> str:
@@ -271,3 +282,41 @@ def test_stdin_input(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("kl-graph 2 1\n0 1\n"))
     assert main(["decide", "-k", "1", "-l", "1"]) == 0
     assert capsys.readouterr().out.splitlines()[0] == "tight"
+
+
+def _internal_error_line(capsys, name: str) -> None:
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"klsparse: internal error: {name}: ")
+
+
+def test_decide_reversal_bound_is_internal_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(SparsityParams, "reversal_bound", property(lambda p: -1))
+    argv = ["decide", "-k", "2", "-l", "3", "--input", k4_path(tmp_path)]
+    assert main(argv) == EXIT_INTERNAL == 4
+    _internal_error_line(capsys, "ReversalBoundError")
+
+
+def test_maximal_2k_zeroing_bound_is_internal_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("klsparse.sparse2k._zeroing_bound", lambda k: -1)
+    argv = ["maximal-2k", "-k", "1", "--input", k4_path(tmp_path)]
+    assert main(argv) == EXIT_INTERNAL
+    _internal_error_line(capsys, "ReversalBoundError")
+
+
+@pytest.mark.parametrize(
+    "error",
+    [OrientationInfeasibleError, StalePathError, IndegreeOverflowError],
+)
+def test_every_invariant_failure_is_internal_error(
+    tmp_path, capsys, monkeypatch, error
+):
+    def broken(*args, **kwargs):
+        raise error("invariant failed")
+
+    monkeypatch.setattr("klsparse.cli.extract_maximal_2k", broken)
+    argv = ["maximal-2k", "-k", "1", "--input", k4_path(tmp_path)]
+    assert main(argv) == EXIT_INTERNAL
+    _internal_error_line(capsys, error.__name__)

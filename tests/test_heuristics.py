@@ -2,16 +2,20 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
 
+import klsparse.heuristics as heuristics
 from klsparse import (
     STRATEGY_NAMES,
     Multigraph,
+    PebbleEngine,
     SparsityParams,
     build_phase_one,
     extract,
+    gen_erdos_renyi,
     make_strategy,
     max_sparse_size_oracle,
     phase_one_sparsity_check,
@@ -210,6 +214,39 @@ def test_union_phase_one_structures_are_forests_or_pseudoforests():
                 assert all(c <= 1 for c in cycles_by_root.values())
             else:
                 assert not cycles_by_root
+
+
+def test_union_nbasic_builds_its_order_once(monkeypatch):
+    calls = []
+    original = heuristics._nbasic_edge_sequence
+
+    def counted(graph, seed):
+        calls.append(seed)
+        return original(graph, seed)
+
+    monkeypatch.setattr(heuristics, "_nbasic_edge_sequence", counted)
+    g = gen_erdos_renyi(40, 0.3, seed=2)
+    p = SparsityParams(2, 0)
+    res = build_phase_one(g, p, method="union", union_order="nbasic", seed=1)
+    # two pseudoforests at (2,0), one scan order
+    assert len(res.structures) == 2
+    assert calls == [1]
+    # verdict streams of UnionNBasic on plans of two and three structures,
+    # frozen from the order rebuilt per structure
+    digest = hashlib.sha256()
+    for pair in ((2, 0), (3, 1)):
+        p = SparsityParams(*pair)
+        for seed in (0, 3):
+            calls.clear()
+            rep = PebbleEngine(g, p).run(make_strategy("UnionNBasic", g, p, seed=seed))
+            assert calls == [seed]
+            digest.update(repr([
+                (v.edge, v.accepted, v.reversals_used, v.reason.value)
+                for v in rep.verdicts
+            ]).encode())
+    assert digest.hexdigest() == (
+        "907cb652831cbe0069f0dd0a0cc8492fe3437bbd532370e0dd78d8133e860bdb"
+    )
 
 
 def test_two_phase_strategies_prime_the_engine():

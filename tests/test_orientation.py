@@ -107,6 +107,21 @@ def test_saturated_closure():
     assert sorted(closure) == [0, 1]
 
 
+def test_saturated_closure_with_forbidden_sources_and_reached_nodes():
+    d = build_path_digraph()
+    # with the only deficient node forbidden, node 2's closure is saturated
+    # off it and holds it
+    assert sorted(d.saturated_closure((2,), (0,))) == [0, 1, 2]
+    reached: set[int] = set()
+    assert d.saturated_closure((2,), (), reached) is None
+    # the found path 0 -> 1 -> 2 is reached, source and target included
+    assert reached == {0, 1, 2}
+    # a search stops at a reached node even with every source forbidden
+    before = d.counters.bfs_node_visits
+    assert d.saturated_closure((2,), (0,), {1}) is None
+    assert d.counters.bfs_node_visits - before == 2
+
+
 def test_multi_source_forward_reach():
     d = build_path_digraph()
     reach = d.multi_source_forward_reach(lambda x: d.indeg[x] < 1)

@@ -7,6 +7,8 @@ import random
 import pytest
 
 from klsparse import (
+    Instrumentation,
+    InnerDigraph,
     Multigraph,
     NotSimpleInputError,
     Reason,
@@ -14,6 +16,7 @@ from klsparse import (
     SparsityParams,
     TwoKEngine,
     extract_maximal_2k,
+    gen_erdos_renyi,
     insertable,
     is_maximal_2k,
     is_sparse_bruteforce,
@@ -97,6 +100,42 @@ def test_insertable_matches_naive_check():
                     engine.digraph.insert_arc(e, u, v)
                 points += 1
     assert points > 500
+
+
+def test_insertable_matches_naive_check_past_brute_force_sizes():
+    # criterion 4 stops at n <= 10; here n = 30-120 with average degree
+    # 2k + 3, dense enough for tight blocks at every k
+    points = rejected = 0
+    for n, seed in ((30, 11), (60, 12), (120, 13)):
+        for k in (1, 2, 3):
+            g = gen_erdos_renyi(n, (2 * k + 3) / n, seed=seed)
+            engine = TwoKEngine(g, k)
+            for e in range(g.m):
+                u, v = g.edge_u[e], g.edge_v[e]
+                zero_pair_indegrees(engine.digraph, u, v)
+                fast = insertable(engine.digraph, u, v)
+                assert fast == naive_l2k_check(engine.digraph, u, v, k), (n, k, e)
+                if fast:
+                    engine.digraph.insert_arc(e, u, v)
+                else:
+                    rejected += 1
+                points += 1
+    assert points > 2000 and rejected > 300
+
+
+def test_insertability_probes_stay_local(monkeypatch):
+    # the global forward reach visited about n = 2000 nodes per examined
+    # edge here (6.0M visits for m = 2994); the local probes stop near the
+    # endpoints of the edge
+    def no_reach(*args, **kwargs):
+        raise AssertionError("the l = 2k pass must not run a forward reach")
+
+    monkeypatch.setattr(InnerDigraph, "multi_source_forward_reach", no_reach)
+    g = gen_erdos_renyi(2000, 0.0015, seed=7)
+    counters = Instrumentation()
+    rep = extract_maximal_2k(g, 2, counters)
+    assert rep.reason_counts()[Reason.INDEGREE_BLOCKED] > 0
+    assert counters.bfs_node_visits <= 20 * g.m
 
 
 def test_verdict_reasons():
