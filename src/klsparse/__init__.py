@@ -72,6 +72,7 @@ from .pebble import (
     Reason,
     ReversalBoundError,
     SparsityParams,
+    StrategyContractError,
     UnweightedInputError,
     Verdict,
     WrongRegimeError,
@@ -121,6 +122,7 @@ __all__ = [
     "SparsityParams",
     "StalePathError",
     "Strategy",
+    "StrategyContractError",
     "TwoKEngine",
     "UnweightedInputError",
     "Verdict",

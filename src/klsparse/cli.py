@@ -3,8 +3,9 @@ generate, verify, bench.
 
 Exit codes: 0 success, 2 input parse failure, 3 usage or regime error,
 4 internal error: an engine invariant failed (a reversal bound exceeded,
-an endpoint that cannot be drained, a stale reversal path or an indegree
-overflow), which signals a bug rather than bad input.
+an endpoint that cannot be drained, a stale reversal path, an indegree
+overflow or a strategy order that skips or repeats an edge), which
+signals a bug rather than bad input.
 All randomness flows from ``--seed``; nothing depends on the wall clock
 except the benchmark's runtime column.
 """
@@ -29,6 +30,7 @@ from .pebble import (
     PebbleEngine,
     ReversalBoundError,
     SparsityParams,
+    StrategyContractError,
     UnweightedInputError,
     WrongRegimeError,
     decide,
@@ -379,6 +381,7 @@ def main(argv: list[str] | None = None) -> int:
         OrientationInfeasibleError,
         StalePathError,
         IndegreeOverflowError,
+        StrategyContractError,
     ) as exc:
         name = type(exc).__name__
         print(f"klsparse: internal error: {name}: {exc}", file=sys.stderr)

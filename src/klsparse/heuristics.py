@@ -119,6 +119,13 @@ class Strategy:
     ``orient`` may name a preferred arc head for an accepted edge
     (None defers to the engine's smaller-indegree rule);
     ``on_processed`` receives the verdict for bookkeeping.
+
+    Contract: called until it returns None, ``next_edge`` eventually
+    yields every edge not yet processed exactly once.  The engine relies
+    on it when it stops at the tight size: it counts the remaining edges
+    without asking for them, and walks them only when the report's order
+    is first read, which raises
+    :class:`~klsparse.pebble.StrategyContractError` on a broken order.
     """
 
     name = ""

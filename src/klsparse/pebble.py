@@ -107,6 +107,15 @@ _CODE = {reason: code for code, reason in enumerate(_REASONS)}
 _EARLY_TERMINATED = _CODE[Reason.EARLY_TERMINATED]
 
 
+class StrategyContractError(RuntimeError):
+    """A strategy's order broke the engine's contract: past the tight size
+    it did not yield each still-unprocessed edge exactly once."""
+
+
+def _name(strategy) -> str:
+    return getattr(strategy, "name", "") or type(strategy).__name__
+
+
 @dataclass
 class ExtractionReport:
     """Outcome of one extraction run.
@@ -114,18 +123,23 @@ class ExtractionReport:
     ``accepted`` is the accepted edge-id set and ``order`` the processed
     edge ids in processing order.  Per-edge outcomes are kept compact: a
     reason code per edge id and the non-zero reversal counts, written by
-    :meth:`record`.  Codes start at EARLY_TERMINATED, so the edges an
-    engine lists in ``order`` after the tight size need no write at all.
-    ``verdicts`` builds the :class:`Verdict` list from these records on
-    demand.  The classification flags are filled by :func:`decide` and
-    stay None otherwise.
+    :meth:`record`.  Codes start at EARLY_TERMINATED, so the edges past
+    the tight size need no write at all.  ``verdicts`` builds the
+    :class:`Verdict` list from these records on demand.  The
+    classification flags are filled by :func:`decide` and stay None
+    otherwise.
+
+    An engine that stops at the tight size leaves the rest of its
+    strategy's order as a deferred tail: the strategy and the processed
+    flags it shares with the engine.  The first read of ``order``,
+    ``verdicts`` or :meth:`reason_counts` walks that tail once; later
+    reads are free.
     """
 
     params: SparsityParams
     n: int
     m: int
     accepted: set[int] = field(default_factory=set)
-    order: list[int] = field(default_factory=list)
     counters: Instrumentation = field(default_factory=Instrumentation)
     total_weight: float | None = None
     is_sparse: bool | None = None
@@ -133,17 +147,27 @@ class ExtractionReport:
     is_spanning: bool | None = None
 
     def __post_init__(self) -> None:
+        self._order: list[int] = []
         self._reasons = bytearray([_EARLY_TERMINATED]) * self.m
         self._reversals: dict[int, int] = {}
+        self._tail = None  # (strategy, processed flags) until walked
 
     @property
     def accepted_count(self) -> int:
         return len(self.accepted)
 
+    @property
+    def order(self) -> list[int]:
+        """Processed edge ids in processing order (walks a deferred tail
+        on first read)."""
+        if self._tail is not None:
+            self._walk_tail()
+        return self._order
+
     def record(self, verdict: Verdict) -> None:
         """Append one processed edge's verdict."""
         e = verdict.edge
-        self.order.append(e)
+        self._order.append(e)
         self._reasons[e] = _CODE[verdict.reason]
         if verdict.reversals_used:
             self._reversals[e] = verdict.reversals_used
@@ -151,6 +175,33 @@ class ExtractionReport:
         if verdict.accepted:
             self.counters.edges_accepted += 1
             self.accepted.add(e)
+
+    def _walk_tail(self) -> None:
+        """List the deferred tail: mark each remaining edge of the order
+        processed, append it (its reason code already reads
+        EARLY_TERMINATED) and tell the strategy.  The strategy's methods
+        are looked up now, not when the tail was deferred, so wrappers
+        installed or removed after the run apply to the walk.  Raises
+        :class:`StrategyContractError` unless the order yields every
+        unprocessed edge exactly once."""
+        strategy, processed = self._tail
+        order = self._order
+        next_edge = strategy.next_edge
+        on_processed = strategy.on_processed
+        while (e := next_edge()) is not None:
+            if processed[e]:
+                raise StrategyContractError(
+                    f"{_name(strategy)} yielded edge {e}, already processed"
+                )
+            processed[e] = True
+            order.append(e)
+            on_processed(e, False)
+        if len(order) != self.m:
+            raise StrategyContractError(
+                f"{_name(strategy)} left {self.m - len(order)} edge(s) "
+                "unprocessed"
+            )
+        self._tail = None
 
     def reason_counts(self) -> dict[Reason, int]:
         """Number of processed edges per verdict reason (every reason
@@ -264,8 +315,8 @@ class PebbleEngine:
     Drives a strategy's edge order through :meth:`try_accept`, maintaining
     the inner digraph, the processed flags shared with the strategy, the
     block store fed by failed searches, and the early-termination cutoff
-    at max(k*n - l, 0) arcs, after which :meth:`run` only drains the
-    order.
+    at max(k*n - l, 0) arcs, where :meth:`run` stops and defers the rest
+    of the order to the report.
     """
 
     def __init__(
@@ -356,39 +407,39 @@ class PebbleEngine:
         return self.try_accept(e, preferred)
 
     def run(self, strategy) -> ExtractionReport:
-        """Drain ``strategy``'s edge order through the engine.
+        """Drive ``strategy``'s edge order through the engine.
 
         Once the digraph holds max(k*n - l, 0) arcs no further edge can be
-        accepted, so the main loop stops there, and a tail loop only marks
-        each remaining edge of the strategy's order processed, lists it in
-        the report (its reason code already reads EARLY_TERMINATED) and
-        tells the strategy; it makes no verdict and no search.
+        accepted, so the run stops there.  The counters already count the
+        remaining edges (processed, early-terminated); the report lists
+        them in ``order`` on first read, by walking the rest of the
+        strategy's order then.  Strategies that key their order on the
+        live indegrees (IncInDegMin, NInDegMin, NInDegMinComp) read this
+        engine's digraph during that walk, so read ``order`` before
+        anything reorients it.
         """
         strategy.start(self)
         digraph = self.digraph
         tight_size = self._tight_size
         processed = self.processed
-        record = self.report.record
+        report = self.report
+        record = report.record
         next_edge = strategy.next_edge
         on_processed = strategy.on_processed
         while digraph.arc_count < tight_size:
             e = next_edge()
             if e is None:
-                return self.report
+                return report
             verdict = self._process_edge(e, strategy)
             processed[e] = True
             record(verdict)
             on_processed(e, verdict.accepted)
-        order = self.report.order
-        cut = len(order)
-        while (e := next_edge()) is not None:
-            processed[e] = True
-            order.append(e)
-            on_processed(e, False)
-        if len(order) > cut:
-            self.counters.edges_processed += len(order) - cut
+        rest = report.m - len(report._order)
+        if rest > 0:
+            self.counters.edges_processed += rest
             self.counters.early_termination_hit = 1
-        return self.report
+            report._tail = (strategy, processed)
+        return report
 
 
 def extract(

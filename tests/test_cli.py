@@ -13,7 +13,9 @@ from klsparse import (
     OrientationInfeasibleError,
     ReversalBoundError,
     SparsityParams,
+    STRATEGY_NAMES,
     StalePathError,
+    StrategyContractError,
     gen_erdos_renyi,
     serialize_graph,
 )
@@ -320,3 +322,61 @@ def test_every_invariant_failure_is_internal_error(
     argv = ["maximal-2k", "-k", "1", "--input", k4_path(tmp_path)]
     assert main(argv) == EXIT_INTERNAL
     _internal_error_line(capsys, error.__name__)
+
+
+# sha256 of `extract -k 2 -l 3 --heuristic H --seed 1` stdout on
+# G(200, 0.1, seed=8) (1947 edges, 397 accepted), computed before the
+# engine deferred its early-termination tail: the accepted set depends
+# only on the order up to the tight size
+_EXTRACT_STDOUT = {
+    "Basic": "d09bc9c6cac40c7afc6db4b7a625c8838f3dbc85a2e435f5c135ea3a5584d18e",
+    "DegMin": "970939dea7a6d3fd8b0f88360a795c0cb05a163c1be5709c2206282e82b808e5",
+    "IncProcMin": "4d86fd7a54ff58f001a246d125f1886ab5f099fd69bb3e0d5e027cb3fb5b6331",
+    "IncInDegMin": "d29df3e57697fda29d5fa5ac37905d4e6e7e317dba33adff03d06a23b456e9db",
+    "NBasic": "d6221ed64295134b35684c03d2c353ab3f2c457e780f5ad5837829e009bb5b8a",
+    "NDegMin": "970939dea7a6d3fd8b0f88360a795c0cb05a163c1be5709c2206282e82b808e5",
+    "NProcMin": "e57ddf02a232848f2d1b7ab19a94d403db0ae64940b8676c3d7a9a9d5a17375e",
+    "NInDegMin": "e57ddf02a232848f2d1b7ab19a94d403db0ae64940b8676c3d7a9a9d5a17375e",
+    "NBasicComp": "d6221ed64295134b35684c03d2c353ab3f2c457e780f5ad5837829e009bb5b8a",
+    "NDegMinComp": "970939dea7a6d3fd8b0f88360a795c0cb05a163c1be5709c2206282e82b808e5",
+    "NProcMinComp": "e57ddf02a232848f2d1b7ab19a94d403db0ae64940b8676c3d7a9a9d5a17375e",
+    "NInDegMinComp": "e57ddf02a232848f2d1b7ab19a94d403db0ae64940b8676c3d7a9a9d5a17375e",
+    "PForestsBFS": "317b9a27ce17b523e620c34a590c4c307cc28f7b40516c72b433a7004bb68689",
+    "PForestsDFS": "f76ef4db7e7bd7f926c9514c035b92e08a0624fe228ba757330423b401e7953f",
+    "ForestsBFS": "317b9a27ce17b523e620c34a590c4c307cc28f7b40516c72b433a7004bb68689",
+    "ForestsDFS": "f76ef4db7e7bd7f926c9514c035b92e08a0624fe228ba757330423b401e7953f",
+    "UnionBasic": "d09bc9c6cac40c7afc6db4b7a625c8838f3dbc85a2e435f5c135ea3a5584d18e",
+    "UnionNBasic": "d6221ed64295134b35684c03d2c353ab3f2c457e780f5ad5837829e009bb5b8a",
+    "UnionTranspOne": "20975c6f00f4cd88ae51111456e352c8520712816c12d8432989f0ac57983e87",
+    "Transp": "cd36f21015562229e9768bcc8c609558af6472e4911599b06372acf56ff9ca67",
+    "TranspOne": "52506df389f5f6c537139e4fac82d0adbf77caf74c21eed14172e37c71c01775",
+}
+
+
+@pytest.mark.parametrize("name", STRATEGY_NAMES)
+def test_extract_stdout_pinned_per_strategy(tmp_path, capsys, name):
+    g = write_graph(tmp_path, gen_erdos_renyi(200, 0.1, seed=8))
+    argv = ["extract", "-k", "2", "-l", "3", "--heuristic", name, "--seed", "1",
+            "--input", g]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert out.endswith("accepted=397 of 1947\n")
+    assert hashlib.sha256(out.encode()).hexdigest() == _EXTRACT_STDOUT[name]
+
+
+def test_strategy_contract_failure_is_internal_error(tmp_path, capsys, monkeypatch):
+    from klsparse.heuristics import _NodeOrderStrategy
+
+    original = _NodeOrderStrategy.next_edge
+
+    def stops_at_cut(self):
+        # past the tight size, end the order early
+        if self.engine.digraph.arc_count >= self.params.tight_size(self.graph.n):
+            return None
+        return original(self)
+
+    monkeypatch.setattr(_NodeOrderStrategy, "next_edge", stops_at_cut)
+    # K_4 under (1,1) is not sparse; the component pass reads the order
+    argv = ["components", "-k", "1", "-l", "1", "--input", k4_path(tmp_path)]
+    assert main(argv) == EXIT_INTERNAL
+    _internal_error_line(capsys, StrategyContractError.__name__)

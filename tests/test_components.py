@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -21,6 +22,7 @@ from klsparse import (
     detect_block,
     extract,
     extract_with_components,
+    gen_erdos_renyi,
     gen_rigid,
     make_strategy,
 )
@@ -238,3 +240,26 @@ def test_block_container():
     b = Block(frozenset({2, 0}))
     assert len(b) == 2
     assert set(b.nodes) == {0, 2}
+
+
+def test_component_pass_reads_the_order_before_reorienting():
+    # sha256 computed before the engine deferred its early-termination
+    # tail.  The indegree-keyed strategies order that tail by the live
+    # digraph, so the digest moves if the pass reorients before the order
+    # is read.  G(120, 0.1) has 728 edges: not sparse, a long tail.
+    g = gen_erdos_renyi(120, 0.1, seed=11)
+    digest = hashlib.sha256()
+    for pair in ((2, 3), (1, 1)):
+        p = SparsityParams(*pair)
+        for name in ("IncInDegMin", "NInDegMin", "NInDegMinComp", "Transp", "Basic"):
+            rep, comps = extract_with_components(
+                g, p, order=make_strategy(name, g, p, seed=3)
+            )
+            c = rep.counters
+            digest.update(repr((
+                rep.order, sorted(rep.accepted), comps,
+                c.edges_processed, c.early_termination_hit,
+            )).encode())
+    assert digest.hexdigest() == (
+        "c89757f1aafeadb53ea4d838850316ee6e880f042ab0b93446c651f10eb06344"
+    )

@@ -14,6 +14,7 @@ from klsparse import (
     Reason,
     ReversalBoundError,
     SparsityParams,
+    StrategyContractError,
     UnweightedInputError,
     WrongRegimeError,
     decide,
@@ -283,3 +284,106 @@ def test_reason_counts_match_verdicts():
     }
     assert counts[Reason.EARLY_TERMINATED] > 0
     assert sum(counts.values()) == g.m
+
+
+def _count_calls(monkeypatch, cls, attrs) -> dict[str, int]:
+    calls = dict.fromkeys(attrs, 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in attrs:
+        monkeypatch.setattr(cls, name, counted(name, getattr(cls, name)))
+    return calls
+
+
+def test_run_stops_at_the_tight_size_and_defers_the_tail(monkeypatch):
+    calls = _count_calls(monkeypatch, BasicStrategy, ("next_edge", "on_processed"))
+    g = complete_graph(50)
+    rep = extract(g, SparsityParams(1, 1))
+    # K_50 under (1,1) is tight after 49 edges: no strategy call past the cut
+    assert calls == {"next_edge": 49, "on_processed": 49}
+    assert rep.counters.edges_processed == g.m == 1225
+    assert rep.counters.early_termination_hit == 1
+    assert rep.accepted_count == 49
+    order = rep.order
+    # the 1176 tail edges, and one None that ends the order
+    assert calls == {"next_edge": 49 + 1177, "on_processed": 49 + 1176}
+    assert order == list(range(g.m))  # seed 0: storage order
+    verdicts = rep.verdicts
+    assert all(v.accepted for v in verdicts[:49])
+    assert all(v.reason is Reason.EARLY_TERMINATED for v in verdicts[49:])
+    assert rep.order is order
+    rep.reason_counts()
+    assert calls == {"next_edge": 49 + 1177, "on_processed": 49 + 1176}
+
+
+@pytest.mark.parametrize("first_read", ["order", "verdicts", "reason_counts"])
+def test_each_reader_walks_the_deferred_tail(first_read):
+    g = complete_graph(50)
+    rep = extract(g, SparsityParams(1, 1))
+    if first_read == "order":
+        assert len(rep.order) == g.m
+    elif first_read == "verdicts":
+        assert [v.edge for v in rep.verdicts] == list(range(g.m))
+    else:
+        counts = rep.reason_counts()
+        assert counts[Reason.ACCEPTED] == 49
+        assert counts[Reason.EARLY_TERMINATED] == 1176
+    assert rep.order == list(range(g.m))
+    assert rep.reason_counts()[Reason.EARLY_TERMINATED] == 1176
+
+
+def test_deferred_tail_looks_strategy_methods_up_when_walked(monkeypatch):
+    # a wrapper installed after the run (as a tracer's removal is, in
+    # reverse) must see the tail: no bound method from the run is kept
+    g = complete_graph(50)
+    rep = extract(g, SparsityParams(1, 1))
+    calls = _count_calls(monkeypatch, BasicStrategy, ("next_edge", "on_processed"))
+    rep.order
+    assert calls == {"next_edge": 1177, "on_processed": 1176}
+
+
+class _DropsLastEdge(BasicStrategy):
+    """Basic in storage order that never yields the last edge id."""
+
+    def next_edge(self):
+        e = super().next_edge()
+        return None if e == self.graph.m - 1 else e
+
+
+class _RepeatsAfterCut(BasicStrategy):
+    """Basic in storage order that yields edge 0 again past the cut."""
+
+    def next_edge(self):
+        e = super().next_edge()
+        if e is not None and e == self.params.tight_size(self.graph.n):
+            self._pos -= 1
+            return 0
+        return e
+
+
+@pytest.mark.parametrize("stub", [_DropsLastEdge, _RepeatsAfterCut])
+def test_tail_contract_is_checked_without_assert(stub):
+    g = complete_graph(50)
+    p = SparsityParams(1, 1)
+    rep = PebbleEngine(g, p).run(stub(g, p))
+    # the counters are set at the cut, before the tail is walked
+    assert rep.counters.edges_processed == g.m
+    assert rep.counters.early_termination_hit == 1
+    assert rep.accepted_count == 49
+    with pytest.raises(StrategyContractError):
+        rep.order
+    assert issubclass(StrategyContractError, RuntimeError)
+
+
+def test_no_tail_without_remaining_edges():
+    # a tight input reaches the tight size on its last edge
+    g = complete_graph(4)
+    rep = extract(g, SparsityParams(2, 2))
+    assert rep.accepted_count == g.m == 6
+    assert rep.counters.early_termination_hit == 0
+    assert rep.order == list(range(6))
