@@ -158,3 +158,39 @@ def test_none_weight_rejected_by_constructor():
 def test_non_numeric_weight_names_edge():
     with pytest.raises(ValueError, match="edge 1: weight must be a number"):
         Multigraph(2, [(0, 1), (0, 1)], weights=[1.0, "x"])
+
+
+def test_generator_of_pairs_builds_same_graph():
+    edges = [(3, 1), (0, 2), (2, 2), (1, 3), (0, 0)]
+    from_list = Multigraph(4, edges)
+    from_gen = Multigraph(4, (pair for pair in edges))
+    assert from_gen == from_list
+    assert from_gen.m == 5
+    assert from_gen.incidence == from_list.incidence
+    assert from_gen.degree == from_list.degree
+    assert Multigraph(4, zip([3, 0], [1, 2])) == Multigraph(4, [(3, 1), (0, 2)])
+    empty = Multigraph(3, iter(()))
+    assert empty.m == 0 and empty.degree == [0, 0, 0]
+
+
+def test_degree_counts_loops_twice():
+    # two parallel loops at 1, a parallel pair 0-1, a loop at 2
+    g = Multigraph(4, iter([(1, 1), (1, 1), (0, 1), (1, 0), (2, 2)]))
+    assert g.degree == [2, 6, 2, 0]
+    assert g.incidence[1] == [0, 1, 2, 3]
+    assert g.incidence[2] == [4]
+    assert sum(g.degree) == 2 * g.m
+
+
+def test_non_integer_endpoint_from_generator_names_pair():
+    with pytest.raises(ValueError, match=r"edge 1: .*\(0\.5, 1\)"):
+        Multigraph(2, (p for p in [(0, 1), (0.5, 1)]))
+    with pytest.raises(ValueError, match=r"edge 0: .*\('0', 1\)"):
+        Multigraph(2, iter([("0", 1)]))
+
+
+def test_weights_length_mismatch_raises():
+    with pytest.raises(ValueError, match="2 edges but 1 weights"):
+        Multigraph(2, [(0, 1), (0, 1)], weights=[1.0])
+    with pytest.raises(ValueError, match="1 edges but 2 weights"):
+        Multigraph(2, iter([(0, 1)]), weights=[1.0, 2.0])
