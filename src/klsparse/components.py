@@ -53,7 +53,12 @@ class Block:
 
 
 def detect_block(
-    digraph: InnerDigraph, u: int, v: int, params: SparsityParams
+    digraph: InnerDigraph,
+    u: int,
+    v: int,
+    params: SparsityParams,
+    *,
+    saturated: bool = False,
 ) -> Block | None:
     """The maximal block through the accepted edge uv, or None when no
     tight set contains both endpoints.
@@ -66,6 +71,10 @@ def detect_block(
     tight.  The maximal tight set is the complement of the forward-reach
     of the remaining deficient nodes, collected by a second sweep.
     Nothing is reversed; the digraph is left untouched.
+
+    ``saturated`` says the caller's own search from {u, v} (or {u}) just
+    failed at the ceiling, which is the same certificate: the backward
+    probe is skipped and only the forward sweep runs.
     """
     indeg = digraph.indeg
     k, l = params.k, params.l
@@ -77,7 +86,7 @@ def detect_block(
         if indeg[u] + indeg[v] < 2 * k - l:
             return None
         targets = (u, v)
-    if digraph.saturated_closure(targets) is None:
+    if not saturated and digraph.saturated_closure(targets) is None:
         return None
     digraph.multi_source_forward_reach(lambda x: indeg[x] < k, excluded=targets)
     return Block(frozenset(digraph.unstamped()).union(targets))
@@ -109,7 +118,9 @@ def _components(engine: PebbleEngine) -> ComponentSet:
         while sum(indeg[x] for x in targets) >= ceiling:
             path = digraph.find_reversal_path(targets)
             if path is None:
-                block = detect_block(digraph, u, v, params)
+                # that search exhausted the saturated backward closure: the
+                # probe needs only its forward sweep
+                block = detect_block(digraph, u, v, params, saturated=True)
                 if block is not None:
                     found.record(block.nodes)
                 break

@@ -26,6 +26,7 @@ where a shuffle would otherwise apply.
 from __future__ import annotations
 
 import random
+import weakref
 from collections import deque
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
@@ -126,6 +127,9 @@ class Strategy:
     without asking for them, and walks them only when the report's order
     is first read, which raises
     :class:`~klsparse.pebble.StrategyContractError` on a broken order.
+
+    ``start`` binds the engine's processed flags, which the order reads;
+    the engine itself is held weakly (see :attr:`engine`).
     """
 
     name = ""
@@ -136,10 +140,18 @@ class Strategy:
         self.graph = graph
         self.params = params
         self.seed = seed
-        self.engine: PebbleEngine | None = None
+        self._engine: weakref.ref[PebbleEngine] | None = None
+
+    @property
+    def engine(self) -> PebbleEngine | None:
+        """The engine this strategy was started on, while that engine
+        lives.  A deferred tail keeps the strategy in the engine's report,
+        so a strong reference would make a reference cycle."""
+        return None if self._engine is None else self._engine()
 
     def start(self, engine: PebbleEngine) -> None:
-        self.engine = engine
+        self._engine = weakref.ref(engine)
+        self._processed = engine.processed
 
     def next_edge(self) -> int | None:
         raise NotImplementedError
@@ -172,7 +184,7 @@ class BasicStrategy(Strategy):
 
     def next_edge(self):
         order = self._order
-        processed = self.engine.processed
+        processed = self._processed
         while self._pos < len(order):
             e = order[self._pos]
             self._pos += 1
@@ -299,7 +311,7 @@ class _NodeOrderStrategy(Strategy):
 
     def next_edge(self):
         incidence = self.graph.incidence
-        processed = self.engine.processed
+        processed = self._processed
         ptr = self._ptr
         v = self._cur
         while True:

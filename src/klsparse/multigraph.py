@@ -67,8 +67,8 @@ class Multigraph:
 
         ``weights``, when given, must have one entry per pair.  Raises
         ``ValueError`` naming the edge index for an endpoint outside
-        ``[0, n)``, a non-integer endpoint, a bad weight or a weights list
-        of the wrong length.
+        ``[0, n)``, a non-integer endpoint, a pair of the wrong length, a
+        bad weight or a weights list of the wrong length.
         """
         if n < 0:
             raise ValueError(f"node count must be non-negative, got {n}")
@@ -80,7 +80,12 @@ class Multigraph:
         e, pair = -1, None
         try:
             for e, pair in pairs:
-                u, v = pair
+                try:
+                    u, v = pair
+                except ValueError:
+                    raise ValueError(
+                        f"edge {e}: expected a pair of endpoints, got {pair!r}"
+                    ) from None
                 if not (0 <= u < n and 0 <= v < n):
                     raise ValueError(f"edge {e}: endpoint out of range [0, {n})")
                 if u > v:

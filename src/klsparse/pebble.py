@@ -102,8 +102,12 @@ class Verdict:
     reason: Reason
 
 
+# reason codes, as stored per edge id in ExtractionReport: index into _REASONS
 _REASONS = tuple(Reason)
 _CODE = {reason: code for code, reason in enumerate(_REASONS)}
+_ACCEPTED = _CODE[Reason.ACCEPTED]
+_BLOCKED = _CODE[Reason.INDEGREE_BLOCKED]
+_COVERED = _CODE[Reason.COVERED_BY_COMPONENT]
 _EARLY_TERMINATED = _CODE[Reason.EARLY_TERMINATED]
 
 
@@ -123,11 +127,11 @@ class ExtractionReport:
     ``accepted`` is the accepted edge-id set and ``order`` the processed
     edge ids in processing order.  Per-edge outcomes are kept compact: a
     reason code per edge id and the non-zero reversal counts, written by
-    :meth:`record`.  Codes start at EARLY_TERMINATED, so the edges past
-    the tight size need no write at all.  ``verdicts`` builds the
-    :class:`Verdict` list from these records on demand.  The
-    classification flags are filled by :func:`decide` and stay None
-    otherwise.
+    :meth:`write` (and inline by :meth:`PebbleEngine.run`).  Codes start
+    at EARLY_TERMINATED, so the edges past the tight size need no write at
+    all.  :class:`Verdict` objects exist only on read: ``verdicts`` builds
+    them from these records.  The classification flags are filled by
+    :func:`decide` and stay None otherwise.
 
     An engine that stops at the tight size leaves the rest of its
     strategy's order as a deferred tail: the strategy and the processed
@@ -164,15 +168,17 @@ class ExtractionReport:
             self._walk_tail()
         return self._order
 
-    def record(self, verdict: Verdict) -> None:
-        """Append one processed edge's verdict."""
-        e = verdict.edge
+    def write(self, e: int, code: int, reversals: int = 0) -> None:
+        """Append processed edge ``e`` with its reason code (the index of
+        its :class:`Reason`) and the path reversals it used, and count it.
+        :meth:`PebbleEngine.run` makes the same writes inline, and counts
+        its edges once after its loop."""
         self._order.append(e)
-        self._reasons[e] = _CODE[verdict.reason]
-        if verdict.reversals_used:
-            self._reversals[e] = verdict.reversals_used
+        self._reasons[e] = code
+        if reversals:
+            self._reversals[e] = reversals
         self.counters.edges_processed += 1
-        if verdict.accepted:
+        if code == _ACCEPTED:
             self.counters.edges_accepted += 1
             self.accepted.add(e)
 
@@ -216,9 +222,8 @@ class ExtractionReport:
     def verdicts(self) -> list[Verdict]:
         """One :class:`Verdict` per processed edge, in processing order."""
         reasons, reversals = self._reasons, self._reversals
-        accepted = _CODE[Reason.ACCEPTED]
         return [
-            Verdict(e, reasons[e] == accepted, reversals.get(e, 0),
+            Verdict(e, reasons[e] == _ACCEPTED, reversals.get(e, 0),
                     _REASONS[reasons[e]])
             for e in self.order
         ]
@@ -336,15 +341,16 @@ class PebbleEngine:
                                        counters=self.counters)
         self._tight_size = params.tight_size(graph.n)
 
-    def try_accept(self, e: int, preferred_head: int | None = None) -> Verdict:
+    def try_accept(self, e: int, preferred_head: int | None = None) -> int:
         """Process edge ``e``: augment until the acceptance condition holds
         or the search fails, inserting the arc on success.
 
-        An edge inside a recorded block is rejected before any search; a
-        failed search records its closure as a block.  Reversals performed
-        before a rejection are kept; they only reorient the same accepted
-        set.  ``preferred_head`` is honoured if its indegree allows,
-        otherwise the other endpoint takes the arc.
+        Returns the path reversals performed, r >= 0, when ``e`` is
+        accepted and -1 - r when it is rejected.  The caller checks block
+        coverage first; a failed search records its closure as a block.
+        Reversals performed before a rejection are kept; they only reorient
+        the same accepted set.  ``preferred_head`` is honoured if its
+        indegree allows, otherwise the other endpoint takes the arc.
         """
         g = self.graph
         u = g.edge_u[e]
@@ -352,20 +358,17 @@ class PebbleEngine:
         p = self.params
         digraph = self.digraph
         indeg = digraph.indeg
-        blocks = self.blocks
         reversals = 0
 
-        if blocks.covers(u, v):
-            return Verdict(e, False, 0, Reason.COVERED_BY_COMPONENT)
         if u == v:
             limit = p.loop_threshold
             if limit < 0:
-                return Verdict(e, False, 0, Reason.INDEGREE_BLOCKED)
+                return -1
             while indeg[u] > limit:
                 path = digraph.find_reversal_path((u,))
                 if path is None:
-                    blocks.record(digraph.last_closure)
-                    return Verdict(e, False, reversals, Reason.INDEGREE_BLOCKED)
+                    self.blocks.record(digraph.last_closure)
+                    return -1 - reversals
                 digraph.reverse(path)
                 reversals += 1
             digraph.insert_arc(e, u, u)
@@ -374,8 +377,8 @@ class PebbleEngine:
             while indeg[u] + indeg[v] >= threshold:
                 path = digraph.find_reversal_path((u, v))
                 if path is None:
-                    blocks.record(digraph.last_closure)
-                    return Verdict(e, False, reversals, Reason.INDEGREE_BLOCKED)
+                    self.blocks.record(digraph.last_closure)
+                    return -1 - reversals
                 digraph.reverse(path)
                 reversals += 1
             if preferred_head is not None and indeg[preferred_head] < p.k:
@@ -390,7 +393,7 @@ class PebbleEngine:
             raise ReversalBoundError(
                 f"edge {e} took {reversals} reversals, bound {p.reversal_bound}"
             )
-        return Verdict(e, True, reversals, Reason.ACCEPTED)
+        return reversals
 
     def preaccept(self, e: int, tail: int, head: int) -> None:
         """Record ``e`` as accepted with a caller-supplied orientation.
@@ -400,14 +403,14 @@ class PebbleEngine:
         """
         self.digraph.insert_arc(e, tail, head)
         self.processed[e] = True
-        self.report.record(Verdict(e, True, 0, Reason.ACCEPTED))
-
-    def _process_edge(self, e: int, strategy) -> Verdict:
-        preferred = strategy.orient(self.graph.edge_u[e], self.graph.edge_v[e])
-        return self.try_accept(e, preferred)
+        self.report.write(e, _ACCEPTED)
 
     def run(self, strategy) -> ExtractionReport:
         """Drive ``strategy``'s edge order through the engine.
+
+        Each edge's outcome goes straight into the report's records: an
+        edge inside a recorded block is rejected with no further call, any
+        other goes through :meth:`try_accept`.
 
         Once the digraph holds max(k*n - l, 0) arcs no further edge can be
         accepted, so the run stops there.  The counters already count the
@@ -419,25 +422,53 @@ class PebbleEngine:
         anything reorients it.
         """
         strategy.start(self)
-        digraph = self.digraph
+        report = self.report
+        order = report._order
+        reasons = report._reasons
+        reversals_of = report._reversals
+        accepted = report.accepted
+        # two-phase strategies preaccept edges in ``start``, counted there
+        first, first_accepted = len(order), len(accepted)
+        edge_u, edge_v = self.graph.edge_u, self.graph.edge_v
+        arcs = self.digraph.arc_tail
         tight_size = self._tight_size
         processed = self.processed
-        report = self.report
-        record = report.record
+        covers = self.blocks.covers
+        try_accept = self.try_accept
         next_edge = strategy.next_edge
+        orient = strategy.orient
         on_processed = strategy.on_processed
-        while digraph.arc_count < tight_size:
+        while len(arcs) < tight_size:
             e = next_edge()
             if e is None:
-                return report
-            verdict = self._process_edge(e, strategy)
+                break
+            u = edge_u[e]
+            v = edge_v[e]
+            head = orient(u, v)
             processed[e] = True
-            record(verdict)
-            on_processed(e, verdict.accepted)
-        rest = report.m - len(report._order)
-        if rest > 0:
-            self.counters.edges_processed += rest
-            self.counters.early_termination_hit = 1
+            order.append(e)
+            if covers(u, v):
+                reasons[e] = _COVERED
+                on_processed(e, False)
+                continue
+            r = try_accept(e, head)
+            ok = r >= 0
+            if ok:
+                reasons[e] = _ACCEPTED
+                accepted.add(e)
+            else:
+                reasons[e] = _BLOCKED
+                r = -1 - r
+            if r:
+                reversals_of[e] = r
+            on_processed(e, ok)
+        counters = self.counters
+        counters.edges_processed += len(order) - first
+        counters.edges_accepted += len(accepted) - first_accepted
+        rest = report.m - len(order)
+        if rest > 0 and len(arcs) >= tight_size:
+            counters.edges_processed += rest
+            counters.early_termination_hit = 1
             report._tail = (strategy, processed)
         return report
 
@@ -484,11 +515,11 @@ class _FixedOrder:
         self._pos = 0
 
     def start(self, engine: PebbleEngine) -> None:
-        self._engine = engine
+        self._processed = engine.processed
 
     def next_edge(self) -> int | None:
         seq = self._sequence
-        processed = self._engine.processed
+        processed = self._processed
         while self._pos < len(seq):
             e = seq[self._pos]
             self._pos += 1

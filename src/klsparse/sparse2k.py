@@ -41,9 +41,12 @@ from __future__ import annotations
 from .multigraph import Multigraph
 from .orientation import InnerDigraph, Instrumentation
 from .pebble import (
+    _ACCEPTED,
+    _BLOCKED,
+    _COVERED,
+    _REASONS,
     ComponentSet,
     ExtractionReport,
-    Reason,
     ReversalBoundError,
     SparsityParams,
     Verdict,
@@ -149,20 +152,21 @@ class TwoKEngine:
     def process(self, e: int) -> Verdict:
         u, v = self.graph.edge_u[e], self.graph.edge_v[e]
         digraph = self.digraph
+        reversals = 0
         if self.blocks.covers(u, v):
-            verdict = Verdict(e, False, 0, Reason.COVERED_BY_COMPONENT)
+            code = _COVERED
         else:
             reversals = zero_pair_indegrees(digraph, u, v)
             if insertable(digraph, u, v):
                 # arc toward the larger id (v, by canonical endpoint storage)
                 digraph.insert_arc(e, u, v)
-                verdict = Verdict(e, True, reversals, Reason.ACCEPTED)
+                code = _ACCEPTED
             else:
                 # the failed probe's closure, tight once u and v join it
                 self.blocks.record(digraph.last_closure + [u, v])
-                verdict = Verdict(e, False, reversals, Reason.INDEGREE_BLOCKED)
-        self.report.record(verdict)
-        return verdict
+                code = _BLOCKED
+        self.report.write(e, code, reversals)
+        return Verdict(e, code == _ACCEPTED, reversals, _REASONS[code])
 
     def run(self) -> ExtractionReport:
         for e in range(self.graph.m):

@@ -263,3 +263,33 @@ def test_component_pass_reads_the_order_before_reorienting():
     assert digest.hexdigest() == (
         "c89757f1aafeadb53ea4d838850316ee6e880f042ab0b93446c651f10eb06344"
     )
+
+
+def test_component_pass_runs_one_backward_closure_per_probe(monkeypatch):
+    # the failed search that ends a probe's reversals already exhausted the
+    # endpoints' saturated closure; the probe must not search it again
+    # G(60, 0.06) under (2,3): one 49-node component and twelve 2-node ones
+    g = gen_erdos_renyi(60, 0.06, seed=3)
+    p = SparsityParams(2, 3)
+    engine = PebbleEngine(g, p)
+    engine.run(make_strategy("NBasicComp", g, p))
+    exhausted = probes = 0
+    search, probe = InnerDigraph._backward_search, components.detect_block
+
+    def counted_search(self, *args):
+        nonlocal exhausted
+        source, visited = search(self, *args)
+        exhausted += source < 0
+        return source, visited
+
+    def counted_probe(*args, **kwargs):
+        nonlocal probes
+        probes += 1
+        return probe(*args, **kwargs)
+
+    monkeypatch.setattr(InnerDigraph, "_backward_search", counted_search)
+    monkeypatch.setattr(components, "detect_block", counted_probe)
+    found = components._components(engine)
+    assert len(found.components()) > 1
+    assert probes > 1
+    assert exhausted == probes

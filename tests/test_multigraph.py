@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from klsparse import (
@@ -194,3 +196,10 @@ def test_weights_length_mismatch_raises():
         Multigraph(2, [(0, 1), (0, 1)], weights=[1.0])
     with pytest.raises(ValueError, match="1 edges but 2 weights"):
         Multigraph(2, iter([(0, 1)]), weights=[1.0, 2.0])
+
+
+@pytest.mark.parametrize("bad", [(1,), (0, 1, 1)])
+@pytest.mark.parametrize("source", [list, iter])
+def test_pair_of_wrong_length_names_edge_and_pair(bad, source):
+    with pytest.raises(ValueError, match=rf"edge 1: .*{re.escape(repr(bad))}"):
+        Multigraph(2, source([(0, 1), bad]))

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
+import weakref
 
 import pytest
 
@@ -387,3 +389,81 @@ def test_no_tail_without_remaining_edges():
     assert rep.accepted_count == g.m == 6
     assert rep.counters.early_termination_hit == 0
     assert rep.order == list(range(6))
+
+
+class _RecordsOutcomes(BasicStrategy):
+    """Basic that keeps every (edge, accepted) pair it is told about."""
+
+    def start(self, engine):
+        super().start(engine)
+        self.seen = []
+
+    def on_processed(self, edge, accepted):
+        self.seen.append((edge, accepted))
+
+
+def test_on_processed_sees_the_report_stream():
+    # G(40, 0.3, seed 4) under (2,3), Basic with seed 2: acceptances,
+    # searched and covered rejections, then a deferred tail
+    g = gen_erdos_renyi(40, 0.3, seed=4)
+    p = SparsityParams(2, 3)
+    strategy = _RecordsOutcomes(g, p, seed=2)
+    rep = PebbleEngine(g, p).run(strategy)
+    counts = rep.reason_counts()
+    assert all(counts[reason] > 0 for reason in Reason)
+    assert strategy.seen == [(v.edge, v.accepted) for v in rep.verdicts]
+    assert [e for e, _ in strategy.seen] == rep.order
+
+
+def test_rejection_keeps_the_reversals_it_made():
+    # triangle plus an isolated node under (1,1): the third edge reverses
+    # one path, then its second search fails
+    g = Multigraph(4, [(0, 1), (0, 2), (1, 2)])
+    rep = extract(g, SparsityParams(1, 1))
+    last = rep.verdicts[2]
+    assert (last.accepted, last.reason, last.reversals_used) == (
+        False, Reason.INDEGREE_BLOCKED, 1)
+    # every reversal of the run is listed against its edge
+    assert sum(v.reversals_used for v in rep.verdicts) == rep.counters.path_reversals
+
+
+@pytest.mark.parametrize("name", ["Basic", "Transp", "PForestsBFS", "UnionNBasic"])
+@pytest.mark.parametrize("n, prob", [(30, 0.5), (60, 0.03)])
+def test_counters_match_the_report(name, n, prob):
+    # the dense graph reaches the tight size and defers a tail, the sparse
+    # one drains the order
+    g = gen_erdos_renyi(n, prob, seed=5)
+    p = SparsityParams(2, 3)
+    rep = PebbleEngine(g, p).run(make_strategy(name, g, p, seed=1))
+    c = rep.counters
+    tail = c.early_termination_hit == 1
+    assert tail == (prob > 0.1)
+    # complete before any tail is walked
+    assert c.edges_processed == g.m
+    assert c.edges_accepted == rep.accepted_count
+    assert c.edges_processed == len(rep.order)
+    assert c.edges_accepted == rep.reason_counts()[Reason.ACCEPTED]
+
+
+@pytest.mark.parametrize("name", STRATEGY_NAMES)
+def test_engine_is_freed_without_the_cyclic_collector(name):
+    g = gen_erdos_renyi(40, 0.3, seed=4)
+    p = SparsityParams(2, 3)
+    gc.disable()
+    try:
+        engine = PebbleEngine(g, p)
+        report = engine.run(make_strategy(name, g, p, seed=1))
+        assert report._tail is not None  # the strategy is kept for the tail
+        dead_engine, dead_report = weakref.ref(engine), weakref.ref(report)
+        del engine, report
+        assert dead_engine() is None and dead_report() is None
+
+        engine = PebbleEngine(g, p)
+        report = engine.run(make_strategy(name, g, p, seed=1))
+        dead_engine = weakref.ref(engine)
+        del engine
+        assert dead_engine() is None
+        # the tail is walked after its engine is gone
+        assert sorted(report.order) == list(range(g.m))
+    finally:
+        gc.enable()
