@@ -216,6 +216,10 @@ def _bench_graph(family: str, n: int, args, seed: int) -> Multigraph:
         return GenSpec(family=family, seed=seed, base_n=n).build()
     if family == "tight":
         return GenSpec(family=family, seed=seed, n=n, k_trees=args.k_trees).build()
+    if family == "molecular":
+        base = GenSpec(family="erdos-renyi", seed=seed, n=n, p=args.p).build()
+        return GenSpec(family=family, multiplicity=args.multiplicity,
+                       base=base).build()
     raise _UsageExit(f"family {family!r} not benchable")
 
 
@@ -335,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("bench", help="benchmark harness, CSV output")
-    p.add_argument("--family", action="append", choices=FAMILIES[:4])
+    p.add_argument("--family", action="append", choices=FAMILIES)
     p.add_argument("--n", type=int, action="append")
     p.add_argument("--pair", action="append", help="K,L (repeatable)")
     p.add_argument("--heuristic", action="append")
@@ -344,6 +348,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=float, default=0.1)
     p.add_argument("--m-attach", type=int, default=3, dest="m_attach")
     p.add_argument("--k-trees", type=int, default=3, dest="k_trees")
+    p.add_argument(
+        "--multiplicity",
+        type=int,
+        default=6,
+        help="edge copies of the molecular family's G(n, p) base (default 6)",
+    )
     p.add_argument("--aggregate", action="store_true")
     p.add_argument("--output", "-o", default=None)
     p.set_defaults(func=_cmd_bench)

@@ -66,10 +66,13 @@ class Multigraph:
         generator, a ``zip`` of two columns); edge ids follow its order.
 
         ``weights``, when given, must have one entry per pair.  Raises
-        ``ValueError`` naming the edge index for an endpoint outside
+        ``ValueError`` for an ``n`` that is not a non-negative ``int`` (a
+        bool included), and naming the edge index for an endpoint outside
         ``[0, n)``, a non-integer endpoint, a pair of the wrong length, a
         bad weight or a weights list of the wrong length.
         """
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise ValueError(f"node count must be an integer, got {n!r}")
         if n < 0:
             raise ValueError(f"node count must be non-negative, got {n}")
         edge_u: list[int] = []
@@ -344,12 +347,12 @@ def serialize_graph(g: Multigraph) -> str:
     ``parse_graph(serialize_graph(g))`` reproduces ``g`` exactly; float
     weights are written with ``repr`` so the value round-trips bit-for-bit.
     """
-    tag = " weighted" if g.is_weighted else ""
+    weights = g.weights
+    tag = " weighted" if weights is not None else ""
     out = [f"kl-graph {g.n} {g.m}{tag}"]
-    if g.is_weighted:
-        assert g.weights is not None
+    if weights is not None:
         for e in range(g.m):
-            out.append(f"{g.edge_u[e]} {g.edge_v[e]} {g.weights[e]!r}")
+            out.append(f"{g.edge_u[e]} {g.edge_v[e]} {weights[e]!r}")
     else:
         for e in range(g.m):
             out.append(f"{g.edge_u[e]} {g.edge_v[e]}")

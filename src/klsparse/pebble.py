@@ -50,12 +50,16 @@ class Reason(enum.Enum):
 
 @dataclass(frozen=True)
 class SparsityParams:
-    """The pair (k, l) with k >= 1 and 0 <= l <= 2k."""
+    """The pair (k, l) of integers with k >= 1 and 0 <= l <= 2k; anything
+    else (a float or a bool included) raises ``ValueError``."""
 
     k: int
     l: int
 
     def __post_init__(self) -> None:
+        for name, value in (("k", self.k), ("l", self.l)):
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.k < 1:
             raise ValueError(f"k must be at least 1, got {self.k}")
         if not 0 <= self.l <= 2 * self.k:
@@ -565,8 +569,17 @@ def decide(
 
     sparse: every edge accepted; spanning: the accepted subgraph reaches
     max(k*n - l, 0) edges; tight: both at once.
+
+    The edges are processed in the NInDegMin order (seed 0), not
+    :func:`extract`'s default Basic: the flags and the accepted count
+    depend only on the matroid rank, so any order gives the same answer,
+    and NInDegMin reaches the tight size after far fewer edges and node
+    visits (on G(600, 0.1, seed 1000) at (2,3): 2,961 edges against
+    Basic's 17,707).  The accepted set, the verdicts and the counters do
+    follow the order.
     """
-    report = extract(graph, params, counters=counters)
+    strategy = resolve_order(None, graph, params, "NInDegMin")
+    report = extract(graph, params, strategy, counters=counters)
     tight_size = params.tight_size(graph.n)
     report.is_sparse = len(report.accepted) == graph.m
     report.is_spanning = len(report.accepted) == tight_size

@@ -270,6 +270,32 @@ def test_bench_aggregate(capsys):
     assert cells[5] == "2"
 
 
+def test_bench_molecular_family(capsys):
+    argv = ["bench", "--family", "molecular", "--n", "40", "--p", "0.1",
+            "--multiplicity", "3", "--pair", "2,3", "--heuristic", "Basic",
+            "--heuristic", "NInDegMin", "--trials", "2", "--seed", "4"]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == BENCH_HEADER
+    assert len(lines) == 1 + 2 * 2
+    for row, heuristic, trial_seed in zip(
+        lines[1:], ["Basic", "NInDegMin"] * 2, [4, 4, 5, 5]
+    ):
+        cells = row.split(",")
+        base = gen_erdos_renyi(40, 0.1, trial_seed)
+        assert cells[:7] == ["molecular", "40", str(3 * base.m), "2", "3",
+                             heuristic, str(trial_seed)]
+    # the rank is order-independent
+    assert lines[1].split(",")[7] == lines[2].split(",")[7]
+
+
+def test_bench_molecular_rejects_bad_multiplicity(capsys):
+    argv = ["bench", "--family", "molecular", "--n", "10", "--multiplicity",
+            "0", "--trials", "1"]
+    assert main(argv) == 3
+    assert "multiplicity" in capsys.readouterr().err
+
+
 def test_bench_rejects_l_equals_2k(capsys):
     assert main(["bench", "--pair", "1,2", "--trials", "1"]) == 3
 

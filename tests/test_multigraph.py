@@ -63,6 +63,12 @@ def test_node_id_validation():
         Multigraph(2, [(-1, 0)])
 
 
+@pytest.mark.parametrize("n", [2.0, True, False, "3", None])
+def test_node_count_must_be_an_integer(n):
+    with pytest.raises(ValueError, match="node count must be an integer"):
+        Multigraph(n, [])
+
+
 def test_negative_weight_rejected():
     with pytest.raises(ValueError):
         Multigraph(2, [(0, 1)], weights=[-1.0])

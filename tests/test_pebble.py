@@ -44,6 +44,13 @@ def test_params_validation():
     assert not SparsityParams(2, 4).is_augmenting_regime
 
 
+@pytest.mark.parametrize("k, l", [(2.5, 3), (2, 3.0), (2.0, 3), (True, 1),
+                                  (2, False), ("2", 3), (2, None)])
+def test_params_reject_non_integers(k, l):
+    with pytest.raises(ValueError, match="must be an integer"):
+        SparsityParams(k, l)
+
+
 def test_wrong_regime_rejected():
     with pytest.raises(WrongRegimeError):
         extract(complete_graph(4), SparsityParams(2, 4))
