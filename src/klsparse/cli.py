@@ -124,6 +124,11 @@ def _cmd_decide(args) -> int:
     return EXIT_OK
 
 
+def _write_ids(ids) -> None:
+    """Print the ids in ascending order, one a line, in one write."""
+    sys.stdout.write("".join(f"{e}\n" for e in sorted(ids)))
+
+
 def _cmd_extract(args) -> int:
     graph = _read_graph(args.input)
     params = _params(args)
@@ -136,8 +141,7 @@ def _cmd_extract(args) -> int:
     else:
         heuristic = args.heuristic if args.heuristic is not None else "Basic"
         report = _run_extraction(graph, params, heuristic, args.seed)
-    for e in sorted(report.accepted):
-        print(e)
+    _write_ids(report.accepted)
     print(f"accepted={report.accepted_count} of {graph.m}")
     if report.total_weight is not None:
         print(f"weight={report.total_weight!r}")
@@ -157,8 +161,7 @@ def _cmd_components(args) -> int:
 def _cmd_maximal_2k(args) -> int:
     graph = _read_graph(args.input)
     report = extract_maximal_2k(graph, args.k)
-    for e in sorted(report.accepted):
-        print(e)
+    _write_ids(report.accepted)
     print(f"accepted={report.accepted_count} of {graph.m}")
     return EXIT_OK
 

@@ -13,9 +13,11 @@ Loops and parallel edges are allowed.
 
 from __future__ import annotations
 
+import json
 import math
 import re
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
+from operator import gt, index
 
 
 class GraphParseError(ValueError):
@@ -75,44 +77,15 @@ class Multigraph:
             raise ValueError(f"node count must be an integer, got {n!r}")
         if n < 0:
             raise ValueError(f"node count must be non-negative, got {n}")
-        edge_u: list[int] = []
-        edge_v: list[int] = []
-        incidence: list[list[int]] = [[] for _ in range(n)]
-        loops: list[int] = []
-        pairs = enumerate(edges)  # a non-iterable raises its own TypeError here
-        e, pair = -1, None
+        pairs = list(edges)  # a non-iterable raises its own TypeError here
         try:
-            for e, pair in pairs:
-                try:
-                    u, v = pair
-                except ValueError:
-                    raise ValueError(
-                        f"edge {e}: expected a pair of endpoints, got {pair!r}"
-                    ) from None
-                if not (0 <= u < n and 0 <= v < n):
-                    raise ValueError(f"edge {e}: endpoint out of range [0, {n})")
-                if u > v:
-                    u, v = v, u
-                edge_u.append(u)
-                edge_v.append(v)
-                # indexing raises TypeError for non-integer endpoints
-                incidence[u].append(e)
-                if v != u:
-                    incidence[v].append(e)
-                else:
-                    loops.append(u)
-        except TypeError:
-            raise ValueError(
-                f"edge {e}: endpoints must be a pair of integers, got {pair!r}"
-            ) from None
-        m = e + 1
-        if weights is not None and len(weights) != m:
-            raise ValueError(f"{m} edges but {len(weights)} weights")
-        # a loop is listed once in its node's incidence but counts 2
-        degree = list(map(len, incidence))
-        for u in loops:
-            degree[u] += 1
+            self._build(n, [u for u, v in pairs], [v for u, v in pairs])
+        except (TypeError, ValueError, IndexError):
+            _raise_first_bad_edge(n, pairs)
+            raise
         if weights is not None:
+            if len(weights) != self.m:
+                raise ValueError(f"{self.m} edges but {len(weights)} weights")
             checked: list[float] = []
             for e, w in enumerate(weights):
                 try:
@@ -127,11 +100,59 @@ class Multigraph:
                     )
                 checked.append(w)
             weights = checked
+        self.weights = weights
+
+    @classmethod
+    def _from_columns(
+        cls, n: int, edge_u: list[int], edge_v: list[int],
+        weights: list[float] | None = None,
+    ) -> Multigraph:
+        """The graph of endpoint columns a parser has already produced.
+
+        ``weights`` is taken as it is, and faults in the columns raise as
+        :meth:`_build` says, without an edge index.
+        """
+        self = cls.__new__(cls)
+        self._build(n, edge_u, edge_v)
+        self.weights = weights
+        return self
+
+    def _build(self, n: int, edge_u: list, edge_v: list) -> None:
+        """Set every field but ``weights`` from two endpoint columns.
+
+        Raises ``ValueError`` for an endpoint outside ``[0, n)`` and
+        ``TypeError`` (or, past a NaN, ``IndexError``) for an endpoint that
+        is not an integer, naming no edge.
+        """
+        m = len(edge_u)
+        if any(map(gt, edge_u, edge_v)):
+            # min(u, v) keeps u and max(v, u) keeps v on a tie, exactly as
+            # swapping only when u > v does
+            edge_u, edge_v = (
+                list(map(min, edge_u, edge_v)),
+                list(map(max, edge_v, edge_u)),
+            )
+        # with u <= v the extremes sit in one column each; a NaN can hide
+        # one, but it fails the indexing below
+        if m and (min(edge_u) < 0 or max(edge_v) >= n):
+            raise ValueError("endpoint out of range")
+        incidence: list[list[int]] = [[] for _ in range(n)]
+        loops: list[int] = []
+        for e, u, v in zip(range(m), edge_u, edge_v):
+            # indexing raises TypeError for non-integer endpoints
+            incidence[u].append(e)
+            if v != u:
+                incidence[v].append(e)
+            else:
+                loops.append(u)
+        # a loop is listed once in its node's incidence but counts 2
+        degree = list(map(len, incidence))
+        for u in loops:
+            degree[u] += 1
         self.n = n
         self.m = m
         self.edge_u = edge_u
         self.edge_v = edge_v
-        self.weights = weights
         self.incidence = incidence
         self.degree = degree
 
@@ -168,6 +189,34 @@ class Multigraph:
         return f"Multigraph(n={self.n}, m={self.m}{tag})"
 
 
+def _raise_first_bad_edge(n: int, pairs: list) -> None:
+    """Raise the ``ValueError`` that names the first edge of ``pairs`` that
+    is not a pair of integers in ``[0, n)``; return if there is none.
+
+    The edge-by-edge replay of a failed column build, checking each pair in
+    the order the build would meet its faults.
+    """
+    for e, pair in enumerate(pairs):
+        try:
+            try:
+                u, v = pair
+            except ValueError:
+                raise ValueError(
+                    f"edge {e}: expected a pair of endpoints, got {pair!r}"
+                ) from None
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"edge {e}: endpoint out of range [0, {n})")
+            if u > v:
+                u, v = v, u
+            index(u)
+            if v != u:
+                index(v)
+        except TypeError:
+            raise ValueError(
+                f"edge {e}: endpoints must be a pair of integers, got {pair!r}"
+            ) from None
+
+
 # The canonical unweighted form, exactly what serialize_graph writes: a
 # 3-token header, then "<u> <v>\n" lines of ASCII digits and single spaces.
 # The body is matched one chunk at a time: over a whole body the matcher keeps
@@ -178,6 +227,7 @@ _CANONICAL_BODY = re.compile(rb"(?:[0-9]+ [0-9]+\n)*")
 # object per endpoint at once, which fragments the heap: peak RSS of a
 # 100k-edge `extract` read 46 MiB that way against 38 MiB chunked.
 _CHUNK = 8192
+_TO_COMMAS = bytes.maketrans(b" \n", b",,")
 
 
 def parse_graph(text: str | bytes) -> Multigraph:
@@ -211,37 +261,36 @@ def parse_graph(text: str | bytes) -> Multigraph:
 def _parse_canonical(data: bytes) -> Multigraph | None:
     """The graph of canonical unweighted ``data``, or ``None`` to fall back.
 
-    The gate is all ASCII, so it also proves ``data`` is valid UTF-8.
+    The body is checked and tokenized in newline-aligned slices of about
+    ``_CHUNK`` bytes: each slice, its spaces and newlines turned into
+    commas, is one JSON array of integers.  The gate is all ASCII, so it
+    also proves ``data`` is valid UTF-8.
     """
     header = _CANONICAL_HEADER.match(data)
     if header is None:
         return None
     start = header.end()
+    end = len(data)
+    edge_u: list[int] = []
+    edge_v: list[int] = []
     try:
         n, m = int(header[1]), int(header[2])
         if data.count(b"\n", start) != m:
             return None
-        return Multigraph(n, _column_pairs(data, start))
+        while start < end:
+            stop = data.find(b"\n", start + _CHUNK) + 1 or end
+            if _CANONICAL_BODY.fullmatch(data, start, stop) is None:
+                return None
+            body = data[start:stop - 1].translate(_TO_COMMAS)
+            ints = json.loads(b"[%b]" % body)
+            edge_u += ints[0::2]
+            edge_v += ints[1::2]
+            start = stop
+        return Multigraph._from_columns(n, edge_u, edge_v)
     except ValueError:
-        # a non-canonical chunk, an endpoint >= n, or a number past int's
-        # digit limit
+        # a leading zero (not JSON), an endpoint >= n, or a number past
+        # int's digit limit
         return None
-
-
-def _column_pairs(data: bytes, start: int) -> Iterator[tuple[int, int]]:
-    """Endpoint pairs of a canonical body from offset ``start``, checked
-    and tokenized in newline-aligned slices of about ``_CHUNK`` bytes.
-
-    Raises ``ValueError`` at the first slice that is not canonical.
-    """
-    end = len(data)
-    while start < end:
-        stop = data.find(b"\n", start + _CHUNK) + 1 or end
-        if _CANONICAL_BODY.fullmatch(data, start, stop) is None:
-            raise ValueError("not in the canonical form")
-        ints = list(map(int, data[start:stop].split()))
-        yield from zip(ints[0::2], ints[1::2])
-        start = stop
 
 
 def _parse_lines(text: str | bytes) -> Multigraph:
@@ -259,7 +308,8 @@ def _parse_lines(text: str | bytes) -> Multigraph:
     eof = len(lines) + 1
 
     header: tuple[int, int, bool] | None = None
-    edges: list[tuple[int, int]] = []
+    edge_u: list[int] = []
+    edge_v: list[int] = []
     weights: list[float] = []
     n = m = 0
     weighted = False
@@ -295,7 +345,7 @@ def _parse_lines(text: str | bytes) -> Multigraph:
             header = (n, m, weighted)
             continue
 
-        if len(edges) >= m:
+        if len(edge_u) >= m:
             raise EdgeCountMismatchError(
                 f"expected {m} edge lines, found more", lineno
             )
@@ -330,15 +380,18 @@ def _parse_lines(text: str | bytes) -> Multigraph:
             if w < 0:
                 raise NegativeWeightError(f"negative weight {tokens[2]}", lineno)
             weights.append(w)
-        edges.append((u, v))
+        edge_u.append(u)
+        edge_v.append(v)
 
     if header is None:
         raise MalformedHeaderError("missing 'kl-graph' header", eof)
-    if len(edges) != m:
+    if len(edge_u) != m:
         raise EdgeCountMismatchError(
-            f"expected {m} edge lines, found {len(edges)}", eof
+            f"expected {m} edge lines, found {len(edge_u)}", eof
         )
-    return Multigraph(n, edges, weights if weighted else None)
+    return Multigraph._from_columns(
+        n, edge_u, edge_v, weights if weighted else None
+    )
 
 
 def serialize_graph(g: Multigraph) -> str:

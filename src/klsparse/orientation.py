@@ -5,12 +5,15 @@ single incidence list per node; direction is read off the arc record, so
 reversing a path is one tail/head swap per arc with no adjacency surgery.
 Traversal bookkeeping uses epoch stamps: visited state is never cleared,
 a stamp is simply overwritten the next time the node is actually reached,
-which keeps reset work proportional to the nodes visited.
+which keeps reset work proportional to the nodes visited.  A found path is
+the search's parent pointers, so it is reversed along them with no copy of
+its arcs; it is stale, and refused, once the digraph has searched or
+reversed since.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Container, Iterable, Sequence
 
 
@@ -39,21 +42,24 @@ class Instrumentation:
     early_termination_hit: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ReversalPath:
-    """A directed path from a deficient source node to a target.
+    """A directed path from a deficient source node to a target, as found
+    by :meth:`InnerDigraph.find_reversal_path`; ``len()`` is its arc count.
 
-    ``steps`` holds ``(arc_id, tail, head)`` snapshots in path order
-    (source first); :meth:`InnerDigraph.reverse` revalidates them so a path
-    cannot be applied after the digraph has moved on.
+    The arcs themselves are the search's parent pointers, so the path is a
+    handle on the digraph's state right after that search: it goes stale
+    once the digraph that found it searches or reverses again, and
+    :meth:`InnerDigraph.reverse` refuses a stale path.
     """
 
-    steps: tuple[tuple[int, int, int], ...]
     source: int
     target: int
+    arcs: int
+    epoch: int
 
     def __len__(self) -> int:
-        return len(self.steps)
+        return self.arcs
 
 
 class InnerDigraph:
@@ -117,23 +123,32 @@ class InnerDigraph:
         """Flip every arc on ``path``, moving one indegree unit from
         ``path.target`` to ``path.source``.
 
-        Raises :class:`StalePathError` if any arc no longer matches its
-        snapshot.
+        Raises :class:`StalePathError` if this digraph has searched or
+        reversed since it found ``path``.
         """
+        if path.epoch != self._epoch:
+            raise StalePathError(
+                f"path {path.source}->{path.target} is stale: the digraph "
+                "searched or reversed since it was found"
+            )
+        self._epoch += 1
         arc_tail = self.arc_tail
         arc_head = self.arc_head
-        for a, t, h in path.steps:
-            if arc_tail[a] != t or arc_head[a] != h:
-                raise StalePathError(f"arc {a} is no longer {t}->{h}")
-        indeg = self.indeg
         in_arcs = self.in_arcs
-        for a, t, h in path.steps:
-            arc_tail[a] = h
-            arc_head[a] = t
-            in_arcs[h].remove(a)
-            in_arcs[t].append(a)
-            indeg[h] -= 1
-            indeg[t] += 1
+        parent = self._parent
+        node = path.source
+        target = path.target
+        while node != target:
+            # the search's parent arc runs node -> head, one step nearer
+            a = parent[node]
+            head = arc_head[a]
+            arc_tail[a] = head
+            arc_head[a] = node
+            in_arcs[head].remove(a)
+            in_arcs[node].append(a)
+            node = head
+        self.indeg[target] -= 1
+        self.indeg[path.source] += 1
         self.counters.path_reversals += 1
 
     def _backward_search(
@@ -163,7 +178,6 @@ class InnerDigraph:
         queue = list(targets)
         for t in queue:
             stamp[t] = epoch
-        visits = len(queue)
         found = -1
         append = queue.append
         for x in queue:
@@ -173,13 +187,14 @@ class InnerDigraph:
                     continue
                 stamp[y] = epoch
                 parent[y] = a
-                visits += 1
                 append(y)
-                if indeg[y] < k and y not in forbidden or y in reached:
+                if indeg[y] < k and y not in forbidden or reached and y in reached:
                     found = y
                     break
             if found >= 0:
                 break
+        # every stamped node is queued once: the targets, then each visit
+        visits = len(queue)
         c.bfs_node_visits += visits
         c.lazy_reset_work += visits
         return found, queue
@@ -200,16 +215,14 @@ class InnerDigraph:
         if source < 0:
             self.last_closure = visited
             return None
-        arc_tail = self.arc_tail
         arc_head = self.arc_head
         parent = self._parent
-        steps = []
+        arcs = 0
         node = source
         while node not in targets:
-            a = parent[node]
-            steps.append((a, arc_tail[a], arc_head[a]))
-            node = arc_head[a]
-        return ReversalPath(steps=tuple(steps), source=source, target=node)
+            node = arc_head[parent[node]]
+            arcs += 1
+        return ReversalPath(source, node, arcs, self._epoch)
 
     def saturated_closure(
         self,

@@ -193,3 +193,35 @@ def test_anomaly_past_the_first_chunk_matches_line_parser():
         tail = f"{a} {b}\n{last}"
         _assert_same(head + tail)
         _assert_same((head + tail).encode("ascii"))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "kl-graph 4 5\n3 1\n2 2\n0 0\n1 0\n3 3\n",
+        "kl-graph 3 3\n2 2\n2 0\n1 1\n",
+        "kl-graph 5 0\n",
+    ],
+    ids=["swaps and loops", "swap after a loop", "no edges"],
+)
+def test_canonical_swaps_and_loops_take_the_column_path(text, monkeypatch):
+    expected = _outcome(multigraph._parse_lines, text)
+    monkeypatch.setattr(multigraph, "_parse_lines", None)
+    assert _outcome(parse_graph, text) == expected
+    assert _outcome(parse_graph, text.encode("ascii")) == expected
+
+
+def test_empty_canonical_graph():
+    g = parse_graph("kl-graph 5 0\n")
+    assert (g.n, g.m, g.incidence, g.degree) == (5, 0, [[]] * 5, [0] * 5)
+
+
+def test_reversed_pairs_past_the_first_chunk_match_line_parser():
+    g = dict(FAMILIES)["erdos-renyi-large"]
+    text = "".join(
+        [f"kl-graph {g.n} {g.m}\n"]
+        + [f"{v} {u}\n" for u, v in g.edges()]
+    )
+    assert len(text) > 3 * multigraph._CHUNK
+    _assert_same(text)
+    assert parse_graph(text) == g

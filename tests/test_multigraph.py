@@ -209,3 +209,38 @@ def test_weights_length_mismatch_raises():
 def test_pair_of_wrong_length_names_edge_and_pair(bad, source):
     with pytest.raises(ValueError, match=rf"edge 1: .*{re.escape(repr(bad))}"):
         Multigraph(2, source([(0, 1), bad]))
+
+
+@pytest.mark.parametrize(
+    "edges, message",
+    [
+        ([(0, 1), (1, 2), (0, 3)], "edge 2: endpoint out of range [0, 3)"),
+        ([(0, 1), (2, -1), (1,)], "edge 1: endpoint out of range [0, 3)"),
+        # the first bad edge wins, whatever fault a later edge has
+        ([(0, 1), (1,), (0, 9)], "edge 1: expected a pair of endpoints, got (1,)"),
+        (
+            [(0, 1), (0, 1.0)],
+            "edge 1: endpoints must be a pair of integers, got (0, 1.0)",
+        ),
+        (
+            [(2, 2), (1.0, 0), (0, 5)],
+            "edge 1: endpoints must be a pair of integers, got (1.0, 0)",
+        ),
+        ([(0, 1), 7], "edge 1: endpoints must be a pair of integers, got 7"),
+        ([(0, 1), (float("nan"), 1)], "edge 1: endpoint out of range [0, 3)"),
+        ([(1, float("nan")), (5, 0)], "edge 0: endpoint out of range [0, 3)"),
+    ],
+)
+def test_first_bad_edge_is_named(edges, message):
+    with pytest.raises(ValueError, match=re.escape(message) + "$"):
+        Multigraph(3, edges)
+
+
+def test_loops_and_swaps_keep_endpoint_objects():
+    # on a tie the stored endpoints are the given ones, as in u <= v storage
+    g = Multigraph(3, [(1, 1.0), (True, 1), (2, 0)])
+    assert [(type(u), type(v)) for u, v in g.edges()] == [
+        (int, float), (bool, int), (int, int)
+    ]
+    assert g.edges() == [(1, 1), (1, 1), (0, 2)]
+    assert g.degree == [1, 4, 1]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from klsparse import (
@@ -54,7 +56,7 @@ def test_find_reversal_path_nearest_source():
     assert path is not None
     assert path.source == 0
     assert path.target == 2
-    assert len(path.steps) == 2
+    assert len(path) == 2
 
 
 def test_reverse_moves_indegree():
@@ -76,6 +78,77 @@ def test_reverse_stale_path_rejected():
     d.reverse(path)
     with pytest.raises(StalePathError):
         d.reverse(path)
+
+
+@pytest.mark.parametrize(
+    "later",
+    [
+        lambda d: d.find_reversal_path((2,)),
+        # a failed search
+        lambda d: d.find_reversal_path((2,), forbidden_sources=(0,)),
+        lambda d: d.saturated_closure((2,)),
+        lambda d: d.multi_source_forward_reach(lambda x: d.indeg[x] < 1),
+        lambda d: d.reverse(d.find_reversal_path((1,))),
+    ],
+    ids=["search", "failed search", "closure", "forward reach", "reversal"],
+)
+def test_path_goes_stale_after_any_later_search_or_reversal(later):
+    d = build_path_digraph()
+    path = d.find_reversal_path((2,))
+    later(d)
+    tails, heads, indeg = list(d.arc_tail), list(d.arc_head), list(d.indeg)
+    with pytest.raises(StalePathError):
+        d.reverse(path)
+    # a refused path changes nothing
+    assert (d.arc_tail, d.arc_head, d.indeg) == (tails, heads, indeg)
+
+
+def test_path_survives_arc_insertion():
+    d = InnerDigraph(4, 1)
+    d.insert_arc(0, 0, 1)
+    path = d.find_reversal_path((1,))
+    d.insert_arc(1, 2, 3)
+    d.reverse(path)
+    assert d.indeg == [1, 0, 0, 1]
+
+
+def test_reverse_flips_path_arcs_only():
+    """On seeded random digraphs, each reversal flips exactly ``len(path)``
+    arcs, moves one indegree unit from the target to the source, and keeps
+    ``in_arcs`` equal to the arcs by head."""
+    rng = random.Random(12)
+    for _ in range(60):
+        n, k = rng.randint(2, 12), rng.randint(1, 3)
+        d = InnerDigraph(n, k)
+        for e in range(rng.randint(1, 3 * n)):
+            t, h = rng.randrange(n), rng.randrange(n)
+            if d.indeg[h] < k:
+                d.insert_arc(e, t, h)
+        for _ in range(10):
+            targets = tuple(rng.sample(range(n), rng.randint(1, min(2, n))))
+            path = d.find_reversal_path(targets)
+            if path is None:
+                continue
+            arcs = list(zip(d.arc_tail, d.arc_head))
+            indeg = list(d.indeg)
+            d.reverse(path)
+            flipped = [
+                a for a, (t, h) in enumerate(arcs)
+                if (d.arc_tail[a], d.arc_head[a]) != (t, h)
+            ]
+            assert len(flipped) == len(path) >= 1
+            assert all(
+                (d.arc_tail[a], d.arc_head[a]) == arcs[a][::-1] for a in flipped
+            )
+            assert path.source not in targets and path.target in targets
+            indeg[path.target] -= 1
+            indeg[path.source] += 1
+            assert d.indeg == indeg
+            assert max(d.indeg) <= k
+            for x in range(n):
+                assert sorted(d.in_arcs[x]) == [
+                    a for a in range(d.arc_count) if d.arc_head[a] == x
+                ]
 
 
 def test_forbidden_sources_skipped():
