@@ -13,6 +13,7 @@ except the benchmark's runtime column.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 
@@ -291,7 +292,10 @@ def _add_kl(p: argparse.ArgumentParser, need_l: bool = True) -> None:
         p.add_argument("-l", type=int, required=True, help="sparsity parameter l")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing never changes
+    it, and each ``parse_args`` call makes a fresh namespace."""
     parser = _Parser(prog="klsparse", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

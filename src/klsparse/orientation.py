@@ -29,16 +29,14 @@ class IndegreeOverflowError(RuntimeError):
 class Instrumentation:
     """Monotone work counters shared by one extraction run.
 
-    ``lazy_reset_work`` counts visit-stamp writes; with epoch stamps this is
-    exactly the reinitialization work the traversals pay, and it equals
-    ``bfs_node_visits`` by construction.
+    With epoch stamps a traversal's reset work is one stamp write per node
+    it visits, so ``bfs_node_visits`` counts both.
     """
 
     bfs_node_visits: int = 0
     path_reversals: int = 0
     edges_processed: int = 0
     edges_accepted: int = 0
-    lazy_reset_work: int = 0
     early_termination_hit: int = 0
 
 
@@ -124,12 +122,18 @@ class InnerDigraph:
         ``path.target`` to ``path.source``.
 
         Raises :class:`StalePathError` if this digraph has searched or
-        reversed since it found ``path``.
+        reversed since it found ``path``, or if an arc inserted since then
+        has filled the source to indegree k.
         """
         if path.epoch != self._epoch:
             raise StalePathError(
                 f"path {path.source}->{path.target} is stale: the digraph "
                 "searched or reversed since it was found"
+            )
+        if self.indeg[path.source] >= self.k:
+            raise StalePathError(
+                f"path {path.source}->{path.target} is stale: its source "
+                f"is at indegree k = {self.k}"
             )
         self._epoch += 1
         arc_tail = self.arc_tail
@@ -196,7 +200,6 @@ class InnerDigraph:
         # every stamped node is queued once: the targets, then each visit
         visits = len(queue)
         c.bfs_node_visits += visits
-        c.lazy_reset_work += visits
         return found, queue
 
     def find_reversal_path(
@@ -291,7 +294,6 @@ class InnerDigraph:
                     visits += 1
                     append(y)
         c.bfs_node_visits += visits
-        c.lazy_reset_work += visits
         return queue
 
     def unstamped(self) -> list[int]:

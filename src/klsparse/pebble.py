@@ -245,73 +245,123 @@ class ComponentSet:
     involved (union by size: only the smaller sets move) and repeats
     while the grown block, counted with the nodes still to join it, meets
     another that far.  Stored blocks thus stay disjoint for l <= k, share
-    at most one node for k < l < 2k and at most two for l = 2k.  Each
-    node lists the ids of its blocks.
+    at most one node for k < l < 2k and at most two for l = 2k.
+
+    Each node has one owner: the id of a block holding it, or -1.  The ids
+    of its further blocks, which exist only for l > k, live in a dict of
+    sets keyed by the few nodes that lie in two or more blocks.  A
+    coverage query is then one comparison of owners, and intersects id
+    sets only at such a node.  A record counts its nodes in each block it
+    meets by one set difference per block, drops the nodes already in its
+    target block by one more, and spends per-node Python work only on
+    nodes that change block, lie in several blocks or lie in none.
     """
 
     def __init__(self, n: int, params: SparsityParams) -> None:
         self.params = params
         k, l = params.k, params.l
         self._threshold = 1 if l <= k else 2 if l < 2 * k else 3
-        self._node_blocks: list[list[int]] = [[] for _ in range(n)]
+        self._owner: list[int] = [-1] * n
+        self._extra: dict[int, set[int]] = {}
         self._block_nodes: dict[int, set[int]] = {}
         self._next_id = 0
 
     def covers(self, u: int, v: int) -> bool:
         """True when one recorded block contains both u and v (for a
         loop, when u lies in any block)."""
-        a = self._node_blocks[u]
-        if not a or u == v:
-            return bool(a)
-        b = self._node_blocks[v]
-        if len(b) < len(a):
-            a, v = b, u
-        block_nodes = self._block_nodes
-        for c in a:
-            if v in block_nodes[c]:
-                return True
-        return False
+        owner = self._owner
+        c = owner[u]
+        if c < 0:
+            return False
+        d = owner[v]
+        if c == d or u == v:
+            return True
+        extra = self._extra
+        if d < 0 or not (u in extra or v in extra):
+            return False
+        ids = extra.get(u, set()) | {c}
+        return d in ids or not ids.isdisjoint(extra.get(v, ()))
 
     def record(self, nodes) -> None:
         """Merge a tight node set into the records (singletons ignored)."""
         pending = set(nodes)
         if len(pending) < 2:
             return
-        node_blocks = self._node_blocks
+        owner = self._owner
+        extra = self._extra
         block_nodes = self._block_nodes
         threshold = self._threshold
         # ``pending`` nodes join block ``target`` (-1: a new block) once no
         # other block meets target plus pending in ``threshold`` nodes
         target, members = -1, set()
         while True:
+            # the blocks pending meets, with the pending nodes in each: a
+            # node of several blocks counts for each of them; the first node
+            # met of any other block is counted with the rest of that block
+            # in pending by one set difference, over the smaller set
             met: dict[int, int] = {}
-            for x in pending:
-                for c in node_blocks[x]:
+            multi = extra.keys() & pending if extra else ()
+            for x in multi:
+                for c in (owner[x], *extra[x]):
                     met[c] = met.get(c, 0) + 1
-            merging = [
-                c for c, shared in met.items()
-                if shared >= threshold
-                or shared + len(members & block_nodes[c]) >= threshold
-            ]
+            rest = pending.difference(multi)
+            while rest:
+                c = owner[rest.pop()]
+                if c >= 0:
+                    left = len(rest)
+                    block = block_nodes[c]
+                    if len(block) < left:
+                        rest -= block
+                    else:
+                        rest = rest - block
+                    met[c] = met.get(c, 0) + 1 + left - len(rest)
+            merging = []
+            for c, shared in met.items():
+                if (shared >= threshold
+                        or shared + len(members & block_nodes[c]) >= threshold):
+                    merging.append(c)
             if not merging:
                 break
+            settled = len(merging) == len(met)
             if target >= 0:
                 merging.append(target)
-            target = max(merging, key=lambda c: len(block_nodes[c]))
+            target = (max(merging, key=lambda c: len(block_nodes[c]))
+                      if len(merging) > 1 else merging[0])
             members = block_nodes[target]
             for c in merging:
                 if c != target:
-                    for x in block_nodes.pop(c):
-                        node_blocks[x].remove(c)
-                        pending.add(x)
-            pending = {x for x in pending if x not in members}
+                    moved = block_nodes.pop(c)
+                    self._forget(c, moved)
+                    pending |= moved
+                    settled = False
+            pending = pending - members
+            if settled:
+                # every block met joined and no node moved: the rest of
+                # pending lies in no block, so the fixpoint is reached
+                break
         if target < 0:
             target = self._next_id
             self._next_id += 1
             members = block_nodes[target] = set()
         members |= pending
         for x in pending:
-            node_blocks[x].append(target)
+            if owner[x] < 0:
+                owner[x] = target
+            else:
+                extra.setdefault(x, set()).add(target)
+
+    def _forget(self, c: int, nodes: set[int]) -> None:
+        """Drop block id ``c`` from the ids of each of its ``nodes``."""
+        owner = self._owner
+        extra = self._extra
+        for x in nodes:
+            more = extra.get(x)
+            if owner[x] == c:
+                owner[x] = more.pop() if more else -1
+            else:
+                more.remove(c)
+            if more is not None and not more:
+                del extra[x]
 
     def components(self) -> list[list[int]]:
         """Sorted node lists of the recorded blocks."""

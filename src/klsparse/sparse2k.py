@@ -38,6 +38,8 @@ query.
 
 from __future__ import annotations
 
+from operator import eq
+
 from .multigraph import Multigraph
 from .orientation import InnerDigraph, Instrumentation
 from .pebble import (
@@ -131,16 +133,9 @@ class TwoKEngine:
         counters: Instrumentation | None = None,
     ) -> None:
         self.params = SparsityParams(k, 2 * k)
-        seen: set[tuple[int, int]] = set()
-        for e in range(graph.m):
-            u, v = graph.edge_u[e], graph.edge_v[e]
-            if u == v:
-                raise NotSimpleInputError(f"loop at node {u} (edge {e})")
-            if (u, v) in seen:
-                raise NotSimpleInputError(
-                    f"parallel edges between {u} and {v} (edge {e})"
-                )
-            seen.add((u, v))
+        edge_u, edge_v = graph.edge_u, graph.edge_v
+        if any(map(eq, edge_u, edge_v)) or len(set(zip(edge_u, edge_v))) < graph.m:
+            _raise_first_non_simple_edge(graph)
         self.graph = graph
         self.counters = counters if counters is not None else Instrumentation()
         self.digraph = InnerDigraph(graph.n, k, self.counters)
@@ -150,6 +145,15 @@ class TwoKEngine:
         )
 
     def process(self, e: int) -> Verdict:
+        """Decide edge ``e``, write it to the report and return its
+        verdict."""
+        code = self._decide(e)
+        reversals = self.report._reversals.get(e, 0)
+        return Verdict(e, code == _ACCEPTED, reversals, _REASONS[code])
+
+    def _decide(self, e: int) -> int:
+        """Decide edge ``e`` and write it to the report; returns its
+        reason code."""
         u, v = self.graph.edge_u[e], self.graph.edge_v[e]
         digraph = self.digraph
         reversals = 0
@@ -166,12 +170,28 @@ class TwoKEngine:
                 self.blocks.record(digraph.last_closure + [u, v])
                 code = _BLOCKED
         self.report.write(e, code, reversals)
-        return Verdict(e, code == _ACCEPTED, reversals, _REASONS[code])
+        return code
 
     def run(self) -> ExtractionReport:
+        decide = self._decide
         for e in range(self.graph.m):
-            self.process(e)
+            decide(e)
         return self.report
+
+
+def _raise_first_non_simple_edge(graph: Multigraph) -> None:
+    """Raise :class:`NotSimpleInputError` naming the first loop or repeated
+    pair in storage order."""
+    seen: set[tuple[int, int]] = set()
+    for e in range(graph.m):
+        u, v = graph.edge_u[e], graph.edge_v[e]
+        if u == v:
+            raise NotSimpleInputError(f"loop at node {u} (edge {e})")
+        if (u, v) in seen:
+            raise NotSimpleInputError(
+                f"parallel edges between {u} and {v} (edge {e})"
+            )
+        seen.add((u, v))
 
 
 def extract_maximal_2k(

@@ -297,3 +297,82 @@ def test_merge_at_l_equals_2k_counts_pending_and_target():
     split.record([0, 1, 2, 6])
     assert split.components() == [[0, 1, 2, 5, 6], [5, 6, 7]]
     assert not split.covers(0, 7)
+
+
+class _NaiveBlocks:
+    """Reference block store: a list of node sets.  A record absorbs any
+    stored block that meets it in ``threshold`` nodes, repeatedly, until
+    none does, and is then stored (singletons ignored)."""
+
+    def __init__(self, threshold: int) -> None:
+        self.threshold = threshold
+        self.blocks: list[set[int]] = []
+
+    def record(self, nodes) -> None:
+        grown = set(nodes)
+        if len(grown) < 2:
+            return
+        merged = True
+        while merged:
+            merged = False
+            for block in self.blocks:
+                if len(block & grown) >= self.threshold:
+                    grown |= block
+                    self.blocks.remove(block)
+                    merged = True
+                    break
+        self.blocks.append(grown)
+
+    def covers(self, u: int, v: int) -> bool:
+        return any(u in block and v in block for block in self.blocks)
+
+    def components(self) -> list[list[int]]:
+        return sorted(sorted(block) for block in self.blocks)
+
+
+def _check_node_ids(store: ComponentSet, n: int) -> None:
+    """Each node's owner plus its further ids are exactly its blocks."""
+    holding = [set() for _ in range(n)]
+    for c, nodes in store._block_nodes.items():
+        for x in nodes:
+            holding[x].add(c)
+    for x in range(n):
+        owner, more = store._owner[x], store._extra.get(x)
+        assert more is None or (more and owner not in more)
+        ids = ({owner} | (more or set())) if owner >= 0 else set()
+        assert ids == holding[x] and (owner >= 0 or more is None)
+
+
+def test_block_store_matches_naive_fixpoint():
+    """Seeded differential test of the block store at merge thresholds 1,
+    2 and 3: after every record its blocks and every coverage answer,
+    loops included, equal those of the naive fixpoint."""
+    nodes_in_two_blocks = 0
+    for k, l, threshold in ((2, 1, 1), (2, 3, 2), (2, 4, 3)):
+        rng = random.Random(1009 * threshold)
+        for _ in range(60):
+            n = rng.randint(3, 14)
+            store = ComponentSet(n, SparsityParams(k, l))
+            naive = _NaiveBlocks(threshold)
+            for _ in range(rng.randint(1, 20)):
+                # overlapping closures: part of a stored block, plus fresh
+                # nodes; repeats allowed, as in a closure plus its endpoints
+                nodes = [rng.randrange(n) for _ in range(rng.randint(1, 5))]
+                if naive.blocks and rng.random() < 0.7:
+                    block = sorted(rng.choice(naive.blocks))
+                    nodes += rng.sample(block, rng.randint(1, len(block)))
+                store.record(nodes)
+                naive.record(nodes)
+                assert store.components() == naive.components()
+                for u in range(n):
+                    for v in range(n):
+                        assert store.covers(u, v) == naive.covers(u, v), (u, v)
+                stored = [set(block) for block in store.components()]
+                for a, b in combinations(stored, 2):
+                    assert len(a & b) < threshold
+                _check_node_ids(store, n)
+                if l <= k:
+                    assert not store._extra
+                nodes_in_two_blocks += len(store._extra)
+    # the further-id path was exercised, not just the one-owner path
+    assert nodes_in_two_blocks > 100

@@ -222,6 +222,28 @@ def test_usage_errors(tmp_path, capsys):
     assert main(["frobnicate"]) == 3
 
 
+def test_parser_reuse_keeps_calls_independent(tmp_path, capsys):
+    # the parser is built once per process; a usage error and --help on it
+    # must not change what the next call prints or returns
+    k4 = k4_path(tmp_path)
+    argv = ["extract", "-k", "2", "-l", "3", "--heuristic", "Transp",
+            "--seed", "2", "--input", k4]
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    assert main(["extract", "-k", "2", "--seed", "x", "--input", k4]) == 3
+    assert "error" in capsys.readouterr().err
+    assert main(["extract", "--help"]) == 0
+    assert "--heuristic" in capsys.readouterr().out
+    assert main(argv) == 0
+    assert capsys.readouterr().out == first
+    # defaults are not carried over from an earlier call's options
+    assert main(["extract", "-k", "2", "-l", "3", "--input", k4]) == 0
+    default = capsys.readouterr().out
+    assert main(["extract", "-k", "2", "-l", "3", "--heuristic", "Basic",
+                 "--seed", "0", "--input", k4]) == 0
+    assert capsys.readouterr().out == default
+
+
 def test_bench_csv_shape(capsys):
     argv = ["bench", "--family", "erdos-renyi", "--n", "30", "--pair", "2,3",
             "--heuristic", "Basic", "--heuristic", "TranspOne",

@@ -112,6 +112,21 @@ def test_path_survives_arc_insertion():
     assert d.indeg == [1, 0, 0, 1]
 
 
+def test_path_goes_stale_when_an_insertion_fills_its_source():
+    # the path 0 -> 1 is found while node 0 is deficient; the arc 2 -> 0
+    # then fills it, and reversing would push it to indegree k + 1
+    d = InnerDigraph(3, 1)
+    d.insert_arc(0, 0, 1)
+    path = d.find_reversal_path((1,))
+    assert path.source == 0
+    d.insert_arc(1, 2, 0)
+    tails, heads, indeg = list(d.arc_tail), list(d.arc_head), list(d.indeg)
+    with pytest.raises(StalePathError, match="indegree k"):
+        d.reverse(path)
+    assert (d.arc_tail, d.arc_head, d.indeg) == (tails, heads, indeg)
+    assert indeg == [1, 1, 0]
+
+
 def test_reverse_flips_path_arcs_only():
     """On seeded random digraphs, each reversal flips exactly ``len(path)``
     arcs, moves one indegree unit from the target to the source, and keeps
@@ -221,7 +236,6 @@ def test_counters_accumulate():
     d.insert_arc(1, 1, 2)
     d.find_reversal_path((2,))
     assert c.bfs_node_visits > 0
-    assert c.lazy_reset_work == c.bfs_node_visits
     before = c.path_reversals
     d.reverse(d.find_reversal_path((2,)))
     # the deficiency moved to node 2, so the next path targets node 0

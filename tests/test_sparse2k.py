@@ -53,11 +53,20 @@ def test_output_is_sparse_and_maximal():
 def test_loop_input_rejected():
     with pytest.raises(NotSimpleInputError):
         extract_maximal_2k(Multigraph(2, [(0, 1), (1, 1)]), 1)
+    # the first offending edge in storage order is named
+    g = Multigraph(4, [(0, 1), (3, 3), (0, 1), (2, 2)])
+    with pytest.raises(NotSimpleInputError, match=r"^loop at node 3 \(edge 1\)$"):
+        extract_maximal_2k(g, 1)
 
 
 def test_parallel_input_rejected():
     with pytest.raises(NotSimpleInputError):
         extract_maximal_2k(Multigraph(2, [(0, 1), (0, 1)]), 1)
+    g = Multigraph(4, [(0, 1), (2, 3), (1, 0), (2, 2)])
+    with pytest.raises(
+        NotSimpleInputError, match=r"^parallel edges between 0 and 1 \(edge 2\)$"
+    ):
+        extract_maximal_2k(g, 1)
 
 
 def test_zero_pair_reversal_bound():
