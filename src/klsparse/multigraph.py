@@ -79,7 +79,14 @@ class Multigraph:
             raise ValueError(f"node count must be non-negative, got {n}")
         pairs = list(edges)  # a non-iterable raises its own TypeError here
         try:
-            self._build(n, [u for u, v in pairs], [v for u, v in pairs])
+            edge_u, edge_v = _ordered(
+                [u for u, v in pairs], [v for u, v in pairs]
+            )
+            # with u <= v the extremes sit in one column each; a NaN can hide
+            # one, but it fails the indexing in _build
+            if pairs and (min(edge_u) < 0 or max(edge_v) >= n):
+                raise ValueError("endpoint out of range")
+            self._build(n, edge_u, edge_v)
         except (TypeError, ValueError, IndexError):
             _raise_first_bad_edge(n, pairs)
             raise
@@ -109,33 +116,26 @@ class Multigraph:
     ) -> Multigraph:
         """The graph of endpoint columns a parser has already produced.
 
-        ``weights`` is taken as it is, and faults in the columns raise as
-        :meth:`_build` says, without an edge index.
+        Precondition: every endpoint is an ``int`` in ``[0, n)``, which each
+        parser proves on its own (the line parser per line, the canonical
+        path by its id table); nothing here checks it again.  ``weights`` is
+        taken as it is.
         """
         self = cls.__new__(cls)
-        self._build(n, edge_u, edge_v)
+        self._build(n, *_ordered(edge_u, edge_v))
         self.weights = weights
         return self
 
     def _build(self, n: int, edge_u: list, edge_v: list) -> None:
-        """Set every field but ``weights`` from two endpoint columns.
+        """Set every field but ``weights`` from two endpoint columns with
+        ``u <= v`` in every pair.
 
-        Raises ``ValueError`` for an endpoint outside ``[0, n)`` and
-        ``TypeError`` (or, past a NaN, ``IndexError``) for an endpoint that
-        is not an integer, naming no edge.
+        The caller has proved that no endpoint is negative: a negative id
+        would index the incidence lists from the end.  Indexing raises
+        ``IndexError`` for an endpoint ``>= n`` and ``TypeError`` for one
+        that is not an integer, naming no edge.
         """
         m = len(edge_u)
-        if any(map(gt, edge_u, edge_v)):
-            # min(u, v) keeps u and max(v, u) keeps v on a tie, exactly as
-            # swapping only when u > v does
-            edge_u, edge_v = (
-                list(map(min, edge_u, edge_v)),
-                list(map(max, edge_v, edge_u)),
-            )
-        # with u <= v the extremes sit in one column each; a NaN can hide
-        # one, but it fails the indexing below
-        if m and (min(edge_u) < 0 or max(edge_v) >= n):
-            raise ValueError("endpoint out of range")
         incidence: list[list[int]] = [[] for _ in range(n)]
         loops: list[int] = []
         for e, u, v in zip(range(m), edge_u, edge_v):
@@ -189,6 +189,15 @@ class Multigraph:
         return f"Multigraph(n={self.n}, m={self.m}{tag})"
 
 
+def _ordered(edge_u: list, edge_v: list) -> tuple[list, list]:
+    """The endpoint columns with each pair ordered ``u <= v``."""
+    if any(map(gt, edge_u, edge_v)):
+        # min(u, v) keeps u and max(v, u) keeps v on a tie, exactly as
+        # swapping only when u > v does
+        return list(map(min, edge_u, edge_v)), list(map(max, edge_v, edge_u))
+    return edge_u, edge_v
+
+
 def _raise_first_bad_edge(n: int, pairs: list) -> None:
     """Raise the ``ValueError`` that names the first edge of ``pairs`` that
     is not a pair of integers in ``[0, n)``; return if there is none.
@@ -219,10 +228,7 @@ def _raise_first_bad_edge(n: int, pairs: list) -> None:
 
 # The canonical unweighted form, exactly what serialize_graph writes: a
 # 3-token header, then "<u> <v>\n" lines of ASCII digits and single spaces.
-# The body is matched one chunk at a time: over a whole body the matcher keeps
-# one backtrack entry per line (17 MiB of peak RSS at 100k edges).
 _CANONICAL_HEADER = re.compile(rb"kl-graph ([0-9]+) ([0-9]+)\n")
-_CANONICAL_BODY = re.compile(rb"(?:[0-9]+ [0-9]+\n)*")
 # Bytes per tokenized slice.  One split of the whole body would hold a token
 # object per endpoint at once, which fragments the heap: peak RSS of a
 # 100k-edge `extract` read 46 MiB that way against 38 MiB chunked.
@@ -236,12 +242,13 @@ def parse_graph(text: str | bytes) -> Multigraph:
     Input in the canonical unweighted form (a ``kl-graph <n> <m>`` header,
     then exactly ``m`` lines ``<u> <v>\\n`` of ASCII digits separated by one
     space, as :func:`serialize_graph` writes them) is read as integer
-    columns in newline-aligned chunks, with no per-line strings; an ASCII
-    ``str`` is encoded once and takes the same path.  Everything else
-    (weights, comments, blank lines, CRLF, tabs, a missing final newline)
-    and any anomaly the gate lets through, such as an endpoint outside
-    ``[0, n)``, goes to the line-by-line parser, which gives the same graph
-    or the same error with its exact line.
+    columns in newline-aligned chunks, with no per-line strings, and every
+    endpoint of one node is the same ``int`` object; an ASCII ``str`` is
+    encoded once and takes the same path.  Everything else (weights,
+    comments, blank lines, CRLF, tabs, a missing final newline) and any
+    anomaly the gate lets through, such as an empty token, a leading zero
+    or an endpoint outside ``[0, n)``, goes to the line-by-line parser,
+    which gives the same graph or the same error with its exact line.
 
     Raises a :class:`GraphParseError` naming the offending 1-based line
     number: the base class for bytes that are not UTF-8, otherwise one of
@@ -261,10 +268,16 @@ def parse_graph(text: str | bytes) -> Multigraph:
 def _parse_canonical(data: bytes) -> Multigraph | None:
     """The graph of canonical unweighted ``data``, or ``None`` to fall back.
 
-    The body is checked and tokenized in newline-aligned slices of about
-    ``_CHUNK`` bytes: each slice, its spaces and newlines turned into
-    commas, is one JSON array of integers.  The gate is all ASCII, so it
-    also proves ``data`` is valid UTF-8.
+    The gate is one pass over the whole body: with its digits deleted it
+    must read ``" \\n"`` exactly ``m`` times and ``data`` must end in a
+    newline, so every line is digits, one space, digits, one newline.  The
+    gate is all ASCII, so it also proves ``data`` is valid UTF-8.  The body
+    is then tokenized in newline-aligned slices of about ``_CHUNK`` bytes:
+    each slice, its spaces and newlines turned into commas, is one JSON
+    array of integers, which refuses an empty token or a leading zero.
+    Each integer is replaced by its entry in a table of the ``n`` node ids,
+    so every endpoint of a node is one shared object, and an id ``>= n``
+    fails the lookup; no negative id passes the gate.
     """
     header = _CANONICAL_HEADER.match(data)
     if header is None:
@@ -275,22 +288,26 @@ def _parse_canonical(data: bytes) -> Multigraph | None:
     edge_v: list[int] = []
     try:
         n, m = int(header[1]), int(header[2])
-        if data.count(b"\n", start) != m:
+        # the newline count comes first, so a huge header m never builds a
+        # huge string below
+        if data.count(b"\n", start) != m or not data.endswith(b"\n"):
             return None
+        if data[start:].translate(None, b"0123456789") != b" \n" * m:
+            return None
+        node = list(range(n)).__getitem__
         while start < end:
             stop = data.find(b"\n", start + _CHUNK) + 1 or end
-            if _CANONICAL_BODY.fullmatch(data, start, stop) is None:
-                return None
             body = data[start:stop - 1].translate(_TO_COMMAS)
             ints = json.loads(b"[%b]" % body)
-            edge_u += ints[0::2]
-            edge_v += ints[1::2]
+            edge_u += map(node, ints[0::2])
+            edge_v += map(node, ints[1::2])
             start = stop
-        return Multigraph._from_columns(n, edge_u, edge_v)
-    except ValueError:
-        # a leading zero (not JSON), an endpoint >= n, or a number past
-        # int's digit limit
+    except (ValueError, IndexError, OverflowError):
+        # a leading zero or an empty token (not JSON), a number past int's
+        # digit limit, an endpoint >= n, or an n too large for a list
         return None
+    del node  # frees the ids no edge uses before the incidence lists exist
+    return Multigraph._from_columns(n, edge_u, edge_v)
 
 
 def _parse_lines(text: str | bytes) -> Multigraph:

@@ -73,6 +73,9 @@ def _mutants(text: str) -> dict[str, str]:
         "superscript two": at(5, f"² {v}\n"),
         "underscore": at(5, f"1_0 {v}\n"),
         "negative": at(5, f"-1 {v}\n"),
+        "empty first token": at(5, f" {v}\n"),
+        "empty second token": at(5, f"{u} \n"),
+        "empty last token": at(len(body) - 1, f"{u} \n"),
         "tab": at(5, f"{u}\t{v}\n"),
         "double space": at(5, f"{u}  {v}\n"),
         "leading space": at(5, f" {u} {v}\n"),
@@ -90,12 +93,15 @@ def _mutants(text: str) -> dict[str, str]:
         "leading blank": "\n" + text,
         "no final newline": text[:-1],
         "extra final newline": text + "\n",
+        "digits after the final newline": text + "7",
         "one line fewer": header + "".join(body[:-1]),
         "one line more": text + body[-1],
         "header m - 1": f"kl-graph {n} {m - 1}\n" + "".join(body),
         "header m + 1": f"kl-graph {n} {m + 1}\n" + "".join(body),
+        "header m = 10**12": f"kl-graph {n} {10**12}\n" + "".join(body),
         "endpoint = n on line 37": at(line37, f"{u} {n}\n"),
         "endpoint = n on the last line": at(len(body) - 1, f"{n} {v}\n"),
+        "endpoint = n - 1 on the last line": at(len(body) - 1, f"{u} {n - 1}\n"),
         "huge endpoint": at(line37, f"{u} {'9' * 5000}\n"),
         "huge node count": f"kl-graph {'9' * 5000} {m}\n" + "".join(body),
         "header n = 0": f"kl-graph 0 {m}\n" + "".join(body),
@@ -108,6 +114,7 @@ def _mutants(text: str) -> dict[str, str]:
         "bom": "\ufeff" + text,
         "m = 0": f"kl-graph {n} 0\n",
         "m = 0 with a line": f"kl-graph {n} 0\n" + body[0],
+        "m = 0 with digits": f"kl-graph {n} 0\n7",
         "n = 0, m = 0": "kl-graph 0 0\n",
         "n = 0, m = 1": "kl-graph 0 1\n0 0\n",
         "header only, no newline": f"kl-graph {n} 0",
@@ -225,3 +232,48 @@ def test_reversed_pairs_past_the_first_chunk_match_line_parser():
     assert len(text) > 3 * multigraph._CHUNK
     _assert_same(text)
     assert parse_graph(text) == g
+
+
+def test_canonical_parse_shares_one_int_per_node(monkeypatch):
+    """Every endpoint of one node is one ``int`` object: ids above 256 are
+    not cached by the interpreter, so a parse that does not share them holds
+    one object per endpoint."""
+    text = serialize_graph(dict(FAMILIES)["erdos-renyi-large"])
+    expected = _outcome(multigraph._parse_lines, text)
+
+    def no_fallback(text):
+        raise AssertionError("canonical input reached the line parser")
+
+    monkeypatch.setattr(multigraph, "_parse_lines", no_fallback)
+    for data in (text, text.encode("ascii")):
+        g = parse_graph(data)
+        assert g.n > 256
+        assert len({id(x) for x in g.edge_u + g.edge_v}) <= g.n
+        assert _outcome(parse_graph, data) == expected
+
+
+_FUZZ_BYTES = b"0123456789 \n\r\t-+"
+
+
+def _fuzzed(rng: random.Random, data: bytes) -> bytes:
+    """``data`` with 1-3 single-byte substitutions, insertions or
+    deletions, drawn from digits, separators and signs."""
+    out = bytearray(data)
+    for _ in range(rng.randint(1, 3)):
+        op = rng.choice("sid")
+        if op == "i":
+            out.insert(rng.randrange(len(out) + 1), rng.choice(_FUZZ_BYTES))
+        elif op == "s":
+            out[rng.randrange(len(out))] = rng.choice(_FUZZ_BYTES)
+        else:
+            del out[rng.randrange(len(out))]
+    return bytes(out)
+
+
+def test_fuzzed_texts_match_line_parser():
+    rng = random.Random(14)
+    base = BASE.encode("ascii")
+    for _ in range(300):
+        data = _fuzzed(rng, base)
+        _assert_same(data)
+        _assert_same(data.decode("ascii"))
