@@ -14,7 +14,6 @@ seeded benchmark generators, and a CLI round it out.
 from __future__ import annotations
 
 from .components import (
-    Block,
     ComponentSet,
     NotSparseInputError,
     components_of,
@@ -92,7 +91,6 @@ from .sparse2k import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Block",
     "BudgetExceededError",
     "ComponentSet",
     "DEFAULT_BUDGET",

@@ -24,8 +24,6 @@ component.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .multigraph import Multigraph
 from .orientation import InnerDigraph, Instrumentation
 from .pebble import (
@@ -42,16 +40,6 @@ class NotSparseInputError(ValueError):
     """The input graph was expected to be (k,l)-sparse but is not."""
 
 
-@dataclass(frozen=True)
-class Block:
-    """A tight node set detected by the probe."""
-
-    nodes: frozenset[int]
-
-    def __len__(self) -> int:
-        return len(self.nodes)
-
-
 def detect_block(
     digraph: InnerDigraph,
     u: int,
@@ -59,9 +47,9 @@ def detect_block(
     params: SparsityParams,
     *,
     saturated: bool = False,
-) -> Block | None:
-    """The maximal block through the accepted edge uv, or None when no
-    tight set contains both endpoints.
+) -> frozenset[int] | None:
+    """The node set of the maximal block through the accepted edge uv, or
+    None when no tight set contains both endpoints.
 
     A tight set through u and v forces their indegree sum to the ceiling
     2k - l (below it: None without any traversal).  The backward probe
@@ -89,7 +77,7 @@ def detect_block(
     if not saturated and digraph.saturated_closure(targets) is None:
         return None
     digraph.multi_source_forward_reach(lambda x: indeg[x] < k, excluded=targets)
-    return Block(frozenset(digraph.unstamped()).union(targets))
+    return frozenset(digraph.unstamped()).union(targets)
 
 
 def _components(engine: PebbleEngine) -> ComponentSet:
@@ -122,7 +110,7 @@ def _components(engine: PebbleEngine) -> ComponentSet:
                 # probe needs only its forward sweep
                 block = detect_block(digraph, u, v, params, saturated=True)
                 if block is not None:
-                    found.record(block.nodes)
+                    found.record(block)
                 break
             reversals += 1
             if reversals > bound:

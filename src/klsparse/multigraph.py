@@ -268,13 +268,14 @@ def parse_graph(text: str | bytes) -> Multigraph:
 def _parse_canonical(data: bytes) -> Multigraph | None:
     """The graph of canonical unweighted ``data``, or ``None`` to fall back.
 
-    The gate is one pass over the whole body: with its digits deleted it
-    must read ``" \\n"`` exactly ``m`` times and ``data`` must end in a
-    newline, so every line is digits, one space, digits, one newline.  The
-    gate is all ASCII, so it also proves ``data`` is valid UTF-8.  The body
-    is then tokenized in newline-aligned slices of about ``_CHUNK`` bytes:
-    each slice, its spaces and newlines turned into commas, is one JSON
-    array of integers, which refuses an empty token or a leading zero.
+    The gate is one pass over the whole of ``data``, header included: with
+    its digits deleted it must read ``b"kl-graph  \\n"`` followed by
+    ``" \\n"`` exactly ``m`` times, and ``data`` must end in a newline, so
+    every line is digits, one space, digits, one newline.  The gate is all
+    ASCII, so it also proves ``data`` is valid UTF-8.  The body is then
+    tokenized in newline-aligned slices of about ``_CHUNK`` bytes: each
+    slice, its spaces and newlines turned into commas, is one JSON array
+    of integers, which refuses an empty token or a leading zero.
     Each integer is replaced by its entry in a table of the ``n`` node ids,
     so every endpoint of a node is one shared object, and an id ``>= n``
     fails the lookup; no negative id passes the gate.
@@ -292,7 +293,9 @@ def _parse_canonical(data: bytes) -> Multigraph | None:
         # huge string below
         if data.count(b"\n", start) != m or not data.endswith(b"\n"):
             return None
-        if data[start:].translate(None, b"0123456789") != b" \n" * m:
+        # the header already matched, so it reads b"kl-graph  \n" here:
+        # no copy of the body is made only to drop its digits
+        if data.translate(None, b"0123456789") != b"kl-graph  \n" + b" \n" * m:
             return None
         node = list(range(n)).__getitem__
         while start < end:

@@ -131,10 +131,11 @@ class ExtractionReport:
     ``accepted`` is the accepted edge-id set and ``order`` the processed
     edge ids in processing order.  Per-edge outcomes are kept compact: a
     reason code per edge id and the non-zero reversal counts, written by
-    :meth:`write` (and inline by :meth:`PebbleEngine.run`).  Codes start
-    at EARLY_TERMINATED, so the edges past the tight size need no write at
-    all.  :class:`Verdict` objects exist only on read: ``verdicts`` builds
-    them from these records.  The classification flags are filled by
+    :meth:`PebbleEngine.run` (and :meth:`PebbleEngine.preaccept`), the one
+    recording path of both engines.  Codes start at EARLY_TERMINATED, so
+    the edges past the tight size need no write at all.  :class:`Verdict`
+    objects exist only on read: ``verdicts`` builds them from these
+    records.  The classification flags are filled by
     :func:`decide` and stay None otherwise.
 
     An engine that stops at the tight size leaves the rest of its
@@ -171,20 +172,6 @@ class ExtractionReport:
         if self._tail is not None:
             self._walk_tail()
         return self._order
-
-    def write(self, e: int, code: int, reversals: int = 0) -> None:
-        """Append processed edge ``e`` with its reason code (the index of
-        its :class:`Reason`) and the path reversals it used, and count it.
-        :meth:`PebbleEngine.run` makes the same writes inline, and counts
-        its edges once after its loop."""
-        self._order.append(e)
-        self._reasons[e] = code
-        if reversals:
-            self._reversals[e] = reversals
-        self.counters.edges_processed += 1
-        if code == _ACCEPTED:
-            self.counters.edges_accepted += 1
-            self.accepted.add(e)
 
     def _walk_tail(self) -> None:
         """List the deferred tail: mark each remaining edge of the order
@@ -375,8 +362,12 @@ class PebbleEngine:
     the inner digraph, the processed flags shared with the strategy, the
     block store fed by failed searches, and the early-termination cutoff
     at max(k*n - l, 0) arcs, where :meth:`run` stops and defers the rest
-    of the order to the report.
+    of the order to the report.  This class decides l < 2k;
+    :class:`~klsparse.sparse2k.TwoKEngine` configures it for l = 2k with
+    its own :meth:`try_accept` and no cutoff.
     """
+
+    augmenting = True  # False in the l = 2k configuration
 
     def __init__(
         self,
@@ -384,7 +375,8 @@ class PebbleEngine:
         params: SparsityParams,
         counters: Instrumentation | None = None,
     ) -> None:
-        params.require_augmenting_regime()
+        if self.augmenting:
+            params.require_augmenting_regime()
         self.graph = graph
         self.params = params
         self.counters = counters if counters is not None else Instrumentation()
@@ -393,7 +385,8 @@ class PebbleEngine:
         self.blocks = ComponentSet(graph.n, params)
         self.report = ExtractionReport(params=params, n=graph.n, m=graph.m,
                                        counters=self.counters)
-        self._tight_size = params.tight_size(graph.n)
+        # arc count at which run stops: no further edge can be accepted
+        self._stop = params.tight_size(graph.n)
 
     def try_accept(self, e: int, preferred_head: int | None = None) -> int:
         """Process edge ``e``: augment until the acceptance condition holds
@@ -452,12 +445,16 @@ class PebbleEngine:
     def preaccept(self, e: int, tail: int, head: int) -> None:
         """Record ``e`` as accepted with a caller-supplied orientation.
 
-        Used by two-phase strategies whose first phase is sparse by
-        construction; the indegree bound is still enforced on insert.
+        Used in ``start`` by two-phase strategies whose first phase is
+        sparse by construction, so :meth:`run` counts the edge; the
+        indegree bound is still enforced on insert.
         """
         self.digraph.insert_arc(e, tail, head)
         self.processed[e] = True
-        self.report.write(e, _ACCEPTED)
+        report = self.report
+        report._order.append(e)
+        report._reasons[e] = _ACCEPTED
+        report.accepted.add(e)
 
     def run(self, strategy) -> ExtractionReport:
         """Drive ``strategy``'s edge order through the engine.
@@ -467,32 +464,34 @@ class PebbleEngine:
         other goes through :meth:`try_accept`.
 
         Once the digraph holds max(k*n - l, 0) arcs no further edge can be
-        accepted, so the run stops there.  The counters already count the
-        remaining edges (processed, early-terminated); the report lists
-        them in ``order`` on first read, by walking the rest of the
+        accepted, so the run stops there (the l = 2k configuration stops
+        only at m arcs, so it examines every edge).  The counters already
+        count the remaining edges (processed, early-terminated); the report
+        lists them in ``order`` on first read, by walking the rest of the
         strategy's order then.  Strategies that key their order on the
         live indegrees (IncInDegMin, NInDegMin, NInDegMinComp) read this
         engine's digraph during that walk, so read ``order`` before
         anything reorients it.
         """
-        strategy.start(self)
         report = self.report
         order = report._order
         reasons = report._reasons
         reversals_of = report._reversals
         accepted = report.accepted
-        # two-phase strategies preaccept edges in ``start``, counted there
+        # counted after the loop, with the edges that two-phase strategies
+        # preaccept in ``start``
         first, first_accepted = len(order), len(accepted)
+        strategy.start(self)
         edge_u, edge_v = self.graph.edge_u, self.graph.edge_v
         arcs = self.digraph.arc_tail
-        tight_size = self._tight_size
+        stop = self._stop
         processed = self.processed
         covers = self.blocks.covers
         try_accept = self.try_accept
         next_edge = strategy.next_edge
         orient = strategy.orient
         on_processed = strategy.on_processed
-        while len(arcs) < tight_size:
+        while len(arcs) < stop:
             e = next_edge()
             if e is None:
                 break
@@ -520,7 +519,7 @@ class PebbleEngine:
         counters.edges_processed += len(order) - first
         counters.edges_accepted += len(accepted) - first_accepted
         rest = report.m - len(order)
-        if rest > 0 and len(arcs) >= tight_size:
+        if rest > 0 and len(arcs) >= stop:
             counters.edges_processed += rest
             counters.early_termination_hit = 1
             report._tail = (strategy, processed)
@@ -558,7 +557,9 @@ def resolve_order(order, graph: Multigraph, params: SparsityParams, default: str
 
 class _FixedOrder:
     """Minimal strategy over a fixed edge sequence with the default
-    orientation rule; used for weighted extraction."""
+    orientation rule: the weight order of :func:`extract_weighted`, the
+    storage order of the l = 2k pass and the one-edge runs of
+    :meth:`~klsparse.sparse2k.TwoKEngine.process`."""
 
     name = "fixed"
     kind = "edge-order"

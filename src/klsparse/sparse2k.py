@@ -19,6 +19,12 @@ searches stop at them and a neighbour among them is skipped.  Accepted
 arcs point at the larger endpoint id.  One pass over the edges yields an
 inclusion-wise maximal (k,2k)-sparse subgraph.
 
+The pass is a configuration of :class:`~klsparse.pebble.PebbleEngine`:
+:class:`TwoKEngine` supplies the test above as its ``try_accept`` and
+runs the shared loop, which writes the verdicts, over storage order (a
+``_FixedOrder`` of all edge ids).  It has no early stop: the loop's stop
+value is m arcs, so every edge is examined.
+
 A failed probe exposes a tight block: the closure of w is saturated off
 the endpoints and entered by no arc from outside, so with u and v it
 induces k|X| - 2k accepted edges on |X| >= 3 nodes.  The engine records
@@ -44,14 +50,13 @@ from .multigraph import Multigraph
 from .orientation import InnerDigraph, Instrumentation
 from .pebble import (
     _ACCEPTED,
-    _BLOCKED,
-    _COVERED,
     _REASONS,
-    ComponentSet,
     ExtractionReport,
+    PebbleEngine,
     ReversalBoundError,
     SparsityParams,
     Verdict,
+    _FixedOrder,
 )
 
 
@@ -122,9 +127,13 @@ def insertable(digraph: InnerDigraph, u: int, v: int) -> bool:
     return True
 
 
-class TwoKEngine:
-    """One-pass maximality engine for l = 2k on a simple graph, with the
-    tight blocks exposed by failed searches in ``blocks``."""
+class TwoKEngine(PebbleEngine):
+    """One-pass maximality engine for l = 2k on a simple graph: the
+    :class:`~klsparse.pebble.PebbleEngine` loop and records with its own
+    :meth:`try_accept`, storage order by default and no early stop, with
+    the tight blocks exposed by failed probes in ``blocks``."""
+
+    augmenting = False
 
     def __init__(
         self,
@@ -132,51 +141,46 @@ class TwoKEngine:
         k: int,
         counters: Instrumentation | None = None,
     ) -> None:
-        self.params = SparsityParams(k, 2 * k)
         edge_u, edge_v = graph.edge_u, graph.edge_v
         if any(map(eq, edge_u, edge_v)) or len(set(zip(edge_u, edge_v))) < graph.m:
             _raise_first_non_simple_edge(graph)
-        self.graph = graph
-        self.counters = counters if counters is not None else Instrumentation()
-        self.digraph = InnerDigraph(graph.n, k, self.counters)
-        self.blocks = ComponentSet(graph.n, self.params)
-        self.report = ExtractionReport(
-            params=self.params, n=graph.n, m=graph.m, counters=self.counters
-        )
+        super().__init__(graph, SparsityParams(k, 2 * k), counters)
+        # no early stop: the digraph holds m arcs only once every edge
+        # has been accepted
+        self._stop = graph.m
 
-    def process(self, e: int) -> Verdict:
-        """Decide edge ``e``, write it to the report and return its
-        verdict."""
-        code = self._decide(e)
-        reversals = self.report._reversals.get(e, 0)
-        return Verdict(e, code == _ACCEPTED, reversals, _REASONS[code])
+    def try_accept(self, e: int, preferred_head: int | None = None) -> int:
+        """Zero both endpoints of ``e``, then insert its arc if insertable.
 
-    def _decide(self, e: int) -> int:
-        """Decide edge ``e`` and write it to the report; returns its
-        reason code."""
+        Returns the zeroing reversals r >= 0 when ``e`` is accepted and
+        -1 - r when it is rejected, after recording the failed probe's
+        closure plus {u, v} as a block.  The arc always points at the
+        larger endpoint id; ``preferred_head`` is ignored.
+        """
         u, v = self.graph.edge_u[e], self.graph.edge_v[e]
         digraph = self.digraph
-        reversals = 0
-        if self.blocks.covers(u, v):
-            code = _COVERED
-        else:
-            reversals = zero_pair_indegrees(digraph, u, v)
-            if insertable(digraph, u, v):
-                # arc toward the larger id (v, by canonical endpoint storage)
-                digraph.insert_arc(e, u, v)
-                code = _ACCEPTED
-            else:
-                # the failed probe's closure, tight once u and v join it
-                self.blocks.record(digraph.last_closure + [u, v])
-                code = _BLOCKED
-        self.report.write(e, code, reversals)
-        return code
+        reversals = zero_pair_indegrees(digraph, u, v)
+        if insertable(digraph, u, v):
+            # arc toward the larger id (v, by canonical endpoint storage)
+            digraph.insert_arc(e, u, v)
+            return reversals
+        # the failed probe's closure, tight once u and v join it
+        self.blocks.record(digraph.last_closure + [u, v])
+        return -1 - reversals
 
-    def run(self) -> ExtractionReport:
-        decide = self._decide
-        for e in range(self.graph.m):
-            decide(e)
-        return self.report
+    def run(self, strategy=None) -> ExtractionReport:
+        """:meth:`PebbleEngine.run` over ``strategy``'s order, storage
+        order by default."""
+        if strategy is None:
+            strategy = _FixedOrder(list(range(self.graph.m)))
+        return super().run(strategy)
+
+    def process(self, e: int) -> Verdict:
+        """Decide edge ``e`` by a one-edge run and return its verdict."""
+        report = self.run(_FixedOrder([e]))
+        code = report._reasons[e]
+        return Verdict(e, code == _ACCEPTED, report._reversals.get(e, 0),
+                       _REASONS[code])
 
 
 def _raise_first_non_simple_edge(graph: Multigraph) -> None:

@@ -9,7 +9,6 @@ import pytest
 
 from klsparse import (
     STRATEGY_NAMES,
-    Block,
     ComponentSet,
     Instrumentation,
     Multigraph,
@@ -234,12 +233,6 @@ def test_component_set_skips_singletons():
     assert cs.components() == []
     cs.record(frozenset({0, 1}))
     assert cs.components() == [[0, 1]]
-
-
-def test_block_container():
-    b = Block(frozenset({2, 0}))
-    assert len(b) == 2
-    assert set(b.nodes) == {0, 2}
 
 
 def test_component_pass_reads_the_order_before_reorienting():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -167,3 +168,33 @@ def test_zeroing_bound_is_checked_without_assert(monkeypatch):
     monkeypatch.setattr("klsparse.sparse2k._zeroing_bound", lambda k: -1)
     with pytest.raises(ReversalBoundError):
         extract_maximal_2k(Multigraph(3, [(0, 1), (1, 2)]), 1)
+
+
+def test_maximal_2k_stream_pinned():
+    # sha256 of the verdict stream and of the counters, computed when the
+    # l = 2k pass still had its own edge loop: any rewrite of the loop must
+    # keep every verdict, every reversal count and every node visit (the
+    # last case is the maximal-2k-er benchmark's input 0 of seed 1)
+    cases = [
+        (gen_erdos_renyi(80, 0.15, seed=5), 1,
+         "f2db228eda79a8eb7d543e88ff1bbf79966e94fb142840dd1c3440286b1a6caa",
+         "d4a972d745ef10e07632f6bc1b400bc3e36c6d5e2f2d094ac2f5e680afe4f9b0"),
+        (gen_erdos_renyi(80, 0.15, seed=5), 2,
+         "2e9c3bfdb0017ba1475c99a9c3ed54c7ffafaf83a73e4d39ea50f846ef32c940",
+         "9a2eef8bf209f3484b2fb5cf1a957cb02705847769f3142a2b09c455aa0d7641"),
+        (gen_erdos_renyi(80, 0.15, seed=5), 3,
+         "d12a8ca07f89e0aeb11a628872b63da688a448dfc0550eda6b0e3d506a001873",
+         "9bc87bed7caaf6de9c3f25ad471e030ce48f5cd04ec31dec85d0ec7349e235ea"),
+        (gen_erdos_renyi(300, 0.05, seed=1000), 2,
+         "2f5fd61e9e79e3ee166c8a620f61e9867a0d45eef851bea0980b4cbb190cfe79",
+         "4fa9c368373f458d4776890f4b79e043565b192c6932361052d613a48f68ca6e"),
+    ]
+    for g, k, stream_digest, counts_digest in cases:
+        rep = extract_maximal_2k(g, k)
+        stream = repr([(v.edge, v.accepted, v.reversals_used, v.reason.value)
+                       for v in rep.verdicts])
+        c = rep.counters
+        counts = repr((c.bfs_node_visits, c.path_reversals,
+                       c.edges_processed, c.edges_accepted))
+        assert hashlib.sha256(stream.encode()).hexdigest() == stream_digest, k
+        assert hashlib.sha256(counts.encode()).hexdigest() == counts_digest, k
