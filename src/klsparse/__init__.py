@@ -7,8 +7,10 @@ package extracts maximum-size and maximum-weight sparse subgraphs for
 0 <= l < 2k by path augmentation over a bounded-indegree orientation,
 finds the (k,l)-components of the accepted set in one offline pass over
 its final orientation, and computes inclusion-wise maximal
-(k,2k)-sparse subgraphs of simple graphs in O(nm).  A brute-force oracle,
-seeded benchmark generators, and a CLI round it out.
+(k,2k)-sparse subgraphs of simple graphs in one pass, at a cost per edge
+of at most 2k zeroing searches plus one probe per saturated out-neighbour
+of its endpoints, each O(n + kn).  A brute-force oracle, seeded benchmark
+generators, and a CLI round it out.
 """
 
 from __future__ import annotations

@@ -8,8 +8,9 @@ game algorithms and sparse graphs, 2008): in the sparse set A, the
 endpoints of an edge uv can be driven below indeg(u) + indeg(v) = 2k - l
 (for a loop, below indeg(u) = k - l) exactly when no tight set contains
 both.  So the pass walks A in processing order and, for each edge that no
-component found so far covers, reverses paths into its endpoints until
-they drop below that ceiling.  When a search fails instead, the probe
+component found so far covers, drains its endpoints below that ceiling by
+:meth:`~klsparse.orientation.InnerDigraph.drain`, the engine's own
+augmentation routine.  When a search fails instead, the probe
 :func:`detect_block` reads off the maximal block through the edge, which
 is its component.
 
@@ -51,31 +52,26 @@ def detect_block(
     """The node set of the maximal block through the accepted edge uv, or
     None when no tight set contains both endpoints.
 
-    A tight set through u and v forces their indegree sum to the ceiling
-    2k - l (below it: None without any traversal).  The backward probe
-    then looks for a deficient node with a path to {u, v}; finding one
-    refutes every candidate (tight sets are backward-closed and saturated
-    off the endpoints), while exhaustion certifies the backward closure as
-    tight.  The maximal tight set is the complement of the forward-reach
-    of the remaining deficient nodes, collected by a second sweep.
-    Nothing is reversed; the digraph is left untouched.
+    A tight set through u and v forces their indegree sum up to
+    ``params.ceiling(u, v)`` (below it: None without any traversal).  The
+    backward probe then looks for a deficient node with a path to {u, v};
+    finding one refutes every candidate (tight sets are backward-closed and
+    saturated off the endpoints), while exhaustion certifies the backward
+    closure as tight.  The maximal tight set is the complement of the
+    forward-reach of the remaining deficient nodes, collected by a second
+    sweep.  Nothing is reversed; the digraph is left untouched.
 
     ``saturated`` says the caller's own search from {u, v} (or {u}) just
     failed at the ceiling, which is the same certificate: the backward
     probe is skipped and only the forward sweep runs.
     """
     indeg = digraph.indeg
-    k, l = params.k, params.l
-    if u == v:
-        if indeg[u] < k - l:
-            return None
-        targets = (u,)
-    else:
-        if indeg[u] + indeg[v] < 2 * k - l:
-            return None
-        targets = (u, v)
+    if indeg[u] + indeg[v] < params.ceiling(u, v):
+        return None
+    targets = (u,) if u == v else (u, v)
     if not saturated and digraph.saturated_closure(targets) is None:
         return None
+    k = params.k
     digraph.multi_source_forward_reach(lambda x: indeg[x] < k, excluded=targets)
     return frozenset(digraph.unstamped()).union(targets)
 
@@ -86,7 +82,6 @@ def _components(engine: PebbleEngine) -> ComponentSet:
     digraph; the accepted set is unchanged."""
     graph, params, digraph = engine.graph, engine.params, engine.digraph
     report = engine.report
-    indeg = digraph.indeg
     bound = params.reversal_bound
     found = ComponentSet(graph.n, params)
     # reading ``order`` walks the engine's deferred early-termination tail,
@@ -98,26 +93,18 @@ def _components(engine: PebbleEngine) -> ComponentSet:
         u, v = graph.edge_u[e], graph.edge_v[e]
         if found.covers(u, v):
             continue
-        if u == v:
-            targets, ceiling = (u,), params.k - params.l
-        else:
-            targets, ceiling = (u, v), params.pair_threshold
-        reversals = 0
-        while sum(indeg[x] for x in targets) >= ceiling:
-            path = digraph.find_reversal_path(targets)
-            if path is None:
-                # that search exhausted the saturated backward closure: the
-                # probe needs only its forward sweep
-                block = detect_block(digraph, u, v, params, saturated=True)
-                if block is not None:
-                    found.record(block)
-                break
-            reversals += 1
-            if reversals > bound:
-                raise ReversalBoundError(
-                    f"edge {e} took {reversals} reversals, bound {bound}"
-                )
-            digraph.reverse(path)
+        reversals = digraph.drain(u, v, params.ceiling(u, v))
+        if reversals < 0:
+            # the failed search exhausted the saturated backward closure:
+            # the probe needs only its forward sweep
+            block = detect_block(digraph, u, v, params, saturated=True)
+            if block is not None:
+                found.record(block)
+            reversals = -1 - reversals
+        if reversals > bound:
+            raise ReversalBoundError(
+                f"edge {e} took {reversals} reversals, bound {bound}"
+            )
     return found
 
 

@@ -26,14 +26,12 @@ where a shuffle would otherwise apply.
 from __future__ import annotations
 
 import random
-import weakref
 from collections import deque
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import partial
 
 from .multigraph import Multigraph
-from .orientation import InnerDigraph
 from .pebble import PebbleEngine, SparsityParams
 
 EDGE_ORDER = "edge-order"
@@ -128,8 +126,9 @@ class Strategy:
     is first read, which raises
     :class:`~klsparse.pebble.StrategyContractError` on a broken order.
 
-    ``start`` binds the engine's processed flags, which the order reads;
-    the engine itself is held weakly (see :attr:`engine`).
+    ``start`` binds the engine's processed flags, which the order reads.
+    A strategy keeps no reference to the engine: a deferred tail keeps
+    the strategy in the engine's report, so one would make a cycle.
     """
 
     name = ""
@@ -140,17 +139,8 @@ class Strategy:
         self.graph = graph
         self.params = params
         self.seed = seed
-        self._engine: weakref.ref[PebbleEngine] | None = None
-
-    @property
-    def engine(self) -> PebbleEngine | None:
-        """The engine this strategy was started on, while that engine
-        lives.  A deferred tail keeps the strategy in the engine's report,
-        so a strong reference would make a reference cycle."""
-        return None if self._engine is None else self._engine()
 
     def start(self, engine: PebbleEngine) -> None:
-        self._engine = weakref.ref(engine)
         self._processed = engine.processed
 
     def next_edge(self) -> int | None:
@@ -338,9 +328,12 @@ class NBasicStrategy(_NodeOrderStrategy):
     _toward_current_plain = True
     _toward_current_comp = False
 
+    def _node_order(self) -> list[int]:
+        return _shuffled(list(range(self.graph.n)), self.seed, "node-order")
+
     def start(self, engine):
         super().start(engine)
-        self._perm = _shuffled(list(range(self.graph.n)), self.seed, "node-order")
+        self._perm = self._node_order()
         self._idx = 0
 
     def _select_node(self):
@@ -351,25 +344,17 @@ class NBasicStrategy(_NodeOrderStrategy):
         return v
 
 
-class NDegMinStrategy(_NodeOrderStrategy):
-    """Nodes by minimum input-graph degree; arcs point toward the current
-    node in both variants."""
+class NDegMinStrategy(NBasicStrategy):
+    """Nodes by minimum input-graph degree, ties by id: the key never
+    changes, so this is NBasic over a fixed sorted permutation.  Arcs point
+    toward the current node in both variants."""
 
     _base_name = "NDegMin"
     _toward_current_plain = True
     _toward_current_comp = True
 
-    def start(self, engine):
-        super().start(engine)
-        g = self.graph
-        bq = BucketQueue()
-        for v in range(g.n):
-            bq.push(v, g.degree[v])
-        self._bq = bq
-
-    def _select_node(self):
-        g = self.graph
-        return self._bq.pop(lambda v: g.degree[v])
+    def _node_order(self) -> list[int]:
+        return sorted(range(self.graph.n), key=self.graph.degree.__getitem__)
 
 
 class DegMinStrategy(NDegMinStrategy):
@@ -483,14 +468,13 @@ class PhaseOneResult:
     """Forest/pseudoforest seeding for a two-phase run.
 
     ``arcs`` holds (edge, tail, head) in insertion order, structure by
-    structure; ``remaining`` lists the unused edge ids in id order (the
-    second-phase ordering itself is applied by the paired strategy).
+    structure, and ``structures`` the edge ids of each structure.  The
+    engine inserts the arcs (:meth:`~klsparse.pebble.PebbleEngine.preaccept`),
+    which enforces the indegree bound; the paired strategy streams the
+    unused edges.
     """
 
     arcs: list[tuple[int, int, int]]
-    accepted: set[int]
-    remaining: list[int]
-    seeded_digraph: InnerDigraph
     structures: list[list[int]]
 
 
@@ -750,32 +734,22 @@ def build_phase_one(
             structure = _structure_traversal(graph, used, take_extra, method == "dfs")
         arcs.extend(structure)
         structures.append([e for e, _, _ in structure])
-
-    seeded = InnerDigraph(graph.n, params.k)
-    for e, t, h in arcs:
-        seeded.insert_arc(e, t, h)
-    accepted = {e for e, _, _ in arcs}
-    remaining = [e for e in range(graph.m) if e not in accepted]
-    return PhaseOneResult(
-        arcs=arcs,
-        accepted=accepted,
-        remaining=remaining,
-        seeded_digraph=seeded,
-        structures=structures,
-    )
+    return PhaseOneResult(arcs=arcs, structures=structures)
 
 
 def phase_one_sparsity_check(
     result: PhaseOneResult, params: SparsityParams
 ) -> tuple[bool, list[int] | None]:
-    """Brute-force check that the seeded union is (k,l)-sparse (small n)."""
+    """Brute-force check that the seeded union is (k,l)-sparse (small n).
+
+    Its graph spans the nodes up to the largest arc endpoint: a node that
+    no arc touches never takes part in a violated count.
+    """
     from .oracle import is_sparse_bruteforce
 
-    d = result.seeded_digraph
-    edges = [
-        (d.arc_tail[a], d.arc_head[a]) for a in range(d.arc_count)
-    ]
-    return is_sparse_bruteforce(Multigraph(d.n, edges), params)
+    edges = [(t, h) for _, t, h in result.arcs]
+    n = max((max(edge) + 1 for edge in edges), default=0)
+    return is_sparse_bruteforce(Multigraph(n, edges), params)
 
 
 class TwoPhaseStrategy(Strategy):

@@ -227,6 +227,28 @@ class InnerDigraph:
             arcs += 1
         return ReversalPath(source, node, arcs, self._epoch)
 
+    def drain(
+        self, u: int, v: int, ceiling: int, forbidden_sources: Sequence[int] = ()
+    ) -> int:
+        """Reverse paths into {u, v} while indeg(u) + indeg(v) >= ceiling;
+        a loop (u = v) counts its node twice and searches from (u,) alone.
+
+        The one augmentation routine: returns the reversals r >= 0 once
+        the sum is below ``ceiling``, or -1 - r when a search fails first,
+        leaving that search's closure in ``last_closure``.  Sources are
+        never taken from ``forbidden_sources``.
+        """
+        indeg = self.indeg
+        targets = (u,) if u == v else (u, v)
+        reversals = 0
+        while indeg[u] + indeg[v] >= ceiling:
+            path = self.find_reversal_path(targets, forbidden_sources)
+            if path is None:
+                return -1 - reversals
+            self.reverse(path)
+            reversals += 1
+        return reversals
+
     def saturated_closure(
         self,
         targets: Sequence[int],

@@ -2,11 +2,11 @@
 
 An edge uv is accepted exactly when the inner digraph can be reoriented so
 that indeg(u) + indeg(v) < 2k - l (for a loop: indeg(v) <= k - l - 1);
-each reorientation step reverses one path found by a backward search from
-{u, v} to a node of indegree below k.  For 0 <= l < 2k the accepted sets
-form the independent sets of a matroid, so any processing order yields a
-maximum-size subgraph and non-increasing weight order yields a maximum-
-weight one.
+:meth:`~klsparse.orientation.InnerDigraph.drain` reorients it, one path
+found by a backward search from {u, v} to a node of indegree below k at a
+time.  For 0 <= l < 2k the accepted sets form the independent sets of a
+matroid, so any processing order yields a maximum-size subgraph and
+non-increasing weight order yields a maximum-weight one.
 
 A failed search leaves a tight block behind: its backward closure X has no
 arc entering from outside and every node but the endpoints at indegree k,
@@ -72,15 +72,10 @@ class SparsityParams:
         """True when l < 2k, the regime the augmenting engine handles."""
         return self.l < 2 * self.k
 
-    @property
-    def pair_threshold(self) -> int:
-        """Acceptance demands indeg(u) + indeg(v) strictly below this."""
-        return 2 * self.k - self.l
-
-    @property
-    def loop_threshold(self) -> int:
-        """A loop at v is acceptable once indeg(v) is at most this."""
-        return self.k - self.l - 1
+    def ceiling(self, u: int, v: int) -> int:
+        """Edge uv is acceptable once indeg(u) + indeg(v) is below this
+        (a loop counting its node twice): 2k - l, or 2(k - l) for a loop."""
+        return 2 * (self.k - self.l) if u == v else 2 * self.k - self.l
 
     @property
     def reversal_bound(self) -> int:
@@ -389,8 +384,8 @@ class PebbleEngine:
         self._stop = params.tight_size(graph.n)
 
     def try_accept(self, e: int, preferred_head: int | None = None) -> int:
-        """Process edge ``e``: augment until the acceptance condition holds
-        or the search fails, inserting the arc on success.
+        """Process edge ``e``: drain its endpoints below the ceiling of
+        :meth:`SparsityParams.ceiling`, inserting the arc on success.
 
         Returns the path reversals performed, r >= 0, when ``e`` is
         accepted and -1 - r when it is rejected.  The caller checks block
@@ -403,43 +398,28 @@ class PebbleEngine:
         u = g.edge_u[e]
         v = g.edge_v[e]
         p = self.params
+        ceiling = p.ceiling(u, v)
+        if ceiling <= 0:
+            # a loop at l >= k: no orientation can ever take it
+            return -1
         digraph = self.digraph
-        indeg = digraph.indeg
-        reversals = 0
-
-        if u == v:
-            limit = p.loop_threshold
-            if limit < 0:
-                return -1
-            while indeg[u] > limit:
-                path = digraph.find_reversal_path((u,))
-                if path is None:
-                    self.blocks.record(digraph.last_closure)
-                    return -1 - reversals
-                digraph.reverse(path)
-                reversals += 1
-            digraph.insert_arc(e, u, u)
-        else:
-            threshold = p.pair_threshold
-            while indeg[u] + indeg[v] >= threshold:
-                path = digraph.find_reversal_path((u, v))
-                if path is None:
-                    self.blocks.record(digraph.last_closure)
-                    return -1 - reversals
-                digraph.reverse(path)
-                reversals += 1
-            if preferred_head is not None and indeg[preferred_head] < p.k:
-                head = preferred_head
-            else:
-                # default rule (and fallback): smaller indegree takes the
-                # arc, ties to the smaller id; that endpoint is below k
-                # because the indegree sum is below 2k
-                head = u if (indeg[u], u) <= (indeg[v], v) else v
-            digraph.insert_arc(e, u + v - head, head)
+        reversals = digraph.drain(u, v, ceiling)
+        if reversals < 0:
+            self.blocks.record(digraph.last_closure)
+            return reversals
         if reversals > p.reversal_bound:
             raise ReversalBoundError(
                 f"edge {e} took {reversals} reversals, bound {p.reversal_bound}"
             )
+        indeg = digraph.indeg
+        if preferred_head is not None and indeg[preferred_head] < p.k:
+            head = preferred_head
+        else:
+            # default rule (and fallback): smaller indegree takes the arc,
+            # ties to the smaller id; that endpoint is below k because the
+            # indegree sum is below 2k (a loop's one node is below k - l)
+            head = u if (indeg[u], u) <= (indeg[v], v) else v
+        digraph.insert_arc(e, u + v - head, head)
         return reversals
 
     def preaccept(self, e: int, tail: int, head: int) -> None:
@@ -558,8 +538,8 @@ def resolve_order(order, graph: Multigraph, params: SparsityParams, default: str
 class _FixedOrder:
     """Minimal strategy over a fixed edge sequence with the default
     orientation rule: the weight order of :func:`extract_weighted`, the
-    storage order of the l = 2k pass and the one-edge runs of
-    :meth:`~klsparse.sparse2k.TwoKEngine.process`."""
+    storage order of the l = 2k pass and the explicit orders of
+    :func:`extract`."""
 
     name = "fixed"
     kind = "edge-order"

@@ -4,13 +4,14 @@ At l = 2k the counting bound constrains only node sets of size >= 3, the
 accepted sets no longer form a matroid, and the augmenting engine's
 acceptance test stops being meaningful, so this path targets maximality
 instead of maximum size.  Per edge uv, the digraph is first reoriented so
-both endpoints reach indegree 0 (at most 2k reversals).  Then uv is
-insertable exactly when every other node can still be reached from spare
-capacity, i.e. from a node of indegree below k outside {u, v}.  Only the
-saturated out-neighbours of u and v need checking: the unreached nodes
-other than u and v are saturated and entered only from themselves, u and
-v, so if none had an arc from u or v they would induce k arcs per node,
-which a simple (k,2k)-sparse graph cannot hold.  Each such neighbour w
+both endpoints reach indegree 0 (at most 2k reversals, by the one
+augmentation routine :meth:`~klsparse.orientation.InnerDigraph.drain`).
+Then uv is insertable exactly when every other node can still be reached
+from spare capacity, i.e. from a node of indegree below k outside {u, v}.
+Only the saturated out-neighbours of u and v need checking: the unreached
+nodes other than u and v are saturated and entered only from themselves,
+u and v, so if none had an arc from u or v they would induce k arcs per
+node, which a simple (k,2k)-sparse graph cannot hold.  Each such neighbour w
 gets one backward search (the pebble game's search of Lee & Streinu,
 2008) with u and v forbidden as sources; uv is insertable exactly when
 every one of them finds a node of indegree below k.  Within one test the
@@ -49,13 +50,10 @@ from operator import eq
 from .multigraph import Multigraph
 from .orientation import InnerDigraph, Instrumentation
 from .pebble import (
-    _ACCEPTED,
-    _REASONS,
     ExtractionReport,
     PebbleEngine,
     ReversalBoundError,
     SparsityParams,
-    Verdict,
     _FixedOrder,
 )
 
@@ -77,19 +75,19 @@ def _zeroing_bound(k: int) -> int:
 def zero_pair_indegrees(digraph: InnerDigraph, u: int, v: int) -> int:
     """Reverse paths until indeg(u) = indeg(v) = 0, first u then v.
 
-    While draining one endpoint the other is forbidden as a path source,
-    so arcs never pile up on it and the total stays at most 2k reversals.
+    Each endpoint is one :meth:`~klsparse.orientation.InnerDigraph.drain`
+    with ceiling 1 (its indegree counted twice, as for a loop).  While
+    draining one endpoint the other is forbidden as a path source, so arcs
+    never pile up on it and the total stays at most 2k reversals.
     """
     reversals = 0
     for target, other in ((u, v), (v, u)):
-        while digraph.indeg[target] > 0:
-            path = digraph.find_reversal_path((target,), forbidden_sources=(other,))
-            if path is None:
-                raise OrientationInfeasibleError(
-                    f"cannot drain indegree of node {target}"
-                )
-            digraph.reverse(path)
-            reversals += 1
+        r = digraph.drain(target, target, 1, (other,))
+        if r < 0:
+            raise OrientationInfeasibleError(
+                f"cannot drain indegree of node {target}"
+            )
+        reversals += r
     bound = _zeroing_bound(digraph.k)
     if reversals > bound:
         raise ReversalBoundError(
@@ -174,13 +172,6 @@ class TwoKEngine(PebbleEngine):
         if strategy is None:
             strategy = _FixedOrder(list(range(self.graph.m)))
         return super().run(strategy)
-
-    def process(self, e: int) -> Verdict:
-        """Decide edge ``e`` by a one-edge run and return its verdict."""
-        report = self.run(_FixedOrder([e]))
-        code = report._reasons[e]
-        return Verdict(e, code == _ACCEPTED, report._reversals.get(e, 0),
-                       _REASONS[code])
 
 
 def _raise_first_non_simple_edge(graph: Multigraph) -> None:

@@ -221,10 +221,13 @@ def test_maximal_2k_block_is_the_failed_probe_closure():
                 record(nodes)
 
             engine.blocks.record = spy
-            for e in range(g.m):
-                verdict = engine.process(e)
-                if verdict.reason is not Reason.INDEGREE_BLOCKED:
-                    continue
+            try_accept = engine.try_accept
+
+            def check(e, head=None, try_accept=try_accept, recorded=recorded):
+                nonlocal checked, smaller
+                r = try_accept(e, head)
+                if r >= 0:
+                    return r
                 u, v = g.endpoints(e)
                 closure = digraph.last_closure
                 assert recorded[-1] == closure + [u, v]
@@ -246,6 +249,11 @@ def test_maximal_2k_block_is_the_failed_probe_closure():
                 assert block <= unreached
                 smaller += len(block) < len(unreached)
                 checked += 1
+                return r
+
+            # checked after each rejection, inside one run
+            engine.try_accept = check
+            engine.run()
             _check_blocks(g, engine.params, engine.report, engine.blocks.components())
     # the closure of one neighbour is often smaller than the unreached set
     assert checked > 1000 and smaller > 100

@@ -415,14 +415,20 @@ def test_extract_stdout_pinned_per_strategy(tmp_path, capsys, name):
 def test_strategy_contract_failure_is_internal_error(tmp_path, capsys, monkeypatch):
     from klsparse.heuristics import _NodeOrderStrategy
 
+    original_start = _NodeOrderStrategy.start
     original = _NodeOrderStrategy.next_edge
+
+    def start(self, engine):
+        self._digraph = engine.digraph
+        original_start(self, engine)
 
     def stops_at_cut(self):
         # past the tight size, end the order early
-        if self.engine.digraph.arc_count >= self.params.tight_size(self.graph.n):
+        if self._digraph.arc_count >= self.params.tight_size(self.graph.n):
             return None
         return original(self)
 
+    monkeypatch.setattr(_NodeOrderStrategy, "start", start)
     monkeypatch.setattr(_NodeOrderStrategy, "next_edge", stops_at_cut)
     # K_4 under (1,1) is not sparse; the component pass reads the order
     argv = ["components", "-k", "1", "-l", "1", "--input", k4_path(tmp_path)]

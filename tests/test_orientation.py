@@ -181,6 +181,46 @@ def test_target_not_its_own_source():
     assert d.find_reversal_path((0,)) is None
 
 
+def test_drain_returns_reversals_on_success():
+    d = build_path_digraph()
+    # indeg(1) + indeg(2) = 2: one reversal of the arc 0 -> 1 drops it to 1
+    assert d.drain(1, 2, 2) == 1
+    assert d.indeg == [1, 0, 1]
+    # already below the ceiling: no search at all
+    visits = d.counters.bfs_node_visits
+    assert d.drain(1, 2, 2) == 0
+    assert d.counters.bfs_node_visits == visits
+
+
+def test_drain_failure_returns_minus_one_minus_reversals():
+    d = build_path_digraph()
+    # the first search reverses 0 -> 1; the second finds no deficient node
+    assert d.drain(1, 2, 1) == -2
+    assert d.indeg == [1, 0, 1]
+    assert d.counters.path_reversals == 1
+    assert sorted(d.last_closure) == [1, 2]
+
+
+def test_drain_counts_a_loop_node_twice():
+    d = build_path_digraph()
+    # 2 * indeg(2) = 2 reaches the ceiling 2, though indeg(2) alone does not
+    assert d.drain(2, 2, 2) == 1
+    assert d.indeg == [1, 1, 0]
+    # the search targets (2,) once: it stamped 2, 1 and 0
+    assert d.counters.bfs_node_visits == 3
+
+
+def test_drain_never_uses_a_forbidden_source():
+    d = InnerDigraph(3, 2)
+    d.insert_arc(0, 0, 2)
+    d.insert_arc(1, 1, 2)
+    # 0 and 1 are both deficient; with 0 forbidden only 1 gives a path
+    assert d.drain(2, 2, 1, (0,)) == -2
+    assert d.indeg == [0, 1, 1]
+    assert (d.arc_tail[0], d.arc_head[0]) == (0, 2)
+    assert sorted(d.last_closure) == [0, 2]
+
+
 def test_saturated_closure():
     d = build_path_digraph()
     # node 2's backward closure contains the deficient node 0

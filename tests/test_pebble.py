@@ -37,8 +37,8 @@ def test_params_validation():
     with pytest.raises(ValueError):
         SparsityParams(2, 5)
     p = SparsityParams(2, 3)
-    assert p.pair_threshold == 1
-    assert p.loop_threshold == -2
+    assert p.ceiling(0, 1) == 1
+    assert p.ceiling(1, 1) == -2
     assert p.tight_size(4) == 5
     assert p.is_augmenting_regime
     assert not SparsityParams(2, 4).is_augmenting_regime
