@@ -167,22 +167,24 @@ def _cmd_maximal_2k(args) -> int:
     return EXIT_OK
 
 
-def _cmd_generate(args) -> int:
-    base = None
-    if args.family == "molecular":
-        base = _read_graph(args.input)
-    spec = GenSpec(
-        family=args.family,
-        seed=args.seed,
-        n=args.n,
+def _gen_spec(args, family: str, n: int, seed: int, base=None) -> GenSpec:
+    """The generator call for ``family`` with the size options of ``args``."""
+    return GenSpec(
+        family=family,
+        seed=seed,
+        n=n,
         p=args.p,
         m_attach=args.m_attach,
-        base_n=args.n,
+        base_n=n,
         k_trees=args.k_trees,
         multiplicity=args.multiplicity,
         base=base,
     )
-    graph = spec.build()
+
+
+def _cmd_generate(args) -> int:
+    base = _read_graph(args.input) if args.family == "molecular" else None
+    graph = _gen_spec(args, args.family, args.n, args.seed, base).build()
     _write_text(args.output, serialize_graph(graph))
     return EXIT_OK
 
@@ -212,19 +214,11 @@ def _parse_pairs(texts: list[str]) -> list[SparsityParams]:
 
 
 def _bench_graph(family: str, n: int, args, seed: int) -> Multigraph:
-    if family == "erdos-renyi":
-        return GenSpec(family=family, seed=seed, n=n, p=args.p).build()
-    if family == "barabasi-albert":
-        return GenSpec(family=family, seed=seed, n=n, m_attach=args.m_attach).build()
-    if family == "rigid":
-        return GenSpec(family=family, seed=seed, base_n=n).build()
-    if family == "tight":
-        return GenSpec(family=family, seed=seed, n=n, k_trees=args.k_trees).build()
+    """Trial graph of ``seed``; the molecular base is a G(n, p) of it."""
+    base = None
     if family == "molecular":
-        base = GenSpec(family="erdos-renyi", seed=seed, n=n, p=args.p).build()
-        return GenSpec(family=family, multiplicity=args.multiplicity,
-                       base=base).build()
-    raise _UsageExit(f"family {family!r} not benchable")
+        base = _gen_spec(args, "erdos-renyi", n, seed).build()
+    return _gen_spec(args, family, n, seed, base).build()
 
 
 def _cmd_bench(args) -> int:
@@ -251,8 +245,10 @@ def _cmd_bench(args) -> int:
                     for heuristic in heuristics:
                         counters = Instrumentation()
                         t0 = time.perf_counter_ns()
+                        # --seed seeds the strategy, as in extract; the
+                        # trial seed only the graph
                         strategy = make_strategy(
-                            heuristic, graph, params, trial_seed
+                            heuristic, graph, params, args.seed
                         )
                         report = PebbleEngine(graph, params, counters).run(
                             strategy

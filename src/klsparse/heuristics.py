@@ -14,13 +14,19 @@ Four families:
                    forests (and pseudoforests where k > l), then stream the
                    leftovers through a paired second-phase order
 
-A strategy is a configuration: which edge comes next and where its arc
-points.  The node orders, DegMin, the sweeps and UnionTranspOne's first
-phase step through incidence lists with one resumable cursor,
-:func:`_take`.  Ordering never changes the accepted cardinality
-(matroid regime); it only moves the traversal work around.  Every strategy
-is deterministic for a fixed seed, with seed 0 meaning exact storage order
-where a shuffle would otherwise apply.
+A strategy is a configuration of the :class:`~klsparse.pebble.Strategy`
+protocol, which lives next to the engine loop that drives it (and is
+re-exported here): which edge comes next and where its arc points.  Basic
+is the engine's one edge-sequence cursor, ``pebble._FixedOrder``, over a
+seeded permutation, plus a coin for the arc.  The node orders, DegMin, the
+sweeps and UnionTranspOne's first phase step through incidence lists with
+one resumable cursor, :func:`_take`.  A two-phase strategy is its
+second-phase class with phase one as a ``start`` step.  One table,
+``_CATALOG``, maps each of the 21 names to its factory.  Ordering never
+changes the accepted cardinality (matroid regime); it only moves the
+traversal work around.  Every strategy is deterministic for a fixed seed,
+with seed 0 meaning exact storage order where a shuffle would otherwise
+apply.
 """
 
 from __future__ import annotations
@@ -31,42 +37,20 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import partial
 
+from . import pebble
 from .multigraph import Multigraph
-from .pebble import PebbleEngine, SparsityParams
+from .pebble import SparsityParams, Strategy
 
 EDGE_ORDER = "edge-order"
 NODE_ORDER = "node-order"
 TRANSPOSED = "transposed"
 TWO_PHASE = "two-phase"
 
-STRATEGY_NAMES = (
-    "Basic",
-    "DegMin",
-    "IncProcMin",
-    "IncInDegMin",
-    "NBasic",
-    "NDegMin",
-    "NProcMin",
-    "NInDegMin",
-    "NBasicComp",
-    "NDegMinComp",
-    "NProcMinComp",
-    "NInDegMinComp",
-    "PForestsBFS",
-    "PForestsDFS",
-    "ForestsBFS",
-    "ForestsDFS",
-    "UnionBasic",
-    "UnionNBasic",
-    "UnionTranspOne",
-    "Transp",
-    "TranspOne",
-)
-
-
 class BucketQueue:
     """Integer-keyed FIFO buckets with lazy re-keying.
 
+    ``BucketQueue(count)`` starts with items ``0..count-1`` at key 0, in
+    id order.
     ``pop`` re-inserts an entry at its current key when the stored key went
     stale.  With keys that only grow the returned entry is an exact minimum;
     with keys that can also shrink (indegrees) a stale-low entry surfaces
@@ -76,10 +60,10 @@ class BucketQueue:
 
     __slots__ = ("_buckets", "_min", "_size")
 
-    def __init__(self) -> None:
-        self._buckets: list[deque] = []
+    def __init__(self, count: int = 0) -> None:
+        self._buckets: list[deque] = [deque(range(count))]
         self._min = 0
-        self._size = 0
+        self._size = count
 
     def push(self, item: int, key: int) -> None:
         buckets = self._buckets
@@ -111,76 +95,21 @@ class BucketQueue:
         return None
 
 
-class Strategy:
-    """Base interface the engine drives.
-
-    ``next_edge`` yields unprocessed edge ids (None when drained);
-    ``orient`` may name a preferred arc head for an accepted edge
-    (None defers to the engine's smaller-indegree rule);
-    ``on_processed`` receives the verdict for bookkeeping.
-
-    Contract: called until it returns None, ``next_edge`` eventually
-    yields every edge not yet processed exactly once.  The engine relies
-    on it when it stops at the tight size: it counts the remaining edges
-    without asking for them, and walks them only when the report's order
-    is first read, which raises
-    :class:`~klsparse.pebble.StrategyContractError` on a broken order.
-
-    ``start`` binds the engine's processed flags, which the order reads.
-    A strategy keeps no reference to the engine: a deferred tail keeps
-    the strategy in the engine's report, so one would make a cycle.
-    """
-
-    name = ""
-    kind = ""
-    uses_components = False
-
-    def __init__(self, graph: Multigraph, params: SparsityParams, seed: int = 0) -> None:
-        self.graph = graph
-        self.params = params
-        self.seed = seed
-
-    def start(self, engine: PebbleEngine) -> None:
-        self._processed = engine.processed
-
-    def next_edge(self) -> int | None:
-        raise NotImplementedError
-
-    def orient(self, u: int, v: int) -> int | None:
-        return None
-
-    def on_processed(self, edge: int, accepted: bool) -> None:
-        pass
-
-
 def _shuffled(items: list[int], seed: int, salt: str) -> list[int]:
     if seed != 0:
         random.Random(f"{seed}:{salt}").shuffle(items)
     return items
 
 
-class BasicStrategy(Strategy):
-    """Random edge permutation (seed 0 = storage order), random arc
-    orientation; the no-frills baseline."""
-
-    name = "Basic"
-    kind = EDGE_ORDER
+class BasicStrategy(pebble._FixedOrder):
+    """The sequence cursor over a random edge permutation (seed 0 =
+    storage order), with a random arc orientation; the no-frills
+    baseline."""
 
     def __init__(self, graph, params, seed=0):
-        super().__init__(graph, params, seed)
-        self._order = _shuffled(list(range(graph.m)), seed, "edge-order")
-        self._pos = 0
+        order = _shuffled(list(range(graph.m)), seed, "edge-order")
+        super().__init__(order, graph, params, seed)
         self._coin = random.Random(f"{seed}:orient")
-
-    def next_edge(self):
-        order = self._order
-        processed = self._processed
-        while self._pos < len(order):
-            e = order[self._pos]
-            self._pos += 1
-            if not processed[e]:
-                return e
-        return None
 
     def orient(self, u, v):
         # one draw per processed edge, so the stream is independent of
@@ -208,15 +137,11 @@ class IncProcMinStrategy(_ProcCountStrategy):
     """Next edge minimizing the endpoints' processed-incident-edge total,
     arc oriented toward the endpoint with fewer processed edges."""
 
-    name = "IncProcMin"
     kind = EDGE_ORDER
 
     def start(self, engine):
         super().start(engine)
-        bq = BucketQueue()
-        for e in range(self.graph.m):
-            bq.push(e, 0)
-        self._bq = bq
+        self._bq = BucketQueue(self.graph.m)
 
     def _key(self, e: int) -> int:
         g = self.graph
@@ -235,15 +160,11 @@ class IncInDegMinStrategy(Strategy):
     """Next edge minimizing the endpoints' current indegree total; the
     engine's default rule already orients toward the smaller indegree."""
 
-    name = "IncInDegMin"
     kind = EDGE_ORDER
 
     def start(self, engine):
         super().start(engine)
-        bq = BucketQueue()
-        for e in range(self.graph.m):
-            bq.push(e, 0)
-        self._bq = bq
+        self._bq = BucketQueue(self.graph.m)
         self._indeg = engine.digraph.indeg
 
     def _key(self, e: int) -> int:
@@ -278,15 +199,12 @@ class _NodeOrderStrategy(Strategy):
     ``comp`` flag flips the arc-orientation rule for component runs."""
 
     kind = NODE_ORDER
-    _base_name = ""
     _toward_current_plain = True
     _toward_current_comp = False
 
     def __init__(self, graph, params, seed=0, comp=False):
         super().__init__(graph, params, seed)
-        self.comp = comp
         self.uses_components = comp
-        self.name = self._base_name + ("Comp" if comp else "")
         self._toward_current = (
             self._toward_current_comp if comp else self._toward_current_plain
         )
@@ -324,7 +242,6 @@ class NBasicStrategy(_NodeOrderStrategy):
     """One pass over a random node permutation (seed 0 = id order); arcs
     point toward the current node (outward in the Comp variant)."""
 
-    _base_name = "NBasic"
     _toward_current_plain = True
     _toward_current_comp = False
 
@@ -349,7 +266,6 @@ class NDegMinStrategy(NBasicStrategy):
     changes, so this is NBasic over a fixed sorted permutation.  Arcs point
     toward the current node in both variants."""
 
-    _base_name = "NDegMin"
     _toward_current_plain = True
     _toward_current_comp = True
 
@@ -362,7 +278,6 @@ class DegMinStrategy(NDegMinStrategy):
     edges drained in incidence order) as an edge order: arcs point toward
     the smaller-degree endpoint, not toward the current node."""
 
-    _base_name = "DegMin"
     kind = EDGE_ORDER
 
     def orient(self, u, v):
@@ -374,16 +289,12 @@ class NProcMinStrategy(_ProcCountStrategy, _NodeOrderStrategy):
     """Nodes by minimum processed-incident-edge count (monotone key, exact
     minimum); arcs toward the current node (outward in Comp)."""
 
-    _base_name = "NProcMin"
     _toward_current_plain = True
     _toward_current_comp = False
 
     def start(self, engine):
         super().start(engine)
-        bq = BucketQueue()
-        for v in range(self.graph.n):
-            bq.push(v, 0)
-        self._bq = bq
+        self._bq = BucketQueue(self.graph.n)
 
     def _select_node(self):
         proc = self._proc
@@ -395,16 +306,12 @@ class NInDegMinStrategy(_NodeOrderStrategy):
     shrinks under reversals); arcs point outward from the current node
     (toward it in the Comp variant)."""
 
-    _base_name = "NInDegMin"
     _toward_current_plain = False
     _toward_current_comp = True
 
     def start(self, engine):
         super().start(engine)
-        bq = BucketQueue()
-        for v in range(self.graph.n):
-            bq.push(v, 0)
-        self._bq = bq
+        self._bq = BucketQueue(self.graph.n)
         self._indeg = engine.digraph.indeg
 
     def _select_node(self):
@@ -416,7 +323,6 @@ class TranspStrategy(Strategy):
     """Cyclic node sweep taking one unprocessed edge per visited node;
     arcs point toward the current node."""
 
-    name = "Transp"
     kind = TRANSPOSED
 
     def start(self, engine):
@@ -455,8 +361,6 @@ class TranspOneStrategy(TranspStrategy):
     """Transp's sweep, but it stays at the current node while its edges
     keep being accepted; a rejection (or running out of edges) moves the
     sweep on."""
-
-    name = "TranspOne"
 
     def on_processed(self, edge, accepted):
         if accepted:
@@ -752,89 +656,74 @@ def phase_one_sparsity_check(
     return is_sparse_bruteforce(Multigraph(n, edges), params)
 
 
-class TwoPhaseStrategy(Strategy):
-    """Seed the digraph from :func:`build_phase_one`, then stream the
-    leftover edges through the paired second-phase strategy."""
+class _TwoPhase(Strategy):
+    """Phase one as a start step, mixed in before the second-phase class:
+    seed the digraph with :func:`build_phase_one`'s arcs, then start the
+    second phase, whose order and orientation the engine drives."""
 
     kind = TWO_PHASE
+    _union_order = "basic"  # the union scan's order: that of the second phase
 
-    def __init__(
-        self,
-        graph,
-        params,
-        seed=0,
-        *,
-        name: str,
-        method: str,
-        pseudoforests: bool,
-        second: str,
-    ):
+    def __init__(self, graph, params, seed=0, *, method, pseudoforests=False):
         super().__init__(graph, params, seed)
-        self.name = name
         self._method = method
         self._pseudoforests = pseudoforests
-        self._second = second
 
     def start(self, engine):
-        super().start(engine)
-        factory = {
-            "basic": BasicStrategy,
-            "nbasic": NBasicStrategy,
-            "transpone": TranspOneStrategy,
-        }[self._second]
-        self._sub = factory(self.graph, self.params, self.seed)
         plan = build_phase_one(
             self.graph,
             self.params,
             self._method,
             pseudoforests=self._pseudoforests,
             seed=self.seed,
-            union_order=self._second if self._method == "union" else "basic",
+            union_order=self._union_order,
             # UnionBasic's scan walks the permutation its second phase uses
-            edge_order=self._sub._order if self._second == "basic" else None,
+            edge_order=self._sequence if self._union_order == "basic" else None,
         )
         for e, t, h in plan.arcs:
             engine.preaccept(e, t, h)
-        self._sub.start(engine)
-
-    def next_edge(self):
-        return self._sub.next_edge()
-
-    def orient(self, u, v):
-        return self._sub.orient(u, v)
-
-    def on_processed(self, edge, accepted):
-        self._sub.on_processed(edge, accepted)
+        super().start(engine)
 
 
-def _two_phase(name: str, method: str, pseudoforests: bool, second: str):
-    return partial(TwoPhaseStrategy, name=name, method=method,
-                   pseudoforests=pseudoforests, second=second)
+class _TwoPhaseBasic(_TwoPhase, BasicStrategy):
+    pass
 
 
-_FACTORIES = {
-    "basic": BasicStrategy,
-    "degmin": DegMinStrategy,
-    "incprocmin": IncProcMinStrategy,
-    "incindegmin": IncInDegMinStrategy,
-    "nbasic": NBasicStrategy,
-    "ndegmin": NDegMinStrategy,
-    "nprocmin": NProcMinStrategy,
-    "nindegmin": NInDegMinStrategy,
-    "nbasiccomp": partial(NBasicStrategy, comp=True),
-    "ndegmincomp": partial(NDegMinStrategy, comp=True),
-    "nprocmincomp": partial(NProcMinStrategy, comp=True),
-    "nindegmincomp": partial(NInDegMinStrategy, comp=True),
-    "pforestsbfs": _two_phase("PForestsBFS", "bfs", True, "basic"),
-    "pforestsdfs": _two_phase("PForestsDFS", "dfs", True, "basic"),
-    "forestsbfs": _two_phase("ForestsBFS", "bfs", False, "basic"),
-    "forestsdfs": _two_phase("ForestsDFS", "dfs", False, "basic"),
-    "unionbasic": _two_phase("UnionBasic", "union", False, "basic"),
-    "unionnbasic": _two_phase("UnionNBasic", "union", False, "nbasic"),
-    "uniontranspone": _two_phase("UnionTranspOne", "union", False, "transpone"),
-    "transp": TranspStrategy,
-    "transpone": TranspOneStrategy,
+class _TwoPhaseNBasic(_TwoPhase, NBasicStrategy):
+    _union_order = "nbasic"
+
+
+class _TwoPhaseTranspOne(_TwoPhase, TranspOneStrategy):
+    _union_order = "transpone"
+
+
+# name -> factory; STRATEGY_NAMES keeps this order, which pinned digests
+# iterate
+_CATALOG = {
+    "Basic": BasicStrategy,
+    "DegMin": DegMinStrategy,
+    "IncProcMin": IncProcMinStrategy,
+    "IncInDegMin": IncInDegMinStrategy,
+    "NBasic": NBasicStrategy,
+    "NDegMin": NDegMinStrategy,
+    "NProcMin": NProcMinStrategy,
+    "NInDegMin": NInDegMinStrategy,
+    "NBasicComp": partial(NBasicStrategy, comp=True),
+    "NDegMinComp": partial(NDegMinStrategy, comp=True),
+    "NProcMinComp": partial(NProcMinStrategy, comp=True),
+    "NInDegMinComp": partial(NInDegMinStrategy, comp=True),
+    "PForestsBFS": partial(_TwoPhaseBasic, method="bfs", pseudoforests=True),
+    "PForestsDFS": partial(_TwoPhaseBasic, method="dfs", pseudoforests=True),
+    "ForestsBFS": partial(_TwoPhaseBasic, method="bfs"),
+    "ForestsDFS": partial(_TwoPhaseBasic, method="dfs"),
+    "UnionBasic": partial(_TwoPhaseBasic, method="union"),
+    "UnionNBasic": partial(_TwoPhaseNBasic, method="union"),
+    "UnionTranspOne": partial(_TwoPhaseTranspOne, method="union"),
+    "Transp": TranspStrategy,
+    "TranspOne": TranspOneStrategy,
 }
+STRATEGY_NAMES = tuple(_CATALOG)
+_BY_LOWER = {name.lower(): name for name in _CATALOG}
 
 
 def make_strategy(
@@ -843,9 +732,12 @@ def make_strategy(
     params: SparsityParams,
     seed: int = 0,
 ) -> Strategy:
-    """Instantiate a strategy by catalog name (case-insensitive)."""
-    factory = _FACTORIES.get(name.lower())
-    if factory is None:
+    """Instantiate a strategy by catalog name (case-insensitive); the
+    catalog spelling becomes its ``name``."""
+    key = _BY_LOWER.get(name.lower())
+    if key is None:
         valid = ", ".join(STRATEGY_NAMES)
         raise ValueError(f"unknown heuristic {name!r}; valid names: {valid}")
-    return factory(graph, params, seed)
+    strategy = _CATALOG[key](graph, params, seed)
+    strategy.name = key
+    return strategy

@@ -14,6 +14,12 @@ so X induces at least k|X| - l accepted edges, and stays tight as more are
 accepted.  The engine records every such closure in one block store, and
 rejects a later edge inside a recorded block (or a loop at a node of one)
 with zero traversal.
+
+The order comes from a :class:`Strategy`, the protocol the engine loop
+drives: next edge, preferred arc head, verdict callback.  Its one cursor
+over an edge sequence, ``_FixedOrder``, runs explicit orders, the weight
+order and the l = 2k storage order; the heuristic Basic is the same cursor
+over a seeded permutation (:mod:`klsparse.heuristics` holds the catalog).
 """
 
 from __future__ import annotations
@@ -350,6 +356,75 @@ class ComponentSet:
         return sorted(sorted(nodes) for nodes in self._block_nodes.values())
 
 
+class Strategy:
+    """The protocol :meth:`PebbleEngine.run` drives.
+
+    ``next_edge`` yields unprocessed edge ids (None when drained);
+    ``orient`` may name a preferred arc head for an accepted edge
+    (None defers to the engine's smaller-indegree rule);
+    ``on_processed`` receives the verdict for bookkeeping.
+    :func:`~klsparse.heuristics.make_strategy` sets ``name`` to the
+    catalog name.
+
+    Contract: called until it returns None, ``next_edge`` eventually
+    yields every edge not yet processed exactly once.  The engine relies
+    on it when it stops at the tight size: it counts the remaining edges
+    without asking for them, and walks them only when the report's order
+    is first read, which raises :class:`StrategyContractError` on a
+    broken order.
+
+    ``start`` binds the engine's processed flags, which the order reads.
+    A strategy keeps no reference to the engine: a deferred tail keeps
+    the strategy in the engine's report, so one would make a cycle.
+    """
+
+    name = ""
+    kind = ""
+    uses_components = False
+
+    def __init__(self, graph: Multigraph, params: SparsityParams, seed: int = 0) -> None:
+        self.graph = graph
+        self.params = params
+        self.seed = seed
+
+    def start(self, engine: PebbleEngine) -> None:
+        self._processed = engine.processed
+
+    def next_edge(self) -> int | None:
+        raise NotImplementedError
+
+    def orient(self, u: int, v: int) -> int | None:
+        return None
+
+    def on_processed(self, edge: int, accepted: bool) -> None:
+        pass
+
+
+class _FixedOrder(Strategy):
+    """The one cursor over an edge sequence: each edge of ``sequence``
+    not yet processed, in turn, with the default orientation rule.  It is
+    the weight order of :func:`extract_weighted`, the storage order of the
+    l = 2k pass and the explicit orders of :func:`extract`, and the
+    heuristic Basic is this cursor over a seeded permutation."""
+
+    kind = "edge-order"
+
+    def __init__(self, sequence: list[int], graph=None, params=None, seed=0) -> None:
+        super().__init__(graph, params, seed)
+        self._sequence = sequence
+        self._pos = 0
+
+    def next_edge(self) -> int | None:
+        seq = self._sequence
+        processed = self._processed
+        while self._pos < len(seq):
+            e = seq[self._pos]
+            self._pos += 1
+            if not processed[e]:
+                return e
+        return None
+
+
 class PebbleEngine:
     """Streaming acceptance engine for one graph and one (k, l) pair.
 
@@ -533,40 +608,6 @@ def resolve_order(order, graph: Multigraph, params: SparsityParams, default: str
     if hasattr(order, "next_edge"):
         return order
     return _FixedOrder(list(order))
-
-
-class _FixedOrder:
-    """Minimal strategy over a fixed edge sequence with the default
-    orientation rule: the weight order of :func:`extract_weighted`, the
-    storage order of the l = 2k pass and the explicit orders of
-    :func:`extract`."""
-
-    name = "fixed"
-    kind = "edge-order"
-    uses_components = False
-
-    def __init__(self, sequence: list[int]) -> None:
-        self._sequence = sequence
-        self._pos = 0
-
-    def start(self, engine: PebbleEngine) -> None:
-        self._processed = engine.processed
-
-    def next_edge(self) -> int | None:
-        seq = self._sequence
-        processed = self._processed
-        while self._pos < len(seq):
-            e = seq[self._pos]
-            self._pos += 1
-            if not processed[e]:
-                return e
-        return None
-
-    def orient(self, u: int, v: int) -> int | None:
-        return None
-
-    def on_processed(self, edge: int, accepted: bool) -> None:
-        pass
 
 
 def extract_weighted(

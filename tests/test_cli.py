@@ -9,6 +9,7 @@ import pytest
 
 from klsparse import (
     IndegreeOverflowError,
+    Instrumentation,
     Multigraph,
     OrientationInfeasibleError,
     ReversalBoundError,
@@ -16,6 +17,7 @@ from klsparse import (
     STRATEGY_NAMES,
     StalePathError,
     StrategyContractError,
+    extract,
     gen_erdos_renyi,
     serialize_graph,
 )
@@ -309,6 +311,23 @@ def test_bench_molecular_family(capsys):
                              heuristic, str(trial_seed)]
     # the rank is order-independent
     assert lines[1].split(",")[7] == lines[2].split(",")[7]
+
+
+def test_bench_times_the_order_extract_runs(capsys):
+    # --seed seeds the strategy and trial t's graph takes --seed + t, so
+    # each row times extract's default run (Basic, seed 0) on its graph
+    argv = ["bench", "--family", "erdos-renyi", "--n", "60", "--pair", "2,3",
+            "--heuristic", "Basic", "--trials", "2", "--seed", "0"]
+    assert main(argv) == 0
+    rows = [row.split(",") for row in capsys.readouterr().out.splitlines()[1:]]
+    assert [row[6] for row in rows] == ["0", "1"]
+    p = SparsityParams(2, 3)
+    for row in rows:
+        counters = Instrumentation()
+        report = extract(gen_erdos_renyi(60, 0.1, int(row[6])), p,
+                         counters=counters)
+        assert row[7] == str(report.accepted_count)
+        assert row[9] == str(counters.bfs_node_visits)
 
 
 def test_bench_molecular_rejects_bad_multiplicity(capsys):

@@ -71,6 +71,16 @@ def test_strategy_kind_partition():
         "UnionNBasic",
         "UnionTranspOne",
     ]
+    # a two-phase strategy is its second-phase strategy with a phase-one start
+    second = {
+        heuristics.BasicStrategy: ["PForestsBFS", "PForestsDFS", "ForestsBFS",
+                                   "ForestsDFS", "UnionBasic"],
+        heuristics.NBasicStrategy: ["UnionNBasic"],
+        heuristics.TranspOneStrategy: ["UnionTranspOne"],
+    }
+    for cls, names in second.items():
+        for name in names:
+            assert isinstance(make_strategy(name, g, p), cls), name
     node_order = [n for n, kind in kinds.items() if kind == "node-order"]
     assert len(node_order) == 8
     comp = [n for n in STRATEGY_NAMES if make_strategy(n, g, p).uses_components]
@@ -139,13 +149,15 @@ def test_bucket_queue_orders_by_key():
 
 
 def test_bucket_queue_stale_reinsert():
-    keys = {0: 0, 1: 1}
-    q = BucketQueue()
-    q.push(0, 0)
-    q.push(1, 1)
-    keys[0] = 3  # stale: bucket 0 now disagrees with the true key
-    out = [q.pop(lambda item: keys[item]) for _ in range(2)]
-    assert out == [1, 0]
+    pushed = BucketQueue()
+    pushed.push(0, 0)
+    pushed.push(1, 1)
+    # BucketQueue(2) starts both items at key 0: item 1 is stale from the start
+    for q in (pushed, BucketQueue(2)):
+        keys = {0: 0, 1: 1}
+        keys[0] = 3  # stale: bucket 0 now disagrees with the true key
+        out = [q.pop(lambda item: keys[item]) for _ in range(2)]
+        assert out == [1, 0]
 
 
 def test_build_phase_one_structure_counts():
