@@ -670,6 +670,12 @@ class _TwoPhase(Strategy):
         self._pseudoforests = pseudoforests
 
     def start(self, engine):
+        p = engine.params
+        if not p.is_augmenting_regime:
+            raise pebble.WrongRegimeError(
+                f"{pebble._name(self)} is a two-phase order, which needs "
+                f"l < 2k; (k={p.k}, l={p.l}) has l = 2k"
+            )
         plan = build_phase_one(
             self.graph,
             self.params,

@@ -8,13 +8,17 @@ a stamp is simply overwritten the next time the node is actually reached,
 which keeps reset work proportional to the nodes visited.  A found path is
 the search's parent pointers, so it is reversed along them with no copy of
 its arcs; it is stale, and refused, once the digraph has searched or
-reversed since.
+reversed since.  The two backward searches,
+:meth:`InnerDigraph.find_reversal_path` and
+:meth:`InnerDigraph.saturated_closure`, each run their BFS in their own
+frame: most searches visit a handful of nodes, so a shared helper call
+would cost about as much as the visits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Container, Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 
 class StalePathError(RuntimeError):
@@ -155,19 +159,17 @@ class InnerDigraph:
         self.indeg[path.source] += 1
         self.counters.path_reversals += 1
 
-    def _backward_search(
-        self,
-        targets: Sequence[int],
-        forbidden: Sequence[int],
-        reached: Container[int] = (),
-    ) -> tuple[int, list[int]]:
-        """Backward BFS from ``targets`` along incoming arcs.
+    def find_reversal_path(
+        self, targets: Sequence[int], forbidden_sources: Sequence[int] = ()
+    ) -> ReversalPath | None:
+        """Find a directed path into one of ``targets`` from a node with
+        indegree below k, excluding ``forbidden_sources`` and the targets
+        themselves as sources.
 
-        Returns ``(source, visited)`` where ``source`` is the first node
-        found with indegree below k outside ``forbidden`` and the targets
-        themselves, or in ``reached``, or -1 if the whole backward closure
-        is saturated; in either case ``visited`` lists every stamped node
-        (the closure, when the search exhausted).
+        A backward BFS from the targets along incoming arcs, so the first
+        source found is one of minimum arc distance; returns None when the
+        backward closure holds no eligible deficient node, and leaves that
+        closure (targets included) in ``last_closure``.
         """
         self._epoch += 1
         epoch = self._epoch
@@ -177,55 +179,36 @@ class InnerDigraph:
         arc_tail = self.arc_tail
         in_arcs = self.in_arcs
         k = self.k
-        c = self.counters
 
         queue = list(targets)
         for t in queue:
             stamp[t] = epoch
-        found = -1
         append = queue.append
         for x in queue:
             for a in in_arcs[x]:
                 y = arc_tail[a]
-                if stamp[y] == epoch:
-                    continue
-                stamp[y] = epoch
-                parent[y] = a
-                append(y)
-                if indeg[y] < k and y not in forbidden or reached and y in reached:
-                    found = y
-                    break
-            if found >= 0:
-                break
-        # every stamped node is queued once: the targets, then each visit
-        visits = len(queue)
-        c.bfs_node_visits += visits
-        return found, queue
-
-    def find_reversal_path(
-        self, targets: Sequence[int], forbidden_sources: Sequence[int] = ()
-    ) -> ReversalPath | None:
-        """Find a directed path into one of ``targets`` from a node with
-        indegree below k, excluding ``forbidden_sources`` and the targets
-        themselves as sources.
-
-        Searches backward from the targets, so the first source found is one
-        of minimum arc distance; returns None when the backward closure holds
-        no eligible deficient node, and leaves that closure (targets
-        included) in ``last_closure``.
-        """
-        source, visited = self._backward_search(targets, forbidden_sources)
-        if source < 0:
-            self.last_closure = visited
+                if stamp[y] != epoch:
+                    stamp[y] = epoch
+                    parent[y] = a
+                    append(y)
+                    if indeg[y] < k and y not in forbidden_sources:
+                        break
+            else:
+                continue
+            break
+        else:
+            # every stamped node is queued once: the targets, then each visit
+            self.counters.bfs_node_visits += len(queue)
+            self.last_closure = queue
             return None
+        self.counters.bfs_node_visits += len(queue)
         arc_head = self.arc_head
-        parent = self._parent
         arcs = 0
-        node = source
+        node = y
         while node not in targets:
             node = arc_head[parent[node]]
             arcs += 1
-        return ReversalPath(source, node, arcs, self._epoch)
+        return ReversalPath(y, node, arcs, epoch)
 
     def drain(
         self, u: int, v: int, ceiling: int, forbidden_sources: Sequence[int] = ()
@@ -260,22 +243,50 @@ class InnerDigraph:
 
         The returned list is every node with a directed path to a target
         (targets included); all of them except possibly the targets and the
-        forbidden nodes have indegree exactly k.  The search stops at the
-        first eligible deficient node it meets.  ``reached`` may hold nodes
-        already known to have a path from such a node; the search stops at
-        them too, and a successful search adds the nodes of its path.
+        forbidden nodes have indegree exactly k.  The backward BFS stops at
+        the first eligible deficient node it meets.  ``reached`` may hold
+        nodes already known to have a path from such a node; the search
+        stops at them too, and a successful search adds the nodes of its
+        path.
         """
-        source, visited = self._backward_search(
-            targets, forbidden_sources, () if reached is None else reached
-        )
-        if source < 0:
-            return visited
+        self._epoch += 1
+        epoch = self._epoch
+        stamp = self._stamp
+        parent = self._parent
+        indeg = self.indeg
+        arc_tail = self.arc_tail
+        in_arcs = self.in_arcs
+        k = self.k
+        stop_at = () if reached is None else reached
+
+        queue = list(targets)
+        for t in queue:
+            stamp[t] = epoch
+        append = queue.append
+        for x in queue:
+            for a in in_arcs[x]:
+                y = arc_tail[a]
+                if stamp[y] != epoch:
+                    stamp[y] = epoch
+                    parent[y] = a
+                    append(y)
+                    if indeg[y] < k and y not in forbidden_sources or y in stop_at:
+                        break
+            else:
+                continue
+            break
+        else:
+            # every stamped node is queued once: the targets, then each visit
+            self.counters.bfs_node_visits += len(queue)
+            return queue
+        self.counters.bfs_node_visits += len(queue)
         if reached is not None:
             # the source reaches every node on its path to the target
-            node = source
+            arc_head = self.arc_head
+            node = y
             while node not in targets:
                 reached.add(node)
-                node = self.arc_head[self._parent[node]]
+                node = arc_head[parent[node]]
             reached.add(node)
         return None
 

@@ -457,6 +457,11 @@ class PebbleEngine:
                                        counters=self.counters)
         # arc count at which run stops: no further edge can be accepted
         self._stop = params.tight_size(graph.n)
+        # try_accept's per-edge constants: the pair and loop ceilings of
+        # SparsityParams.ceiling, and the reversal bound
+        self._pair_ceiling = params.ceiling(0, 1)
+        self._loop_ceiling = params.ceiling(0, 0)
+        self._reversal_bound = params.reversal_bound
 
     def try_accept(self, e: int, preferred_head: int | None = None) -> int:
         """Process edge ``e``: drain its endpoints below the ceiling of
@@ -467,13 +472,14 @@ class PebbleEngine:
         coverage first; a failed search records its closure as a block.
         Reversals performed before a rejection are kept; they only reorient
         the same accepted set.  ``preferred_head`` is honoured if its
-        indegree allows, otherwise the other endpoint takes the arc.
+        indegree allows, otherwise the other endpoint takes the arc.  The
+        ceilings and the reversal bound are read once, when the engine is
+        built.
         """
         g = self.graph
         u = g.edge_u[e]
         v = g.edge_v[e]
-        p = self.params
-        ceiling = p.ceiling(u, v)
+        ceiling = self._loop_ceiling if u == v else self._pair_ceiling
         if ceiling <= 0:
             # a loop at l >= k: no orientation can ever take it
             return -1
@@ -482,12 +488,12 @@ class PebbleEngine:
         if reversals < 0:
             self.blocks.record(digraph.last_closure)
             return reversals
-        if reversals > p.reversal_bound:
+        if reversals > self._reversal_bound:
             raise ReversalBoundError(
-                f"edge {e} took {reversals} reversals, bound {p.reversal_bound}"
+                f"edge {e} took {reversals} reversals, bound {self._reversal_bound}"
             )
         indeg = digraph.indeg
-        if preferred_head is not None and indeg[preferred_head] < p.k:
+        if preferred_head is not None and indeg[preferred_head] < digraph.k:
             head = preferred_head
         else:
             # default rule (and fallback): smaller indegree takes the arc,

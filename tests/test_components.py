@@ -267,20 +267,29 @@ def test_component_pass_runs_one_backward_closure_per_probe(monkeypatch):
     engine = PebbleEngine(g, p)
     engine.run(make_strategy("NBasicComp", g, p))
     exhausted = probes = 0
-    search, probe = InnerDigraph._backward_search, components.detect_block
+    search = InnerDigraph.find_reversal_path
+    closure = InnerDigraph.saturated_closure
+    probe = components.detect_block
 
     def counted_search(self, *args):
         nonlocal exhausted
-        source, visited = search(self, *args)
-        exhausted += source < 0
-        return source, visited
+        path = search(self, *args)
+        exhausted += path is None
+        return path
+
+    def counted_closure(self, *args):
+        nonlocal exhausted
+        nodes = closure(self, *args)
+        exhausted += nodes is not None
+        return nodes
 
     def counted_probe(*args, **kwargs):
         nonlocal probes
         probes += 1
         return probe(*args, **kwargs)
 
-    monkeypatch.setattr(InnerDigraph, "_backward_search", counted_search)
+    monkeypatch.setattr(InnerDigraph, "find_reversal_path", counted_search)
+    monkeypatch.setattr(InnerDigraph, "saturated_closure", counted_closure)
     monkeypatch.setattr(components, "detect_block", counted_probe)
     found = components._components(engine)
     assert len(found.components()) > 1

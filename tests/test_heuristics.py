@@ -13,6 +13,8 @@ from klsparse import (
     Multigraph,
     PebbleEngine,
     SparsityParams,
+    TwoKEngine,
+    WrongRegimeError,
     build_phase_one,
     extract,
     gen_erdos_renyi,
@@ -279,6 +281,25 @@ def test_two_phase_strategies_prime_the_engine():
         assert len(rep.verdicts) == g.m
         # phase one acceptances are recorded with zero reversals
         assert any(v.accepted and v.reversals_used == 0 for v in rep.verdicts)
+
+
+def test_two_phase_strategies_refuse_the_l_equals_2k_engine():
+    g = complete_graph(5)
+    p = SparsityParams(2, 4)
+    two_phase = [
+        name for name in STRATEGY_NAMES
+        if make_strategy(name, g, p).kind == "two-phase"
+    ]
+    assert len(two_phase) == 7
+    for name in two_phase:
+        engine = TwoKEngine(g, 2)
+        with pytest.raises(WrongRegimeError) as raised:
+            engine.run(make_strategy(name, g, p, seed=1))
+        message = str(raised.value)
+        assert message.startswith(f"{name} is a two-phase order, which needs l < 2k")
+        assert "maximal-2k path" not in message
+        # refused before phase one seeded any arc
+        assert engine.digraph.arc_count == 0
 
 
 def test_transp_one_stays_put_while_accepting():

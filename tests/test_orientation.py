@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import deque
 
 import pytest
 
@@ -10,7 +11,15 @@ from klsparse import (
     IndegreeOverflowError,
     InnerDigraph,
     Instrumentation,
+    Multigraph,
+    SparsityParams,
     StalePathError,
+    components_of,
+    decide,
+    extract,
+    extract_maximal_2k,
+    gen_erdos_renyi,
+    make_strategy,
 )
 
 
@@ -127,23 +136,81 @@ def test_path_goes_stale_when_an_insertion_fills_its_source():
     assert indeg == [1, 1, 0]
 
 
+def _reference_search(d, targets, forbidden=(), reached=frozenset()):
+    """Backward BFS by the book, with a set and a deque: the first node
+    (in BFS order) that is deficient outside ``forbidden`` or lies in
+    ``reached``, or -1; the nodes in the order they were marked; and the
+    node path from that source to a target."""
+    order = list(targets)
+    marked = set(targets)
+    via = {}
+    queue = deque(targets)
+    while queue:
+        x = queue.popleft()
+        for a in d.in_arcs[x]:
+            y = d.arc_tail[a]
+            if y in marked:
+                continue
+            marked.add(y)
+            via[y] = d.arc_head[a]
+            order.append(y)
+            queue.append(y)
+            if d.indeg[y] < d.k and y not in forbidden or y in reached:
+                path = [y]
+                while path[-1] not in targets:
+                    path.append(via[path[-1]])
+                return y, order, path
+    return -1, order, []
+
+
 def test_reverse_flips_path_arcs_only():
-    """On seeded random digraphs, each reversal flips exactly ``len(path)``
-    arcs, moves one indegree unit from the target to the source, and keeps
+    """On seeded random digraphs, both backward searches agree with a
+    reference BFS on source, path, closure order, visit count and the
+    growth of ``reached``, across forbidden sources, reached sets, loops
+    and parallel arcs; each reversal flips exactly ``len(path)`` arcs,
+    moves one indegree unit from the target to the source, and keeps
     ``in_arcs`` equal to the arcs by head."""
     rng = random.Random(12)
-    for _ in range(60):
+    found = failed = 0
+    for _ in range(100):
         n, k = rng.randint(2, 12), rng.randint(1, 3)
         d = InnerDigraph(n, k)
         for e in range(rng.randint(1, 3 * n)):
             t, h = rng.randrange(n), rng.randrange(n)
+            if rng.random() < 0.1:
+                t = h  # more loops; repeated draws give parallel arcs
             if d.indeg[h] < k:
                 d.insert_arc(e, t, h)
         for _ in range(10):
             targets = tuple(rng.sample(range(n), rng.randint(1, min(2, n))))
-            path = d.find_reversal_path(targets)
-            if path is None:
+            forbidden = tuple(rng.sample(range(n), rng.randint(0, min(3, n))))
+            reached = set(rng.sample(range(n), rng.randint(0, min(3, n))))
+
+            source, order, nodes = _reference_search(d, targets, forbidden, reached)
+            grown = set(reached)
+            before = d.counters.bfs_node_visits
+            closure = d.saturated_closure(targets, forbidden, grown)
+            assert d.counters.bfs_node_visits - before == len(order)
+            assert closure == (order if source < 0 else None)
+            assert grown == reached.union(nodes)
+
+            source, order, nodes = _reference_search(d, targets, forbidden)
+            assert d.saturated_closure(targets, forbidden) == (
+                order if source < 0 else None
+            )
+            before = d.counters.bfs_node_visits
+            path = d.find_reversal_path(targets, forbidden)
+            assert d.counters.bfs_node_visits - before == len(order)
+            if source < 0:
+                failed += 1
+                assert path is None
+                assert d.last_closure == order
                 continue
+            found += 1
+            assert (path.source, path.target, len(path)) == (
+                source, nodes[-1], len(nodes) - 1
+            )
+
             arcs = list(zip(d.arc_tail, d.arc_head))
             indeg = list(d.indeg)
             d.reverse(path)
@@ -164,6 +231,7 @@ def test_reverse_flips_path_arcs_only():
                 assert sorted(d.in_arcs[x]) == [
                     a for a in range(d.arc_count) if d.arc_head[a] == x
                 ]
+    assert found > 100 and failed > 100
 
 
 def test_forbidden_sources_skipped():
@@ -305,3 +373,64 @@ def test_undirected_edges():
     d.reverse(d.find_reversal_path((2,)))
     # reversal changes arc directions, not the underlying edge set
     assert sorted(d.undirected_edges()) == [(0, 1, 0), (1, 2, 1)]
+
+
+@pytest.mark.parametrize(
+    "run, traversal",
+    [
+        ("Basic", "find_reversal_path"),
+        ("Transp", "find_reversal_path"),
+        ("UnionBasic", "find_reversal_path"),
+        ("decide", "find_reversal_path"),
+        ("components", "multi_source_forward_reach"),
+        ("maximal-2k", "saturated_closure"),
+    ],
+)
+def test_searches_and_reversals_go_through_the_traced_methods(
+    run, traversal, monkeypatch
+):
+    """Every node visit is made inside one of the digraph's traversal
+    methods and every reversal inside ``reverse``, for ``extract`` under
+    three orders, ``decide``, ``components_of`` and ``extract_maximal_2k``:
+    the layer boundaries a tracer wraps see all of the work."""
+    p = SparsityParams(2, 3)
+    g = gen_erdos_renyi(120, 0.08, seed=5)
+    if run == "components":
+        # its accepted subgraph: components_of needs a sparse input
+        g = Multigraph(g.n, [g.endpoints(e) for e in sorted(extract(g, p).accepted)])
+    visits = 0
+    calls = dict.fromkeys(
+        ("find_reversal_path", "saturated_closure", "multi_source_forward_reach",
+         "reverse"),
+        0,
+    )
+
+    def spy(name):
+        method = getattr(InnerDigraph, name)
+
+        def counted(self, *args, **kwargs):
+            nonlocal visits
+            before = self.counters.bfs_node_visits
+            try:
+                return method(self, *args, **kwargs)
+            finally:
+                visits += self.counters.bfs_node_visits - before
+                calls[name] += 1
+
+        monkeypatch.setattr(InnerDigraph, name, counted)
+
+    for name in calls:
+        spy(name)
+    c = Instrumentation()
+    if run == "decide":
+        decide(g, p, c)
+    elif run == "components":
+        components_of(g, p, c)
+    elif run == "maximal-2k":
+        extract_maximal_2k(g, 2, c)
+    else:
+        extract(g, p, make_strategy(run, g, p, seed=2), counters=c)
+    assert c.bfs_node_visits > 0
+    assert visits == c.bfs_node_visits
+    assert calls["reverse"] == c.path_reversals > 0
+    assert calls["find_reversal_path"] > 0 and calls[traversal] > 0
