@@ -12,28 +12,29 @@ Four families:
 * two-phase     -- PForestsBFS/DFS, ForestsBFS/DFS, UnionBasic, UnionNBasic,
                    UnionTranspOne: seed the digraph with edge-disjoint
                    forests (and pseudoforests where k > l), then stream the
-                   leftovers through a paired second-phase order
+                   leftovers through a paired second-phase order, which
+                   the Union* forest scans also walk
 
 A strategy is a configuration of the :class:`~klsparse.pebble.Strategy`
 protocol, which lives next to the engine loop that drives it (and is
 re-exported here): which edge comes next and where its arc points.  Basic
 is the engine's one edge-sequence cursor, ``pebble._FixedOrder``, over a
-seeded permutation, plus a coin for the arc.  The node orders, DegMin, the
-sweeps and UnionTranspOne's first phase step through incidence lists with
-one resumable cursor, :func:`_take`.  A two-phase strategy is its
-second-phase class with phase one as a ``start`` step.  One table,
-``_CATALOG``, maps each of the 21 names to its factory.  Ordering never
-changes the accepted cardinality (matroid regime); it only moves the
-traversal work around.  Every strategy is deterministic for a fixed seed,
-with seed 0 meaning exact storage order where a shuffle would otherwise
-apply.
+seeded permutation, plus a coin for the arc.  The node orders, DegMin and
+the sweeps step through incidence lists with one resumable cursor,
+:func:`_take`.  ``restart`` begins an order afresh over the edges not yet
+flagged, so a two-phase strategy is its second-phase class with phase one
+as a ``start`` step, and a union-find phase one restarts that same order
+for each forest it scans.  One table, ``_CATALOG``, maps each of the 21
+names to its factory.  Ordering never changes the accepted cardinality
+(matroid regime); it only moves the traversal work around.  Every strategy
+is deterministic for a fixed seed, with seed 0 meaning exact storage order
+where a shuffle would otherwise apply.
 """
 
 from __future__ import annotations
 
 import random
 from collections import deque
-from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import partial
 
@@ -121,8 +122,8 @@ class _ProcCountStrategy(Strategy):
     """Keeps ``_proc[v]``, the number of processed edges at node ``v`` (a
     loop counts once), for the strategies keyed on it."""
 
-    def start(self, engine):
-        super().start(engine)
+    def restart(self, flags):
+        super().restart(flags)
         self._proc = [0] * self.graph.n
 
     def on_processed(self, edge, accepted):
@@ -133,47 +134,50 @@ class _ProcCountStrategy(Strategy):
             self._proc[v] += 1
 
 
-class IncProcMinStrategy(_ProcCountStrategy):
-    """Next edge minimizing the endpoints' processed-incident-edge total,
-    arc oriented toward the endpoint with fewer processed edges."""
+class _EdgeKeyStrategy(Strategy):
+    """Next edge by minimum ``_key``, from a queue of all edges made in
+    ``restart``; an edge set in the restart flags is popped and passed
+    over."""
 
     kind = EDGE_ORDER
 
-    def start(self, engine):
-        super().start(engine)
+    def restart(self, flags):
+        super().restart(flags)
         self._bq = BucketQueue(self.graph.m)
+
+    def next_edge(self):
+        pop, key, flags = self._bq.pop, self._key, self._processed
+        while (e := pop(key)) is not None and flags[e]:
+            pass
+        return e
+
+
+class IncProcMinStrategy(_ProcCountStrategy, _EdgeKeyStrategy):
+    """Next edge minimizing the endpoints' processed-incident-edge total,
+    arc oriented toward the endpoint with fewer processed edges."""
 
     def _key(self, e: int) -> int:
         g = self.graph
         proc = self._proc
         return proc[g.edge_u[e]] + proc[g.edge_v[e]]
 
-    def next_edge(self):
-        return self._bq.pop(self._key)
-
     def orient(self, u, v):
         proc = self._proc
         return u if (proc[u], u) <= (proc[v], v) else v
 
 
-class IncInDegMinStrategy(Strategy):
+class IncInDegMinStrategy(_EdgeKeyStrategy):
     """Next edge minimizing the endpoints' current indegree total; the
     engine's default rule already orients toward the smaller indegree."""
 
-    kind = EDGE_ORDER
-
     def start(self, engine):
-        super().start(engine)
-        self._bq = BucketQueue(self.graph.m)
         self._indeg = engine.digraph.indeg
+        super().start(engine)
 
     def _key(self, e: int) -> int:
         g = self.graph
         indeg = self._indeg
         return indeg[g.edge_u[e]] + indeg[g.edge_v[e]]
-
-    def next_edge(self):
-        return self._bq.pop(self._key)
 
 
 def _take(incidence: list[list[int]], ptr: list[int], flags, v: int) -> int | None:
@@ -209,8 +213,8 @@ class _NodeOrderStrategy(Strategy):
             self._toward_current_comp if comp else self._toward_current_plain
         )
 
-    def start(self, engine):
-        super().start(engine)
+    def restart(self, flags):
+        super().restart(flags)
         self._ptr = [0] * self.graph.n
         self._cur = None
 
@@ -245,12 +249,15 @@ class NBasicStrategy(_NodeOrderStrategy):
     _toward_current_plain = True
     _toward_current_comp = False
 
+    def __init__(self, graph, params, seed=0, comp=False):
+        super().__init__(graph, params, seed, comp)
+        self._perm = self._node_order()
+
     def _node_order(self) -> list[int]:
         return _shuffled(list(range(self.graph.n)), self.seed, "node-order")
 
-    def start(self, engine):
-        super().start(engine)
-        self._perm = self._node_order()
+    def restart(self, flags):
+        super().restart(flags)
         self._idx = 0
 
     def _select_node(self):
@@ -292,8 +299,8 @@ class NProcMinStrategy(_ProcCountStrategy, _NodeOrderStrategy):
     _toward_current_plain = True
     _toward_current_comp = False
 
-    def start(self, engine):
-        super().start(engine)
+    def restart(self, flags):
+        super().restart(flags)
         self._bq = BucketQueue(self.graph.n)
 
     def _select_node(self):
@@ -310,9 +317,12 @@ class NInDegMinStrategy(_NodeOrderStrategy):
     _toward_current_comp = True
 
     def start(self, engine):
-        super().start(engine)
-        self._bq = BucketQueue(self.graph.n)
         self._indeg = engine.digraph.indeg
+        super().start(engine)
+
+    def restart(self, flags):
+        super().restart(flags)
+        self._bq = BucketQueue(self.graph.n)
 
     def _select_node(self):
         indeg = self._indeg
@@ -325,14 +335,8 @@ class TranspStrategy(Strategy):
 
     kind = TRANSPOSED
 
-    def start(self, engine):
-        super().start(engine)
-        self._sweep(engine.processed)
-
-    def _sweep(self, flags) -> None:
-        """Begin the sweep at node 0 over the edges not flagged in
-        ``flags``."""
-        self._flags = flags
+    def restart(self, flags):
+        super().restart(flags)
         self._ptr = [0] * self.graph.n
         self._at = 0  # where the next scan starts
         self._last = -1  # node of the last edge taken
@@ -340,7 +344,7 @@ class TranspStrategy(Strategy):
     def next_edge(self):
         incidence = self.graph.incidence
         ptr = self._ptr
-        flags = self._flags
+        flags = self._processed
         n = len(incidence)
         v = self._at
         for _ in range(n):
@@ -384,25 +388,22 @@ class PhaseOneResult:
 
 def _orient_component_tree(
     graph: Multigraph,
-    parent: dict[int, tuple[int, int] | None],
     arcs: list[tuple[int, int, int]],
     arc_at: dict[int, int],
-    extra: tuple[int, int] | None,
+    e: int,
 ) -> None:
-    """Apply the pseudoforest fix-up: flip the tree path from the extra
-    edge's attach node up to the root, then point the extra arc at the
-    freed attach node."""
-    if extra is None:
-        return
-    e, attach = extra
+    """Apply the pseudoforest fix-up for the extra edge ``e``: flip the
+    tree path from its attach node (its first endpoint) up to the root,
+    each node's parent being the tail of the arc ``arc_at`` names for it
+    (a root has none), then point the extra arc at the freed attach
+    node."""
+    attach = graph.edge_u[e]
     node = attach
-    while parent[node] is not None:
-        idx = arc_at[node]
-        a_e, t, h = arcs[idx]
-        arcs[idx] = (a_e, h, t)
-        node = parent[node][1]
-    u, v = graph.edge_u[e], graph.edge_v[e]
-    arcs.append((e, u + v - attach, attach))
+    while (idx := arc_at.get(node)) is not None:
+        a_e, tail, head = arcs[idx]
+        arcs[idx] = (a_e, head, tail)
+        node = tail
+    arcs.append((e, graph.edge_v[e], attach))
 
 
 def _structure_traversal(
@@ -421,9 +422,8 @@ def _structure_traversal(
         if visited[root]:
             continue
         visited[root] = 1
-        parent: dict[int, tuple[int, int] | None] = {root: None}
         arc_at: dict[int, int] = {}
-        extra: tuple[int, int] | None = None
+        extra: int | None = None
         frontier = [root]
         qi = 0
         while qi < len(frontier) if not dfs else frontier:
@@ -439,7 +439,6 @@ def _structure_traversal(
                 if not visited[y]:
                     visited[y] = 1
                     used[e] = 1
-                    parent[y] = (e, x)
                     arc_at[y] = len(arcs)
                     arcs.append((e, x, y))
                     frontier.append(y)
@@ -447,8 +446,9 @@ def _structure_traversal(
                     # y visited means same component here, a cross-component
                     # edge would already have been taken as a tree edge
                     used[e] = 1
-                    extra = (e, g.edge_u[e])
-        _orient_component_tree(g, parent, arcs, arc_at, extra)
+                    extra = e
+        if extra is not None:
+            _orient_component_tree(g, arcs, arc_at, extra)
     return arcs
 
 
@@ -492,7 +492,6 @@ def _orient_structure_edges(
         adj.setdefault(v, []).append((e, u))
     visited: set[int] = set()
     arcs: list[tuple[int, int, int]] = []
-    parent: dict[int, tuple[int, int] | None] = {}
     arc_at: dict[int, int] = {}
     touched = sorted(
         set(adj)
@@ -503,7 +502,6 @@ def _orient_structure_edges(
         if root in visited:
             continue
         visited.add(root)
-        parent[root] = None
         queue = [root]
         qi = 0
         while qi < len(queue):
@@ -513,13 +511,11 @@ def _orient_structure_edges(
                 if y in visited:
                     continue
                 visited.add(y)
-                parent[y] = (e, x)
                 arc_at[y] = len(arcs)
                 arcs.append((e, x, y))
                 queue.append(y)
     for e in extra_edges:
-        attach = g.edge_u[e]
-        _orient_component_tree(g, parent, arcs, arc_at, (e, attach))
+        _orient_component_tree(g, arcs, arc_at, e)
     return arcs
 
 
@@ -527,65 +523,41 @@ def _structure_union_scan(
     graph: Multigraph,
     used: bytearray,
     take_extra: bool,
-    stream: Iterable[int],
+    order: Strategy,
 ) -> list[tuple[int, int, int]]:
     """Grow one forest (plus one cycle edge per component when asked) with
-    a union-find pass over ``stream``, marking each edge it takes in
-    ``used`` before it reads the next one."""
+    a union-find pass over ``order``, restarted over the unused edges.
+    Each edge it takes is marked in ``used``, and ``order`` hears every
+    verdict before it yields the next edge."""
     g = graph
     uf = _UnionFind(g.n)
     tree: list[int] = []
     extras: list[int] = []
-    for e in stream:
-        if used[e]:
-            continue
-        u, v = g.edge_u[e], g.edge_v[e]
-        ru, rv = uf.find(u), uf.find(v)
-        if ru != rv:
-            if take_extra and uf.cycled[ru] and uf.cycled[rv]:
-                # joining two unicyclic components would carry two cycles
-                continue
-            uf.union(ru, rv)
-            used[e] = 1
-            tree.append(e)
-        elif take_extra and not uf.cycled[ru]:
-            uf.cycled[ru] = 1
-            used[e] = 1
-            extras.append(e)
-        else:
-            continue
-        if len(tree) == g.n - 1 and (extras or not take_extra):
-            # one spanning component that takes no further edge
-            break
-    return _orient_structure_edges(g, tree, extras)
-
-
-def _transpone_stream(
-    graph: Multigraph, params: SparsityParams, used: bytearray
-) -> Iterator[int]:
-    """The unused edges in TranspOne's sweep order, for
-    :func:`_structure_union_scan`: the scan's verdict on each yielded edge
-    is read back from ``used``, so the sweep stays at a node while its
-    edges keep joining the structure."""
     seen = bytearray(used)
-    sweep = TranspOneStrategy(graph, params)
-    sweep._sweep(seen)
-    while (e := sweep.next_edge()) is not None:
+    order.restart(seen)
+    next_edge, on_processed = order.next_edge, order.on_processed
+    find, cycled = uf.find, uf.cycled
+    while (e := next_edge()) is not None:
         seen[e] = 1
-        yield e
-        sweep.on_processed(e, bool(used[e]))
-
-
-def _nbasic_edge_sequence(graph: Multigraph, seed: int) -> list[int]:
-    perm = _shuffled(list(range(graph.n)), seed, "node-order")
-    seen = bytearray(graph.m)
-    out: list[int] = []
-    for v in perm:
-        for e in graph.incidence[v]:
-            if not seen[e]:
-                seen[e] = 1
-                out.append(e)
-    return out
+        ru, rv = find(g.edge_u[e]), find(g.edge_v[e])
+        if ru != rv:
+            # joining two unicyclic components would carry two cycles
+            took = not (take_extra and cycled[ru] and cycled[rv])
+            if took:
+                uf.union(ru, rv)
+                tree.append(e)
+        else:
+            took = take_extra and not cycled[ru]
+            if took:
+                cycled[ru] = 1
+                extras.append(e)
+        on_processed(e, took)
+        if took:
+            used[e] = 1
+            if len(tree) == g.n - 1 and (extras or not take_extra):
+                # one spanning component that takes no further edge
+                break
+    return _orient_structure_edges(g, tree, extras)
 
 
 def build_phase_one(
@@ -594,9 +566,7 @@ def build_phase_one(
     method: str = "bfs",
     *,
     pseudoforests: bool = True,
-    seed: int = 0,
-    union_order: str = "basic",
-    edge_order: list[int] | None = None,
+    order: Strategy | None = None,
 ) -> PhaseOneResult:
     """Build the edge-disjoint first-phase structures.
 
@@ -604,9 +574,11 @@ def build_phase_one(
     first, then min(l, 2k-l) forests.  Without: min(l, 2k-l) + (k-l)+
     plain forests.  Their union is (k,l)-sparse, and per-structure
     indegrees stay <= 1, so the seeded digraph respects the k bound.
-    ``method`` is one of bfs / dfs / union; ``union_order`` picks the
-    union-find scan order (basic / nbasic / transpone); the basic scan
-    walks ``edge_order``, by default Basic's permutation for ``seed``.
+    ``method`` is one of bfs / dfs / union.  The union-find scan walks
+    ``order``, a strategy it restarts over the unused edges for each
+    structure (storage order by default); a two-phase strategy passes
+    itself, so its scan walks its second phase's own order.  bfs and dfs
+    ignore ``order``.
     """
     params.require_augmenting_regime()
     if method not in ("bfs", "dfs", "union"):
@@ -619,21 +591,11 @@ def build_phase_one(
     arcs: list[tuple[int, int, int]] = []
     structures: list[list[int]] = []
     plan = [True] * n_pseudo + [False] * n_forest
-    # the basic and nbasic orders depend only on the graph and the seed, so
-    # every structure of the plan walks the same list
-    if method == "union" and union_order == "nbasic":
-        edge_order = _nbasic_edge_sequence(graph, seed)
-    elif method == "union" and union_order == "basic" and edge_order is None:
-        edge_order = _shuffled(list(range(graph.m)), seed, "edge-order")
+    if method == "union" and order is None:
+        order = pebble._FixedOrder(list(range(graph.m)))
     for take_extra in plan:
         if method == "union":
-            if union_order in ("basic", "nbasic"):
-                stream = edge_order
-            elif union_order == "transpone":
-                stream = _transpone_stream(graph, params, used)
-            else:
-                raise ValueError(f"unknown union order {union_order!r}")
-            structure = _structure_union_scan(graph, used, take_extra, stream)
+            structure = _structure_union_scan(graph, used, take_extra, order)
         else:
             structure = _structure_traversal(graph, used, take_extra, method == "dfs")
         arcs.extend(structure)
@@ -658,11 +620,11 @@ def phase_one_sparsity_check(
 
 class _TwoPhase(Strategy):
     """Phase one as a start step, mixed in before the second-phase class:
-    seed the digraph with :func:`build_phase_one`'s arcs, then start the
-    second phase, whose order and orientation the engine drives."""
+    seed the digraph with :func:`build_phase_one`'s arcs (a union scan
+    walks this strategy's own order), then start the second phase, whose
+    order and orientation the engine drives."""
 
     kind = TWO_PHASE
-    _union_order = "basic"  # the union scan's order: that of the second phase
 
     def __init__(self, graph, params, seed=0, *, method, pseudoforests=False):
         super().__init__(graph, params, seed)
@@ -681,10 +643,7 @@ class _TwoPhase(Strategy):
             self.params,
             self._method,
             pseudoforests=self._pseudoforests,
-            seed=self.seed,
-            union_order=self._union_order,
-            # UnionBasic's scan walks the permutation its second phase uses
-            edge_order=self._sequence if self._union_order == "basic" else None,
+            order=self,
         )
         for e, t, h in plan.arcs:
             engine.preaccept(e, t, h)
@@ -696,11 +655,11 @@ class _TwoPhaseBasic(_TwoPhase, BasicStrategy):
 
 
 class _TwoPhaseNBasic(_TwoPhase, NBasicStrategy):
-    _union_order = "nbasic"
+    pass
 
 
 class _TwoPhaseTranspOne(_TwoPhase, TranspOneStrategy):
-    _union_order = "transpone"
+    pass
 
 
 # name -> factory; STRATEGY_NAMES keeps this order, which pinned digests

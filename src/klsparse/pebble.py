@@ -25,6 +25,7 @@ over a seeded permutation (:mod:`klsparse.heuristics` holds the catalog).
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass, field
 
 from .multigraph import Multigraph
@@ -373,9 +374,14 @@ class Strategy:
     is first read, which raises :class:`StrategyContractError` on a
     broken order.
 
-    ``start`` binds the engine's processed flags, which the order reads.
-    A strategy keeps no reference to the engine: a deferred tail keeps
-    the strategy in the engine's report, so one would make a cycle.
+    ``start`` binds what the order reads from the engine (the indegree
+    orders also bind its live indegrees), then begins the order over the
+    engine's processed flags with ``restart``.  ``restart(flags)`` makes
+    all of a run's order state afresh, over the edges not set in
+    ``flags``; phase one's union scan restarts its second phase's order
+    this way, once per structure, on flags of its own.  A strategy keeps
+    no reference to the engine: a deferred tail keeps the strategy in the
+    engine's report, so one would make a cycle.
     """
 
     name = ""
@@ -388,7 +394,10 @@ class Strategy:
         self.seed = seed
 
     def start(self, engine: PebbleEngine) -> None:
-        self._processed = engine.processed
+        self.restart(engine.processed)
+
+    def restart(self, flags) -> None:
+        self._processed = flags
 
     def next_edge(self) -> int | None:
         raise NotImplementedError
@@ -412,6 +421,9 @@ class _FixedOrder(Strategy):
     def __init__(self, sequence: list[int], graph=None, params=None, seed=0) -> None:
         super().__init__(graph, params, seed)
         self._sequence = sequence
+
+    def restart(self, flags) -> None:
+        super().restart(flags)
         self._pos = 0
 
     def next_edge(self) -> int | None:
@@ -595,9 +607,9 @@ def extract(
 ) -> ExtractionReport:
     """Extract a maximum-size (k,l)-sparse subgraph, l < 2k.
 
-    ``order`` is a heuristic strategy or an explicit edge-id sequence
-    (default: Basic with seed 0); the accepted cardinality is
-    order-independent, the work done is not.
+    ``order`` is a heuristic strategy or an explicit edge-id sequence,
+    a permutation of ``range(m)`` (default: Basic with seed 0); the
+    accepted cardinality is order-independent, the work done is not.
     """
     strategy = resolve_order(order, graph, params, "Basic")
     return PebbleEngine(graph, params, counters).run(strategy)
@@ -606,14 +618,34 @@ def extract(
 def resolve_order(order, graph: Multigraph, params: SparsityParams, default: str):
     """The strategy an ``order`` argument names: the ``default`` heuristic
     (seed 0) for None, a :class:`_FixedOrder` for an explicit edge-id
-    sequence, and the object itself when it is already a strategy."""
+    sequence, and the object itself when it is already a strategy.
+
+    An explicit sequence must hold every edge id in ``range(m)`` exactly
+    once, each an integer; otherwise ``ValueError`` names the first bad
+    entry (or the first id left out)."""
     if order is None:
         from .heuristics import make_strategy
 
         return make_strategy(default, graph, params)
     if hasattr(order, "next_edge"):
         return order
-    return _FixedOrder(list(order))
+    m = graph.m
+    seen = bytearray(m)
+    sequence = []
+    for i, item in enumerate(order):
+        try:
+            e = operator.index(item)
+        except TypeError:
+            raise ValueError(f"order entry {i} is {item!r}, not an edge id") from None
+        if not 0 <= e < m:
+            raise ValueError(f"order entry {i} is {e}, not an edge id in range({m})")
+        if seen[e]:
+            raise ValueError(f"order entry {i} repeats edge {e}")
+        seen[e] = 1
+        sequence.append(e)
+    if len(sequence) < m:
+        raise ValueError(f"order leaves out edge {seen.index(0)}")
+    return _FixedOrder(sequence)
 
 
 def extract_weighted(

@@ -184,7 +184,8 @@ def test_phase_one_output_sparse_all_methods():
             for method in ("bfs", "dfs", "union"):
                 for pseudo in (True, False):
                     res = build_phase_one(
-                        g, p, method=method, pseudoforests=pseudo, seed=3
+                        g, p, method=method, pseudoforests=pseudo,
+                        order=make_strategy("Basic", g, p, seed=3),
                     )
                     case = (method, pseudo, k, l)
                     assert phase_one_sparsity_check(res, p)[0], case
@@ -197,7 +198,9 @@ def test_union_phase_one_structures_are_forests_or_pseudoforests():
     for _ in range(6):
         g = random_multigraph(rng, max_n=7, max_m=14)
         p = SparsityParams(2, 1)
-        res = build_phase_one(g, p, method="union", seed=1)
+        res = build_phase_one(
+            g, p, method="union", order=make_strategy("Basic", g, p, seed=1)
+        )
         # structure 0 may carry one cycle per connected component,
         # structures beyond index 0 of the forest block may not
         n_pseudo = max(p.k - p.l, 0)
@@ -233,16 +236,18 @@ def test_union_phase_one_structures_are_forests_or_pseudoforests():
 
 def test_union_nbasic_builds_its_order_once(monkeypatch):
     calls = []
-    original = heuristics._nbasic_edge_sequence
+    original = heuristics.NBasicStrategy._node_order
 
-    def counted(graph, seed):
-        calls.append(seed)
-        return original(graph, seed)
+    def counted(self):
+        calls.append(self.seed)
+        return original(self)
 
-    monkeypatch.setattr(heuristics, "_nbasic_edge_sequence", counted)
+    monkeypatch.setattr(heuristics.NBasicStrategy, "_node_order", counted)
     g = gen_erdos_renyi(40, 0.3, seed=2)
     p = SparsityParams(2, 0)
-    res = build_phase_one(g, p, method="union", union_order="nbasic", seed=1)
+    res = build_phase_one(
+        g, p, method="union", order=make_strategy("NBasic", g, p, seed=1)
+    )
     # two pseudoforests at (2,0), one scan order
     assert len(res.structures) == 2
     assert calls == [1]
@@ -262,6 +267,80 @@ def test_union_nbasic_builds_its_order_once(monkeypatch):
     assert digest.hexdigest() == (
         "907cb652831cbe0069f0dd0a0cc8492fe3437bbd532370e0dd78d8133e860bdb"
     )
+
+
+_SINGLE_PHASE = [
+    name for name in STRATEGY_NAMES
+    if make_strategy(name, complete_graph(2), SparsityParams(1, 1)).kind != "two-phase"
+]
+# the single-phase orders that read no live indegree: restarting one over
+# clear flags must give back the order of a run
+_FLAG_ORDERS = [name for name in _SINGLE_PHASE if "InDeg" not in name]
+
+
+@pytest.mark.parametrize("name", _FLAG_ORDERS)
+def test_restart_reproduces_the_order(name):
+    assert len(_FLAG_ORDERS) == 11
+    g = gen_erdos_renyi(40, 0.3, seed=4)
+    p = SparsityParams(2, 3)
+    for seed in (0, 3):
+        strategy = make_strategy(name, g, p, seed=seed)
+        rep = PebbleEngine(g, p).run(strategy)
+        order = rep.order
+        flags = bytearray(g.m)
+        strategy.restart(flags)
+        drained = []
+        while (e := strategy.next_edge()) is not None:
+            flags[e] = 1
+            drained.append(e)
+            strategy.on_processed(e, e in rep.accepted)
+        assert drained == order
+        # over flags set on the first half, the other half, each edge once
+        half = g.m // 2
+        flags = bytearray(g.m)
+        for e in order[:half]:
+            flags[e] = 1
+        strategy.restart(flags)
+        rest = []
+        while (e := strategy.next_edge()) is not None:
+            flags[e] = 1
+            rest.append(e)
+            strategy.on_processed(e, False)
+        assert sorted(rest) == sorted(order[half:])
+
+
+@pytest.mark.parametrize("name", _SINGLE_PHASE)
+def test_run_after_preaccept_yields_each_edge_once(name):
+    # an edge the caller preaccepted is processed already: no order may
+    # yield it again (the edge-keyed queues used to)
+    g = complete_graph(5)
+    p = SparsityParams(2, 3)
+    engine = PebbleEngine(g, p)
+    engine.preaccept(0, 0, 1)
+    rep = engine.run(make_strategy(name, g, p, seed=2))
+    assert sorted(rep.order) == list(range(g.m))
+    assert rep.accepted_count == 7
+
+
+@pytest.mark.parametrize("name", ["Basic", "NBasic", "TranspOne"])
+def test_union_scan_walks_the_second_phase_order(name):
+    # Union<S> preaccepts exactly the arcs that phase one builds over S
+    g = gen_erdos_renyi(40, 0.3, seed=4)
+    for pair in ((2, 3), (2, 0), (3, 1)):
+        p = SparsityParams(*pair)
+        for seed in (0, 3):
+            engine = PebbleEngine(g, p)
+            make_strategy("Union" + name, g, p, seed=seed).start(engine)
+            d = engine.digraph
+            plan = build_phase_one(
+                g, p, "union", pseudoforests=False,
+                order=make_strategy(name, g, p, seed=seed),
+            )
+            assert plan.arcs == list(zip(d.arc_edge, d.arc_tail, d.arc_head))
+            if seed:
+                # and the order matters: storage order builds other forests
+                storage = build_phase_one(g, p, "union", pseudoforests=False)
+                assert plan.arcs != storage.arcs
 
 
 def test_two_phase_strategies_prime_the_engine():

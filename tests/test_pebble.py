@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import hashlib
+import re
 import weakref
 
 import pytest
@@ -150,6 +151,25 @@ def test_custom_order_changes_nothing_for_size():
     forward = extract(g, p, order=list(range(g.m)))
     backward = extract(g, p, order=list(reversed(range(g.m))))
     assert forward.accepted_count == backward.accepted_count == 7
+
+
+@pytest.mark.parametrize("order, message", [
+    ([-1, 0, 0], "order entry 0 is -1, not an edge id in range(18)"),
+    ([0, 1, 2], "order leaves out edge 3"),
+    (list(range(17)) + [18], "order entry 17 is 18, not an edge id in range(18)"),
+    ([0, 1, 1] + list(range(2, 18)), "order entry 2 repeats edge 1"),
+    ([0.0] + list(range(1, 18)), "order entry 0 is 0.0, not an edge id"),
+    (["0"] + list(range(1, 18)), "order entry 0 is '0', not an edge id"),
+])
+def test_explicit_order_must_be_a_permutation(order, message):
+    # a negative id would alias an edge from the end, a short order would
+    # leave edges unexamined, and an id past m would fail inside the run
+    g = gen_erdos_renyi(10, 0.5, seed=1)
+    p = SparsityParams(2, 3)
+    assert g.m == 18
+    with pytest.raises(ValueError, match=re.escape(message)):
+        extract(g, p, order=order)
+    assert extract(g, p, order=range(17, -1, -1)).accepted_count == 17
 
 
 def test_extract_weighted_frozen_values():
