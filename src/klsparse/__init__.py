@@ -64,6 +64,7 @@ from .orientation import (
     IndegreeOverflowError,
     InnerDigraph,
     Instrumentation,
+    InvariantError,
     ReversalPath,
     StalePathError,
 )
@@ -104,6 +105,7 @@ __all__ = [
     "IndegreeOverflowError",
     "InnerDigraph",
     "Instrumentation",
+    "InvariantError",
     "MalformedEdgeError",
     "MalformedHeaderError",
     "Multigraph",

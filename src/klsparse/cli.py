@@ -1,11 +1,13 @@
 """Command-line surface: decide, extract, components, maximal-2k,
 generate, verify, bench.
 
-Exit codes: 0 success, 2 input parse failure, 3 usage or regime error,
-4 internal error: an engine invariant failed (a reversal bound exceeded,
-an endpoint that cannot be drained, a stale reversal path, an indegree
-overflow or a strategy order that skips or repeats an edge), which
-signals a bug rather than bad input.
+Exit codes: 0 success; 2 input parse failure, a ``GraphParseError``;
+3 usage or regime error, any other ``ValueError`` or an ``OSError``;
+4 internal error, an ``InvariantError``: an engine invariant failed (a
+reversal bound exceeded, an endpoint that cannot be drained, a stale
+reversal path, an indegree overflow or a strategy order that skips or
+repeats an edge), which signals a bug rather than bad input.  The class
+of the exception alone decides the code.
 All randomness flows from ``--seed``; nothing depends on the wall clock
 except the benchmark's runtime column.
 """
@@ -18,30 +20,16 @@ import sys
 import time
 
 from .components import (
-    NotSparseInputError,
     components_of,
     extract_with_components,  # noqa: F401 - perfbench's tracer wraps this name
 )
 from .generators import FAMILIES, GenSpec
 from .heuristics import STRATEGY_NAMES, make_strategy
 from .multigraph import GraphParseError, Multigraph, parse_graph, serialize_graph
-from .oracle import BudgetExceededError, is_sparse_bruteforce
-from .orientation import IndegreeOverflowError, Instrumentation, StalePathError
-from .pebble import (
-    PebbleEngine,
-    ReversalBoundError,
-    SparsityParams,
-    StrategyContractError,
-    UnweightedInputError,
-    WrongRegimeError,
-    decide,
-    extract_weighted,
-)
-from .sparse2k import (
-    NotSimpleInputError,
-    OrientationInfeasibleError,
-    extract_maximal_2k,
-)
+from .oracle import is_sparse_bruteforce
+from .orientation import Instrumentation, InvariantError
+from .pebble import PebbleEngine, SparsityParams, decide, extract_weighted
+from .sparse2k import extract_maximal_2k
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -53,10 +41,6 @@ BENCH_HEADER = (
     "runtime_ns,bfs_node_visits,path_reversals,early_terminated"
 )
 AGGREGATE_HEADER = "family,n,k,l,heuristic,trials,mean_runtime_ns"
-
-
-class _UsageExit(Exception):
-    """Internal: abort the subcommand with exit code 3."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -82,13 +66,6 @@ def _write_text(path: str | None, text: str) -> None:
             fh.write(text)
 
 
-def _params(args) -> SparsityParams:
-    try:
-        return SparsityParams(args.k, args.l)
-    except ValueError as exc:
-        raise _UsageExit(str(exc)) from exc
-
-
 def _run_extraction(graph, params, heuristic: str, seed: int):
     """Extraction driven by the named strategy."""
     strategy = make_strategy(heuristic, graph, params, seed)
@@ -97,7 +74,7 @@ def _run_extraction(graph, params, heuristic: str, seed: int):
 
 def _cmd_decide(args) -> int:
     graph = _read_graph(args.input)
-    params = _params(args)
+    params = SparsityParams(args.k, args.l)
     tight_size = params.tight_size(graph.n)
     if params.is_augmenting_regime:
         report = decide(graph, params)
@@ -132,10 +109,10 @@ def _write_ids(ids) -> None:
 
 def _cmd_extract(args) -> int:
     graph = _read_graph(args.input)
-    params = _params(args)
+    params = SparsityParams(args.k, args.l)
     if args.weighted:
         if args.heuristic is not None:
-            raise _UsageExit(
+            raise ValueError(
                 "--weighted fixes the processing order; --heuristic conflicts"
             )
         report = extract_weighted(graph, params)
@@ -151,7 +128,7 @@ def _cmd_extract(args) -> int:
 
 def _cmd_components(args) -> int:
     graph = _read_graph(args.input)
-    params = _params(args)
+    params = SparsityParams(args.k, args.l)
     comps = components_of(graph, params)
     for comp in comps:
         print(" ".join(str(x) for x in comp))
@@ -191,7 +168,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_verify(args) -> int:
     graph = _read_graph(args.input)
-    params = _params(args)
+    params = SparsityParams(args.k, args.l)
     ok, witness = is_sparse_bruteforce(graph, params)
     if ok:
         print("sparse")
@@ -205,11 +182,8 @@ def _parse_pairs(texts: list[str]) -> list[SparsityParams]:
     for text in texts:
         raw = text.replace(":", ",").split(",")
         if len(raw) != 2:
-            raise _UsageExit(f"bad --pair {text!r}; expected K,L")
-        try:
-            pairs.append(SparsityParams(int(raw[0]), int(raw[1])))
-        except ValueError as exc:
-            raise _UsageExit(str(exc)) from exc
+            raise ValueError(f"bad --pair {text!r}; expected K,L")
+        pairs.append(SparsityParams(int(raw[0]), int(raw[1])))
     return pairs
 
 
@@ -227,12 +201,12 @@ def _cmd_bench(args) -> int:
     pairs = _parse_pairs(args.pair or ["2,3"])
     for p in pairs:
         if not p.is_augmenting_regime:
-            raise _UsageExit(f"bench needs l < 2k, got (k={p.k}, l={p.l})")
+            raise ValueError(f"bench needs l < 2k, got (k={p.k}, l={p.l})")
     heuristics = args.heuristic or list(STRATEGY_NAMES)
     for h in heuristics:
         make_strategy(h, Multigraph(1, []), SparsityParams(1, 0))  # validate name
     if args.trials < 1:
-        raise _UsageExit(f"--trials must be at least 1, got {args.trials}")
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
 
     lines = [BENCH_HEADER]
     sums: dict[tuple, list[float]] = {}
@@ -375,27 +349,10 @@ def main(argv: list[str] | None = None) -> int:
     except GraphParseError as exc:
         print(f"klsparse: parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except _UsageExit as exc:
+    except (ValueError, OSError) as exc:
         print(f"klsparse: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (
-        WrongRegimeError,
-        NotSparseInputError,
-        NotSimpleInputError,
-        UnweightedInputError,
-        BudgetExceededError,
-        ValueError,
-        OSError,
-    ) as exc:
-        print(f"klsparse: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (
-        ReversalBoundError,
-        OrientationInfeasibleError,
-        StalePathError,
-        IndegreeOverflowError,
-        StrategyContractError,
-    ) as exc:
+    except InvariantError as exc:
         name = type(exc).__name__
         print(f"klsparse: internal error: {name}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 from collections.abc import Iterable
 from operator import gt, index
 
@@ -68,28 +69,46 @@ class Multigraph:
         generator, a ``zip`` of two columns); edge ids follow its order.
 
         ``weights``, when given, must have one entry per pair.  Raises
-        ``ValueError`` for an ``n`` that is not a non-negative ``int`` (a
-        bool included), and naming the edge index for an endpoint outside
-        ``[0, n)``, a non-integer endpoint, a pair of the wrong length, a
-        bad weight or a weights list of the wrong length.
+        ``ValueError`` for an ``n`` that is not an ``int`` (a bool
+        included) in ``[0, sys.maxsize]``, the valid list lengths.  One
+        pass over the pairs orders each ``u <= v`` and names the first bad
+        edge: a pair of the wrong length, an endpoint outside ``[0, n)``
+        (NaN included) or a non-integer endpoint, checked in that order.
+        A bad weight or a weights list of the wrong length raises last.
         """
         if isinstance(n, bool) or not isinstance(n, int):
             raise ValueError(f"node count must be an integer, got {n!r}")
         if n < 0:
             raise ValueError(f"node count must be non-negative, got {n}")
-        pairs = list(edges)  # a non-iterable raises its own TypeError here
-        try:
-            edge_u, edge_v = _ordered(
-                [u for u, v in pairs], [v for u, v in pairs]
-            )
-            # with u <= v the extremes sit in one column each; a NaN can hide
-            # one, but it fails the indexing in _build
-            if pairs and (min(edge_u) < 0 or max(edge_v) >= n):
-                raise ValueError("endpoint out of range")
-            self._build(n, edge_u, edge_v)
-        except (TypeError, ValueError, IndexError):
-            _raise_first_bad_edge(n, pairs)
-            raise
+        if n > sys.maxsize:
+            raise ValueError(f"node count must be at most {sys.maxsize}, got {n}")
+        edge_u: list = []
+        edge_v: list = []
+        # a non-iterable raises its own TypeError here
+        for e, pair in enumerate(edges):
+            try:
+                try:
+                    u, v = pair
+                except ValueError:
+                    raise ValueError(
+                        f"edge {e}: expected a pair of endpoints, got {pair!r}"
+                    ) from None
+                if u > v:
+                    u, v = v, u
+                # with u <= v these bound both endpoints; NaN fails them
+                if not (0 <= u and v < n):
+                    raise ValueError(f"edge {e}: endpoint out of range [0, {n})")
+                # a loop keeps its given objects, so (1, 1.0) is a loop at 1
+                index(u)
+                if v != u:
+                    index(v)
+            except TypeError:
+                raise ValueError(
+                    f"edge {e}: endpoints must be a pair of integers, got {pair!r}"
+                ) from None
+            edge_u.append(u)
+            edge_v.append(v)
+        self._build(n, edge_u, edge_v)
         if weights is not None:
             if len(weights) != self.m:
                 raise ValueError(f"{self.m} edges but {len(weights)} weights")
@@ -130,16 +149,13 @@ class Multigraph:
         """Set every field but ``weights`` from two endpoint columns with
         ``u <= v`` in every pair.
 
-        The caller has proved that no endpoint is negative: a negative id
-        would index the incidence lists from the end.  Indexing raises
-        ``IndexError`` for an endpoint ``>= n`` and ``TypeError`` for one
-        that is not an integer, naming no edge.
+        The caller has proved every endpoint an integer in ``[0, n)``: a
+        negative id would index the incidence lists from the end.
         """
         m = len(edge_u)
         incidence: list[list[int]] = [[] for _ in range(n)]
         loops: list[int] = []
         for e, u, v in zip(range(m), edge_u, edge_v):
-            # indexing raises TypeError for non-integer endpoints
             incidence[u].append(e)
             if v != u:
                 incidence[v].append(e)
@@ -196,34 +212,6 @@ def _ordered(edge_u: list, edge_v: list) -> tuple[list, list]:
         # swapping only when u > v does
         return list(map(min, edge_u, edge_v)), list(map(max, edge_v, edge_u))
     return edge_u, edge_v
-
-
-def _raise_first_bad_edge(n: int, pairs: list) -> None:
-    """Raise the ``ValueError`` that names the first edge of ``pairs`` that
-    is not a pair of integers in ``[0, n)``; return if there is none.
-
-    The edge-by-edge replay of a failed column build, checking each pair in
-    the order the build would meet its faults.
-    """
-    for e, pair in enumerate(pairs):
-        try:
-            try:
-                u, v = pair
-            except ValueError:
-                raise ValueError(
-                    f"edge {e}: expected a pair of endpoints, got {pair!r}"
-                ) from None
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge {e}: endpoint out of range [0, {n})")
-            if u > v:
-                u, v = v, u
-            index(u)
-            if v != u:
-                index(v)
-        except TypeError:
-            raise ValueError(
-                f"edge {e}: endpoints must be a pair of integers, got {pair!r}"
-            ) from None
 
 
 # The canonical unweighted form, exactly what serialize_graph writes: a
@@ -360,6 +348,11 @@ def _parse_lines(text: str | bytes) -> Multigraph:
                 raise MalformedHeaderError(
                     f"node/edge counts must be non-negative, got {n}, {m}",
                     lineno,
+                )
+            if n > sys.maxsize:
+                # a node count must be a valid list length
+                raise MalformedHeaderError(
+                    f"node count must be at most {sys.maxsize}, got {n}", lineno
                 )
             weighted = len(tokens) == 4
             header = (n, m, weighted)

@@ -21,11 +21,16 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 
-class StalePathError(RuntimeError):
+class InvariantError(RuntimeError):
+    """An engine invariant failed: a bug, not bad input.  The base of every
+    such error the package raises; the CLI maps it to exit code 4."""
+
+
+class StalePathError(InvariantError):
     """A reversal path no longer matches the current arc directions."""
 
 
-class IndegreeOverflowError(RuntimeError):
+class IndegreeOverflowError(InvariantError):
     """Inserting the arc would push the head's indegree above k."""
 
 

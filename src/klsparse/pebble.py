@@ -29,7 +29,7 @@ import operator
 from dataclasses import dataclass, field
 
 from .multigraph import Multigraph
-from .orientation import InnerDigraph, Instrumentation
+from .orientation import InnerDigraph, Instrumentation, InvariantError
 
 
 class WrongRegimeError(ValueError):
@@ -40,7 +40,7 @@ class UnweightedInputError(ValueError):
     """Weighted extraction was asked for a graph without weights."""
 
 
-class ReversalBoundError(RuntimeError):
+class ReversalBoundError(InvariantError):
     """An edge took more path reversals than the proven bound allows;
     impossible on a digraph built by the engine, so it signals a corrupted
     orientation state."""
@@ -117,9 +117,10 @@ _COVERED = _CODE[Reason.COVERED_BY_COMPONENT]
 _EARLY_TERMINATED = _CODE[Reason.EARLY_TERMINATED]
 
 
-class StrategyContractError(RuntimeError):
-    """A strategy's order broke the engine's contract: past the tight size
-    it did not yield each still-unprocessed edge exactly once."""
+class StrategyContractError(InvariantError):
+    """A strategy's order broke the engine's contract: it ended with edges
+    unprocessed while more could be accepted, or past the tight size it
+    did not yield each still-unprocessed edge exactly once."""
 
 
 def _name(strategy) -> str:
@@ -368,11 +369,13 @@ class Strategy:
     catalog name.
 
     Contract: called until it returns None, ``next_edge`` eventually
-    yields every edge not yet processed exactly once.  The engine relies
-    on it when it stops at the tight size: it counts the remaining edges
-    without asking for them, and walks them only when the report's order
-    is first read, which raises :class:`StrategyContractError` on a
-    broken order.
+    yields every edge not yet processed exactly once, and ``graph`` and
+    ``params``, where set, are the engine's.  The engine checks the
+    second part before the run and an order that ends early after it.  It
+    relies on the first part when it stops at the tight size: it counts
+    the remaining edges without asking for them, and walks them only when
+    the report's order is first read, which raises
+    :class:`StrategyContractError` on a broken order.
 
     ``start`` binds what the order reads from the engine (the indegree
     orders also bind its live indegrees), then begins the order over the
@@ -545,7 +548,20 @@ class PebbleEngine:
         live indegrees (IncInDegMin, NInDegMin, NInDegMinComp) read this
         engine's digraph during that walk, so read ``order`` before
         anything reorients it.
+
+        Raises ``ValueError`` before the run when ``strategy`` was made for
+        another graph or (k, l) pair (one whose ``graph`` or ``params`` is
+        set and differs from the engine's), and
+        :class:`StrategyContractError` when its order ends below the stop
+        value with edges left unprocessed.
         """
+        for name, mine in (("graph", self.graph), ("params", self.params)):
+            theirs = getattr(strategy, name, None)
+            if theirs is not None and theirs is not mine and theirs != mine:
+                raise ValueError(
+                    f"{_name(strategy)} was made for {name} {theirs!r}, "
+                    f"not the engine's {mine!r}"
+                )
         report = self.report
         order = report._order
         reasons = report._reasons
@@ -588,11 +604,16 @@ class PebbleEngine:
             if r:
                 reversals_of[e] = r
             on_processed(e, ok)
+        rest = report.m - len(order)
+        if rest > 0 and len(arcs) < stop:
+            raise StrategyContractError(
+                f"{_name(strategy)} ended its order with {rest} edge(s) "
+                "unprocessed"
+            )
         counters = self.counters
         counters.edges_processed += len(order) - first
         counters.edges_accepted += len(accepted) - first_accepted
-        rest = report.m - len(order)
-        if rest > 0 and len(arcs) >= stop:
+        if rest > 0:
             counters.edges_processed += rest
             counters.early_termination_hit = 1
             report._tail = (strategy, processed)

@@ -48,7 +48,7 @@ from __future__ import annotations
 from operator import eq
 
 from .multigraph import Multigraph
-from .orientation import InnerDigraph, Instrumentation
+from .orientation import InnerDigraph, Instrumentation, InvariantError
 from .pebble import (
     ExtractionReport,
     PebbleEngine,
@@ -62,7 +62,7 @@ class NotSimpleInputError(ValueError):
     """The l = 2k path is defined for simple graphs only."""
 
 
-class OrientationInfeasibleError(RuntimeError):
+class OrientationInfeasibleError(InvariantError):
     """Zeroing an endpoint indegree failed; impossible on a digraph built
     by this engine, so it signals a corrupted orientation state."""
 

@@ -8,8 +8,10 @@ from itertools import combinations
 import pytest
 
 from klsparse import (
+    GraphParseError,
     IndegreeOverflowError,
     Instrumentation,
+    InvariantError,
     Multigraph,
     OrientationInfeasibleError,
     ReversalBoundError,
@@ -21,7 +23,14 @@ from klsparse import (
     gen_erdos_renyi,
     serialize_graph,
 )
-from klsparse.cli import AGGREGATE_HEADER, BENCH_HEADER, EXIT_INTERNAL, main
+from klsparse.cli import (
+    AGGREGATE_HEADER,
+    BENCH_HEADER,
+    EXIT_INTERNAL,
+    EXIT_PARSE,
+    EXIT_USAGE,
+    main,
+)
 
 
 def write_graph(tmp_path, g: Multigraph, name: str = "g.txt") -> str:
@@ -389,6 +398,58 @@ def test_every_invariant_failure_is_internal_error(
     argv = ["maximal-2k", "-k", "1", "--input", k4_path(tmp_path)]
     assert main(argv) == EXIT_INTERNAL
     _internal_error_line(capsys, error.__name__)
+
+
+def _package_subclasses(base: type) -> list[type]:
+    """``base`` and every subclass of it, at any depth, that this package
+    defines, by name."""
+    found, todo = [], [base]
+    while todo:
+        cls = todo.pop()
+        if cls.__module__.startswith("klsparse."):
+            found.append(cls)
+        todo += cls.__subclasses__()
+    return sorted(found, key=lambda cls: cls.__name__)
+
+
+_EXIT_TABLE = (
+    [(cls, EXIT_INTERNAL, f"klsparse: internal error: {cls.__name__}: ")
+     for cls in _package_subclasses(InvariantError)]
+    + [(cls, EXIT_USAGE, "klsparse: error: ")
+       for cls in _package_subclasses(ValueError)
+       if not issubclass(cls, GraphParseError)]
+    + [(cls, EXIT_PARSE, "klsparse: parse error: ")
+       for cls in _package_subclasses(GraphParseError)]
+)
+
+
+def test_exit_table_covers_every_invariant_error():
+    names = {cls.__name__ for cls, code, _ in _EXIT_TABLE if code == EXIT_INTERNAL}
+    assert names == {
+        "InvariantError", "IndegreeOverflowError", "OrientationInfeasibleError",
+        "ReversalBoundError", "StalePathError", "StrategyContractError",
+    }
+
+
+@pytest.mark.parametrize(
+    "error, code, prefix", _EXIT_TABLE, ids=[cls.__name__ for cls, *_ in _EXIT_TABLE]
+)
+def test_exit_code_follows_the_exception_class(
+    tmp_path, capsys, monkeypatch, error, code, prefix
+):
+    def broken(*args, **kwargs):
+        if issubclass(error, GraphParseError):
+            raise error("failed", 7)
+        raise error("failed")
+
+    monkeypatch.setattr("klsparse.cli.extract_maximal_2k", broken)
+    argv = ["maximal-2k", "-k", "1", "--input", k4_path(tmp_path)]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        prefix + ("line 7: failed" if code == EXIT_PARSE else "failed")
+    ]
 
 
 # sha256 of `extract -k 2 -l 3 --heuristic H --seed 1` stdout on

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
+import klsparse
 from klsparse import (
     EdgeCountMismatchError,
     GraphParseError,
@@ -67,6 +71,37 @@ def test_node_id_validation():
 def test_node_count_must_be_an_integer(n):
     with pytest.raises(ValueError, match="node count must be an integer"):
         Multigraph(n, [])
+
+
+def test_node_count_past_list_length_is_refused():
+    # unbounded, such a count loops over incidence lists until memory runs
+    # out, so each call runs in a child process with its address space
+    # capped and a timeout
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))\n"
+        "from klsparse import Multigraph, MalformedHeaderError, parse_graph\n"
+        "n = sys.maxsize + 1\n"
+        "try:\n"
+        "    Multigraph(n, [])\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+        "for text in (b'kl-graph %d 0\\n' % n,\n"
+        "             'kl-graph %d 1 weighted\\n0 1 1\\n' % n):\n"
+        "    try:\n"
+        "        parse_graph(text)\n"
+        "    except MalformedHeaderError as exc:\n"
+        "        print(exc)\n"
+    )
+    src = os.path.dirname(os.path.dirname(klsparse.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        timeout=60, env={**os.environ, "PYTHONPATH": src},
+    )
+    message = f"node count must be at most {sys.maxsize}, got {sys.maxsize + 1}"
+    assert proc.stdout.splitlines() == [
+        message, "line 1: " + message, "line 1: " + message
+    ], proc.stderr
 
 
 def test_negative_weight_rejected():

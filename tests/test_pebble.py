@@ -27,6 +27,7 @@ from klsparse import (
     make_strategy,
 )
 from klsparse.heuristics import BasicStrategy
+from klsparse.pebble import _FixedOrder
 from conftest import complete_graph
 
 
@@ -407,6 +408,37 @@ def test_tail_contract_is_checked_without_assert(stub):
     with pytest.raises(StrategyContractError):
         rep.order
     assert issubclass(StrategyContractError, RuntimeError)
+
+
+def test_strategy_for_another_graph_is_refused():
+    # run unchecked, Basic of a 52-edge graph walks 52 of these 119 edges
+    # and accepts 37 where the maximum is 57
+    g = gen_erdos_renyi(30, 0.3, seed=1)
+    other = gen_erdos_renyi(30, 0.1, seed=2)
+    p = SparsityParams(2, 3)
+    with pytest.raises(ValueError, match="Basic was made for graph"):
+        extract(g, p, order=make_strategy("Basic", other, p))
+    assert extract(g, p, order=make_strategy("Basic", g, p)).accepted_count == 57
+
+
+def test_strategy_for_another_pair_is_refused():
+    # run unchecked, phase one of (1,0) seeds all three edges, which (2,3)
+    # does not allow
+    g = Multigraph(3, [(0, 1), (0, 1), (1, 2)])
+    p = SparsityParams(2, 3)
+    order = make_strategy("PForestsBFS", g, SparsityParams(1, 0))
+    with pytest.raises(ValueError, match="PForestsBFS was made for params"):
+        PebbleEngine(g, p).run(order)
+    assert extract(g, p, order=make_strategy("PForestsBFS", g, p)).accepted_count == 2
+
+
+def test_order_ending_below_the_stop_is_a_contract_error():
+    # a strategy bound to no graph, whose order ends after 52 of 119 edges
+    # while more could still be accepted
+    g = gen_erdos_renyi(30, 0.3, seed=1)
+    order = _FixedOrder(list(range(52)))
+    with pytest.raises(StrategyContractError, match="67 edge"):
+        PebbleEngine(g, SparsityParams(2, 3)).run(order)
 
 
 def test_no_tail_without_remaining_edges():
