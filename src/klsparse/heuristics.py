@@ -2,11 +2,12 @@
 
 Four families:
 
-* edge orders   -- Basic, DegMin, IncProcMin, IncInDegMin; DegMin walks
-                   NDegMin's order and only orients arcs by degree
+* edge orders   -- Basic, DegMin, IncProcMin, IncInDegMin; DegMin is
+                   NDegMin (see :class:`NDegMinStrategy`)
 * node orders   -- NBasic, NDegMin, NProcMin, NInDegMin and their *Comp
-                   variants (same order, flipped arc orientation; NBasicComp
-                   is the default order of the component pass)
+                   variants (same order, flipped arc rule; NDegMinComp is
+                   NDegMin, NBasicComp the default order of the component
+                   pass)
 * transposed    -- Transp, TranspOne (one cyclic node sweep; TranspOne
                    stays at a node while its edges keep being accepted)
 * two-phase     -- PForestsBFS/DFS, ForestsBFS/DFS, UnionBasic, UnionNBasic,
@@ -19,16 +20,18 @@ A strategy is a configuration of the :class:`~klsparse.pebble.Strategy`
 protocol, which lives next to the engine loop that drives it (and is
 re-exported here): which edge comes next and where its arc points.  Basic
 is the engine's one edge-sequence cursor, ``pebble._FixedOrder``, over a
-seeded permutation, plus a coin for the arc.  The node orders, DegMin and
-the sweeps step through incidence lists with one resumable cursor,
+seeded permutation, plus a coin for the arc.  The node orders and the
+sweeps step through incidence lists with one resumable cursor,
 :func:`_take`.  ``restart`` begins an order afresh over the edges not yet
 flagged, so a two-phase strategy is its second-phase class with phase one
 as a ``start`` step, and a union-find phase one restarts that same order
 for each forest it scans.  One table, ``_CATALOG``, maps each of the 21
-names to its factory.  Ordering never changes the accepted cardinality
-(matroid regime); it only moves the traversal work around.  Every strategy
-is deterministic for a fixed seed, with seed 0 meaning exact storage order
-where a shuffle would otherwise apply.
+names to its factory and its whole configuration, a node order's arc rule
+(toward the current node or away from it) included.  Ordering never
+changes the accepted cardinality (matroid regime); it only moves the
+traversal work around.  Every strategy is deterministic for a fixed seed,
+with seed 0 meaning exact storage order where a shuffle would otherwise
+apply.
 """
 
 from __future__ import annotations
@@ -41,11 +44,6 @@ from functools import partial
 from . import pebble
 from .multigraph import Multigraph
 from .pebble import SparsityParams, Strategy
-
-EDGE_ORDER = "edge-order"
-NODE_ORDER = "node-order"
-TRANSPOSED = "transposed"
-TWO_PHASE = "two-phase"
 
 class BucketQueue:
     """Integer-keyed FIFO buckets with lazy re-keying.
@@ -139,8 +137,6 @@ class _EdgeKeyStrategy(Strategy):
     ``restart``; an edge set in the restart flags is popped and passed
     over."""
 
-    kind = EDGE_ORDER
-
     def restart(self, flags):
         super().restart(flags)
         self._bq = BucketQueue(self.graph.m)
@@ -199,19 +195,13 @@ def _take(incidence: list[list[int]], ptr: list[int], flags, v: int) -> int | No
 
 class _NodeOrderStrategy(Strategy):
     """Shared machinery: select a node, drain all its unprocessed incident
-    edges (in incidence order), move on.  Subclasses pick the node; the
-    ``comp`` flag flips the arc-orientation rule for component runs."""
+    edges (in incidence order), move on.  Subclasses pick the node;
+    ``toward_current`` is the arc rule: point each accepted arc at the
+    current node, or away from it."""
 
-    kind = NODE_ORDER
-    _toward_current_plain = True
-    _toward_current_comp = False
-
-    def __init__(self, graph, params, seed=0, comp=False):
+    def __init__(self, graph, params, seed=0, *, toward_current):
         super().__init__(graph, params, seed)
-        self.uses_components = comp
-        self._toward_current = (
-            self._toward_current_comp if comp else self._toward_current_plain
-        )
+        self._toward_current = toward_current
 
     def restart(self, flags):
         super().restart(flags)
@@ -243,14 +233,10 @@ class _NodeOrderStrategy(Strategy):
 
 
 class NBasicStrategy(_NodeOrderStrategy):
-    """One pass over a random node permutation (seed 0 = id order); arcs
-    point toward the current node (outward in the Comp variant)."""
+    """One pass over a random node permutation (seed 0 = id order)."""
 
-    _toward_current_plain = True
-    _toward_current_comp = False
-
-    def __init__(self, graph, params, seed=0, comp=False):
-        super().__init__(graph, params, seed, comp)
+    def __init__(self, graph, params, seed=0, *, toward_current):
+        super().__init__(graph, params, seed, toward_current=toward_current)
         self._perm = self._node_order()
 
     def _node_order(self) -> list[int]:
@@ -270,34 +256,19 @@ class NBasicStrategy(_NodeOrderStrategy):
 
 class NDegMinStrategy(NBasicStrategy):
     """Nodes by minimum input-graph degree, ties by id: the key never
-    changes, so this is NBasic over a fixed sorted permutation.  Arcs point
-    toward the current node in both variants."""
-
-    _toward_current_plain = True
-    _toward_current_comp = True
+    changes, so this is NBasic over a fixed sorted permutation.  With arcs
+    toward the current node it is also DegMin and NDegMinComp: while node
+    x is current every edge of an earlier node has been processed, so x is
+    the smaller-(degree, id) endpoint of every edge it yields, the head
+    DegMin's rule picks."""
 
     def _node_order(self) -> list[int]:
         return sorted(range(self.graph.n), key=self.graph.degree.__getitem__)
 
 
-class DegMinStrategy(NDegMinStrategy):
-    """NDegMin's order (nodes by minimum input-graph degree, each one's
-    edges drained in incidence order) as an edge order: arcs point toward
-    the smaller-degree endpoint, not toward the current node."""
-
-    kind = EDGE_ORDER
-
-    def orient(self, u, v):
-        d = self.graph.degree
-        return u if (d[u], u) <= (d[v], v) else v
-
-
 class NProcMinStrategy(_ProcCountStrategy, _NodeOrderStrategy):
     """Nodes by minimum processed-incident-edge count (monotone key, exact
-    minimum); arcs toward the current node (outward in Comp)."""
-
-    _toward_current_plain = True
-    _toward_current_comp = False
+    minimum)."""
 
     def restart(self, flags):
         super().restart(flags)
@@ -310,11 +281,7 @@ class NProcMinStrategy(_ProcCountStrategy, _NodeOrderStrategy):
 
 class NInDegMinStrategy(_NodeOrderStrategy):
     """Nodes by minimum current indegree (lazy approximation, the key also
-    shrinks under reversals); arcs point outward from the current node
-    (toward it in the Comp variant)."""
-
-    _toward_current_plain = False
-    _toward_current_comp = True
+    shrinks under reversals)."""
 
     def start(self, engine):
         self._indeg = engine.digraph.indeg
@@ -332,8 +299,6 @@ class NInDegMinStrategy(_NodeOrderStrategy):
 class TranspStrategy(Strategy):
     """Cyclic node sweep taking one unprocessed edge per visited node;
     arcs point toward the current node."""
-
-    kind = TRANSPOSED
 
     def restart(self, flags):
         super().restart(flags)
@@ -622,12 +587,11 @@ class _TwoPhase(Strategy):
     """Phase one as a start step, mixed in before the second-phase class:
     seed the digraph with :func:`build_phase_one`'s arcs (a union scan
     walks this strategy's own order), then start the second phase, whose
-    order and orientation the engine drives."""
+    order and orientation the engine drives.  Keywords other than the
+    phase-one ``method`` and ``pseudoforests`` go to the second phase."""
 
-    kind = TWO_PHASE
-
-    def __init__(self, graph, params, seed=0, *, method, pseudoforests=False):
-        super().__init__(graph, params, seed)
+    def __init__(self, graph, params, seed=0, *, method, pseudoforests=False, **second):
+        super().__init__(graph, params, seed, **second)
         self._method = method
         self._pseudoforests = pseudoforests
 
@@ -662,27 +626,30 @@ class _TwoPhaseTranspOne(_TwoPhase, TranspOneStrategy):
     pass
 
 
-# name -> factory; STRATEGY_NAMES keeps this order, which pinned digests
-# iterate
+_NDEGMIN = partial(NDegMinStrategy, toward_current=True)
+
+# name -> factory with its whole configuration; a Comp variant flips its
+# node order's arc rule, except NDegMinComp, which is NDegMin.
+# STRATEGY_NAMES keeps this order, which pinned digests iterate
 _CATALOG = {
     "Basic": BasicStrategy,
-    "DegMin": DegMinStrategy,
+    "DegMin": _NDEGMIN,
     "IncProcMin": IncProcMinStrategy,
     "IncInDegMin": IncInDegMinStrategy,
-    "NBasic": NBasicStrategy,
-    "NDegMin": NDegMinStrategy,
-    "NProcMin": NProcMinStrategy,
-    "NInDegMin": NInDegMinStrategy,
-    "NBasicComp": partial(NBasicStrategy, comp=True),
-    "NDegMinComp": partial(NDegMinStrategy, comp=True),
-    "NProcMinComp": partial(NProcMinStrategy, comp=True),
-    "NInDegMinComp": partial(NInDegMinStrategy, comp=True),
+    "NBasic": partial(NBasicStrategy, toward_current=True),
+    "NDegMin": _NDEGMIN,
+    "NProcMin": partial(NProcMinStrategy, toward_current=True),
+    "NInDegMin": partial(NInDegMinStrategy, toward_current=False),
+    "NBasicComp": partial(NBasicStrategy, toward_current=False),
+    "NDegMinComp": _NDEGMIN,
+    "NProcMinComp": partial(NProcMinStrategy, toward_current=False),
+    "NInDegMinComp": partial(NInDegMinStrategy, toward_current=True),
     "PForestsBFS": partial(_TwoPhaseBasic, method="bfs", pseudoforests=True),
     "PForestsDFS": partial(_TwoPhaseBasic, method="dfs", pseudoforests=True),
     "ForestsBFS": partial(_TwoPhaseBasic, method="bfs"),
     "ForestsDFS": partial(_TwoPhaseBasic, method="dfs"),
     "UnionBasic": partial(_TwoPhaseBasic, method="union"),
-    "UnionNBasic": partial(_TwoPhaseNBasic, method="union"),
+    "UnionNBasic": partial(_TwoPhaseNBasic, method="union", toward_current=True),
     "UnionTranspOne": partial(_TwoPhaseTranspOne, method="union"),
     "Transp": TranspStrategy,
     "TranspOne": TranspOneStrategy,

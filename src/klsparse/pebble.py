@@ -388,8 +388,6 @@ class Strategy:
     """
 
     name = ""
-    kind = ""
-    uses_components = False
 
     def __init__(self, graph: Multigraph, params: SparsityParams, seed: int = 0) -> None:
         self.graph = graph
@@ -418,8 +416,6 @@ class _FixedOrder(Strategy):
     the weight order of :func:`extract_weighted`, the storage order of the
     l = 2k pass and the explicit orders of :func:`extract`, and the
     heuristic Basic is this cursor over a seeded permutation."""
-
-    kind = "edge-order"
 
     def __init__(self, sequence: list[int], graph=None, params=None, seed=0) -> None:
         super().__init__(graph, params, seed)

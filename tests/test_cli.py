@@ -9,15 +9,12 @@ import pytest
 
 from klsparse import (
     GraphParseError,
-    IndegreeOverflowError,
     Instrumentation,
     InvariantError,
     Multigraph,
-    OrientationInfeasibleError,
     ReversalBoundError,
     SparsityParams,
     STRATEGY_NAMES,
-    StalePathError,
     StrategyContractError,
     extract,
     gen_erdos_renyi,
@@ -382,22 +379,6 @@ def test_maximal_2k_zeroing_bound_is_internal_error(tmp_path, capsys, monkeypatc
     argv = ["maximal-2k", "-k", "1", "--input", k4_path(tmp_path)]
     assert main(argv) == EXIT_INTERNAL
     _internal_error_line(capsys, "ReversalBoundError")
-
-
-@pytest.mark.parametrize(
-    "error",
-    [OrientationInfeasibleError, StalePathError, IndegreeOverflowError],
-)
-def test_every_invariant_failure_is_internal_error(
-    tmp_path, capsys, monkeypatch, error
-):
-    def broken(*args, **kwargs):
-        raise error("invariant failed")
-
-    monkeypatch.setattr("klsparse.cli.extract_maximal_2k", broken)
-    argv = ["maximal-2k", "-k", "1", "--input", k4_path(tmp_path)]
-    assert main(argv) == EXIT_INTERNAL
-    _internal_error_line(capsys, error.__name__)
 
 
 def _package_subclasses(base: type) -> list[type]:
