@@ -65,6 +65,7 @@ from .orientation import (
     InnerDigraph,
     Instrumentation,
     InvariantError,
+    ReversalBoundError,
     ReversalPath,
     StalePathError,
 )
@@ -72,7 +73,6 @@ from .pebble import (
     ExtractionReport,
     PebbleEngine,
     Reason,
-    ReversalBoundError,
     SparsityParams,
     StrategyContractError,
     UnweightedInputError,

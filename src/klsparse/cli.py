@@ -27,8 +27,8 @@ from .generators import FAMILIES, GenSpec
 from .heuristics import STRATEGY_NAMES, make_strategy
 from .multigraph import GraphParseError, Multigraph, parse_graph, serialize_graph
 from .oracle import is_sparse_bruteforce
-from .orientation import Instrumentation, InvariantError
-from .pebble import PebbleEngine, SparsityParams, decide, extract_weighted
+from .orientation import InvariantError
+from .pebble import SparsityParams, decide, extract, extract_weighted
 from .sparse2k import extract_maximal_2k
 
 EXIT_OK = 0
@@ -66,39 +66,23 @@ def _write_text(path: str | None, text: str) -> None:
             fh.write(text)
 
 
-def _run_extraction(graph, params, heuristic: str, seed: int):
-    """Extraction driven by the named strategy."""
-    strategy = make_strategy(heuristic, graph, params, seed)
-    return PebbleEngine(graph, params).run(strategy)
-
-
 def _cmd_decide(args) -> int:
     graph = _read_graph(args.input)
     params = SparsityParams(args.k, args.l)
-    tight_size = params.tight_size(graph.n)
-    if params.is_augmenting_regime:
-        report = decide(graph, params)
-        if report.is_tight:
-            word = "tight"
-        elif report.is_spanning:
-            word = "spanning"
-        elif report.is_sparse:
-            word = "sparse"
-        else:
-            word = "none"
+    report = decide(graph, params)
+    if report.is_tight:
+        word = "tight"
+    elif report.is_spanning:
+        word = "spanning"
+    elif report.is_sparse:
+        word = "sparse"
     else:
-        # l = 2k: sparse and tight are decidable by one maximal pass
-        # (subgraphs of sparse graphs are sparse); spanning is not claimed
-        report = extract_maximal_2k(graph, params.k)
-        sparse = report.accepted_count == graph.m
-        if sparse and graph.m == tight_size:
-            word = "tight"
-        elif sparse:
-            word = "sparse"
-        else:
-            word = "none"
+        word = "none"
     print(word)
-    print(f"accepted={report.accepted_count} of {graph.m} tight_size={tight_size}")
+    print(
+        f"accepted={report.accepted_count} of {graph.m} "
+        f"tight_size={params.tight_size(graph.n)}"
+    )
     return EXIT_OK
 
 
@@ -118,7 +102,8 @@ def _cmd_extract(args) -> int:
         report = extract_weighted(graph, params)
     else:
         heuristic = args.heuristic if args.heuristic is not None else "Basic"
-        report = _run_extraction(graph, params, heuristic, args.seed)
+        strategy = make_strategy(heuristic, graph, params, args.seed)
+        report = extract(graph, params, strategy)
     _write_ids(report.accepted)
     print(f"accepted={report.accepted_count} of {graph.m}")
     if report.total_weight is not None:
@@ -217,17 +202,15 @@ def _cmd_bench(args) -> int:
                     trial_seed = args.seed + trial
                     graph = _bench_graph(family, n, args, trial_seed)
                     for heuristic in heuristics:
-                        counters = Instrumentation()
                         t0 = time.perf_counter_ns()
                         # --seed seeds the strategy, as in extract; the
                         # trial seed only the graph
                         strategy = make_strategy(
                             heuristic, graph, params, args.seed
                         )
-                        report = PebbleEngine(graph, params, counters).run(
-                            strategy
-                        )
+                        report = extract(graph, params, strategy)
                         runtime = time.perf_counter_ns() - t0
+                        counters = report.counters
                         lines.append(
                             f"{family},{graph.n},{graph.m},{params.k},{params.l},"
                             f"{heuristic},{trial_seed},{report.accepted_count},"

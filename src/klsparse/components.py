@@ -10,9 +10,10 @@ endpoints of an edge uv can be driven below indeg(u) + indeg(v) = 2k - l
 both.  So the pass walks A in processing order and, for each edge that no
 component found so far covers, drains its endpoints below that ceiling by
 :meth:`~klsparse.orientation.InnerDigraph.drain`, the engine's own
-augmentation routine.  When a search fails instead, the probe
-:func:`detect_block` reads off the maximal block through the edge, which
-is its component.
+augmentation routine, which also checks its own reversal bound.  When
+the drain fails instead, :func:`detect_block` reads the maximal block
+through the edge, its component, off the failed drain by one forward
+sweep.
 
 Every component of at least two nodes induces an edge, and an edge inside
 a found component needs no probe, so the pass costs one probe per
@@ -31,7 +32,6 @@ from .pebble import (
     ComponentSet,  # re-exported: the block store
     ExtractionReport,
     PebbleEngine,
-    ReversalBoundError,
     SparsityParams,
     resolve_order,
 )
@@ -41,39 +41,17 @@ class NotSparseInputError(ValueError):
     """The input graph was expected to be (k,l)-sparse but is not."""
 
 
-def detect_block(
-    digraph: InnerDigraph,
-    u: int,
-    v: int,
-    params: SparsityParams,
-    *,
-    saturated: bool = False,
-) -> frozenset[int] | None:
-    """The node set of the maximal block through the accepted edge uv, or
-    None when no tight set contains both endpoints.
+def detect_block(digraph: InnerDigraph, u: int, v: int) -> frozenset[int]:
+    """The node set of the maximal block through the accepted edge uv,
+    read off a drain of u and v that just failed at the edge's ceiling.
 
-    A tight set through u and v forces their indegree sum up to
-    ``params.ceiling(u, v)`` (below it: None without any traversal).  The
-    backward probe then looks for a deficient node with a path to {u, v};
-    finding one refutes every candidate (tight sets are backward-closed and
-    saturated off the endpoints), while exhaustion certifies the backward
-    closure as tight.  The maximal tight set is the complement of the
-    forward-reach of the remaining deficient nodes, collected by a second
-    sweep.  Nothing is reversed; the digraph is left untouched.
-
-    ``saturated`` says the caller's own search from {u, v} (or {u}) just
-    failed at the ceiling, which is the same certificate: the backward
-    probe is skipped and only the forward sweep runs.
+    The failed search certifies that a tight set contains both endpoints.
+    Tight sets are backward-closed and saturated off the endpoints, so the
+    maximal one is every node that no deficient node other than u and v
+    reaches: the complement of one forward sweep.  Nothing is reversed.
     """
-    indeg = digraph.indeg
-    if indeg[u] + indeg[v] < params.ceiling(u, v):
-        return None
-    targets = (u,) if u == v else (u, v)
-    if not saturated and digraph.saturated_closure(targets) is None:
-        return None
-    k = params.k
-    digraph.multi_source_forward_reach(lambda x: indeg[x] < k, excluded=targets)
-    return frozenset(digraph.unstamped()).union(targets)
+    reach = digraph.multi_source_forward_reach(excluded=(u, v))
+    return frozenset(range(digraph.n)).difference(reach)
 
 
 def _components(engine: PebbleEngine) -> ComponentSet:
@@ -82,7 +60,6 @@ def _components(engine: PebbleEngine) -> ComponentSet:
     digraph; the accepted set is unchanged."""
     graph, params, digraph = engine.graph, engine.params, engine.digraph
     report = engine.report
-    bound = params.reversal_bound
     found = ComponentSet(graph.n, params)
     # reading ``order`` walks the engine's deferred early-termination tail,
     # and indegree-keyed strategies order that tail by the live digraph:
@@ -91,20 +68,8 @@ def _components(engine: PebbleEngine) -> ComponentSet:
         if e not in report.accepted:
             continue
         u, v = graph.edge_u[e], graph.edge_v[e]
-        if found.covers(u, v):
-            continue
-        reversals = digraph.drain(u, v, params.ceiling(u, v))
-        if reversals < 0:
-            # the failed search exhausted the saturated backward closure:
-            # the probe needs only its forward sweep
-            block = detect_block(digraph, u, v, params, saturated=True)
-            if block is not None:
-                found.record(block)
-            reversals = -1 - reversals
-        if reversals > bound:
-            raise ReversalBoundError(
-                f"edge {e} took {reversals} reversals, bound {bound}"
-            )
+        if not found.covers(u, v) and digraph.drain(u, v, params.ceiling(u, v)) < 0:
+            found.record(detect_block(digraph, u, v))
     return found
 
 

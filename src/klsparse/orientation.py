@@ -18,7 +18,7 @@ would cost about as much as the visits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 
 class InvariantError(RuntimeError):
@@ -32,6 +32,12 @@ class StalePathError(InvariantError):
 
 class IndegreeOverflowError(InvariantError):
     """Inserting the arc would push the head's indegree above k."""
+
+
+class ReversalBoundError(InvariantError):
+    """A drain took more path reversals than its indegree sum allows;
+    impossible on a digraph built by the engine, so it signals a corrupted
+    orientation state."""
 
 
 @dataclass
@@ -225,11 +231,26 @@ class InnerDigraph:
         the sum is below ``ceiling``, or -1 - r when a search fails first,
         leaving that search's closure in ``last_closure``.  Sources are
         never taken from ``forbidden_sources``.
+
+        Targets are never sources, so each reversal lowers the sum by one
+        step (two for a loop) and a drain from sum s takes at most
+        (s - ceiling) // step + 1 reversals: l + 1 at the engine's ceiling
+        2k - l, k to zero one node.  Reaching that bound with the sum still
+        at the ceiling raises :class:`ReversalBoundError`.
         """
         indeg = self.indeg
+        s = indeg[u] + indeg[v]
+        if s < ceiling:
+            return 0
         targets = (u,) if u == v else (u, v)
+        bound = (s - ceiling) // (2 if u == v else 1) + 1
         reversals = 0
         while indeg[u] + indeg[v] >= ceiling:
+            if reversals == bound:
+                raise ReversalBoundError(
+                    f"drain of {targets} below {ceiling} from indegree sum "
+                    f"{s} used its bound of {bound} reversal(s)"
+                )
             path = self.find_reversal_path(targets, forbidden_sources)
             if path is None:
                 return -1 - reversals
@@ -295,30 +316,21 @@ class InnerDigraph:
             reached.add(node)
         return None
 
-    def multi_source_forward_reach(
-        self,
-        is_source: Callable[[int], bool],
-        excluded: Iterable[int] = (),
-    ) -> list[int]:
-        """Nodes reachable by directed paths from any non-excluded node
-        satisfying ``is_source``; excluded nodes are never visited.
-
-        The excluded nodes are stamped up front, so afterwards
-        :meth:`unstamped` lists exactly the nodes neither reached nor
-        excluded.
-        """
+    def multi_source_forward_reach(self, excluded: Iterable[int] = ()) -> list[int]:
+        """Nodes reachable by directed paths from any non-excluded node of
+        indegree below k; excluded nodes are never visited."""
         self._epoch += 1
         epoch = self._epoch
         stamp = self._stamp
         arc_head = self.arc_head
         inc = self.inc
+        indeg = self.indeg
+        k = self.k
         c = self.counters
 
         for v in excluded:
             stamp[v] = epoch
-        queue = [
-            v for v in range(self.n) if stamp[v] != epoch and is_source(v)
-        ]
+        queue = [v for v in range(self.n) if stamp[v] != epoch and indeg[v] < k]
         for v in queue:
             stamp[v] = epoch
         visits = len(queue)
@@ -333,11 +345,6 @@ class InnerDigraph:
                     append(y)
         c.bfs_node_visits += visits
         return queue
-
-    def unstamped(self) -> list[int]:
-        """Nodes the latest traversal did not stamp, in id order."""
-        epoch = self._epoch
-        return [x for x, s in enumerate(self._stamp) if s != epoch]
 
     def undirected_edges(self) -> list[tuple[int, int, int]]:
         """Current arcs as ``(min_endpoint, max_endpoint, edge_id)`` tuples,

@@ -29,7 +29,12 @@ import operator
 from dataclasses import dataclass, field
 
 from .multigraph import Multigraph
-from .orientation import InnerDigraph, Instrumentation, InvariantError
+from .orientation import (
+    InnerDigraph,
+    Instrumentation,
+    InvariantError,
+    ReversalBoundError,  # noqa: F401 - re-exported: drain raises it
+)
 
 
 class WrongRegimeError(ValueError):
@@ -38,12 +43,6 @@ class WrongRegimeError(ValueError):
 
 class UnweightedInputError(ValueError):
     """Weighted extraction was asked for a graph without weights."""
-
-
-class ReversalBoundError(InvariantError):
-    """An edge took more path reversals than the proven bound allows;
-    impossible on a digraph built by the engine, so it signals a corrupted
-    orientation state."""
 
 
 class Reason(enum.Enum):
@@ -83,11 +82,6 @@ class SparsityParams:
         """Edge uv is acceptable once indeg(u) + indeg(v) is below this
         (a loop counting its node twice): 2k - l, or 2(k - l) for a loop."""
         return 2 * (self.k - self.l) if u == v else 2 * self.k - self.l
-
-    @property
-    def reversal_bound(self) -> int:
-        """Most path reversals one acceptance can take: l + 1."""
-        return self.l + 1
 
     def tight_size(self, n: int) -> int:
         """Edge count of a tight subgraph on n nodes: max(k*n - l, 0)."""
@@ -469,10 +463,9 @@ class PebbleEngine:
         # arc count at which run stops: no further edge can be accepted
         self._stop = params.tight_size(graph.n)
         # try_accept's per-edge constants: the pair and loop ceilings of
-        # SparsityParams.ceiling, and the reversal bound
+        # SparsityParams.ceiling
         self._pair_ceiling = params.ceiling(0, 1)
         self._loop_ceiling = params.ceiling(0, 0)
-        self._reversal_bound = params.reversal_bound
 
     def try_accept(self, e: int, preferred_head: int | None = None) -> int:
         """Process edge ``e``: drain its endpoints below the ceiling of
@@ -484,8 +477,7 @@ class PebbleEngine:
         Reversals performed before a rejection are kept; they only reorient
         the same accepted set.  ``preferred_head`` is honoured if its
         indegree allows, otherwise the other endpoint takes the arc.  The
-        ceilings and the reversal bound are read once, when the engine is
-        built.
+        ceilings are read once, when the engine is built.
         """
         g = self.graph
         u = g.edge_u[e]
@@ -499,10 +491,6 @@ class PebbleEngine:
         if reversals < 0:
             self.blocks.record(digraph.last_closure)
             return reversals
-        if reversals > self._reversal_bound:
-            raise ReversalBoundError(
-                f"edge {e} took {reversals} reversals, bound {self._reversal_bound}"
-            )
         indeg = digraph.indeg
         if preferred_head is not None and indeg[preferred_head] < digraph.k:
             head = preferred_head
@@ -695,20 +683,30 @@ def decide(
     """Classify the graph: fills is_sparse / is_tight / is_spanning.
 
     sparse: every edge accepted; spanning: the accepted subgraph reaches
-    max(k*n - l, 0) edges; tight: both at once.
+    max(k*n - l, 0) edges; tight: sparse with exactly that many edges.
 
-    The edges are processed in the NInDegMin order (seed 0), not
-    :func:`extract`'s default Basic: the flags and the accepted count
+    For l < 2k the edges are processed in the NInDegMin order (seed 0),
+    not :func:`extract`'s default Basic: the flags and the accepted count
     depend only on the matroid rank, so any order gives the same answer,
     and NInDegMin reaches the tight size after far fewer edges and node
     visits (on G(600, 0.1, seed 1000) at (2,3): 2,961 edges against
     Basic's 17,707).  The accepted set, the verdicts and the counters do
     follow the order.
+
+    For l = 2k the accepted sets form no matroid, so spanning is not
+    decided and stays None; one maximal pass of
+    :func:`~klsparse.sparse2k.extract_maximal_2k` decides sparse and
+    tight, since every subgraph of a sparse graph is sparse.
     """
-    strategy = resolve_order(None, graph, params, "NInDegMin")
-    report = extract(graph, params, strategy, counters=counters)
     tight_size = params.tight_size(graph.n)
+    if params.is_augmenting_regime:
+        strategy = resolve_order(None, graph, params, "NInDegMin")
+        report = extract(graph, params, strategy, counters=counters)
+        report.is_spanning = len(report.accepted) == tight_size
+    else:
+        from .sparse2k import extract_maximal_2k
+
+        report = extract_maximal_2k(graph, params.k, counters)
     report.is_sparse = len(report.accepted) == graph.m
-    report.is_spanning = len(report.accepted) == tight_size
     report.is_tight = report.is_sparse and graph.m == tight_size
     return report

@@ -52,7 +52,6 @@ from .orientation import InnerDigraph, Instrumentation, InvariantError
 from .pebble import (
     ExtractionReport,
     PebbleEngine,
-    ReversalBoundError,
     SparsityParams,
     _FixedOrder,
 )
@@ -67,18 +66,14 @@ class OrientationInfeasibleError(InvariantError):
     by this engine, so it signals a corrupted orientation state."""
 
 
-def _zeroing_bound(k: int) -> int:
-    """Most reversals zeroing both endpoints can take: k per endpoint."""
-    return 2 * k
-
-
 def zero_pair_indegrees(digraph: InnerDigraph, u: int, v: int) -> int:
     """Reverse paths until indeg(u) = indeg(v) = 0, first u then v.
 
     Each endpoint is one :meth:`~klsparse.orientation.InnerDigraph.drain`
-    with ceiling 1 (its indegree counted twice, as for a loop).  While
-    draining one endpoint the other is forbidden as a path source, so arcs
-    never pile up on it and the total stays at most 2k reversals.
+    with ceiling 1 (its indegree counted twice, as for a loop), which takes
+    at most k reversals and checks that bound itself.  While draining one
+    endpoint the other is forbidden as a path source, so arcs never pile up
+    on it and the total stays at most 2k reversals.
     """
     reversals = 0
     for target, other in ((u, v), (v, u)):
@@ -88,11 +83,6 @@ def zero_pair_indegrees(digraph: InnerDigraph, u: int, v: int) -> int:
                 f"cannot drain indegree of node {target}"
             )
         reversals += r
-    bound = _zeroing_bound(digraph.k)
-    if reversals > bound:
-        raise ReversalBoundError(
-            f"zeroing nodes {u} and {v} took {reversals} reversals, bound {bound}"
-        )
     return reversals
 
 

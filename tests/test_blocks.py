@@ -242,9 +242,7 @@ def test_maximal_2k_block_is_the_failed_probe_closure():
                 induced = _induced(g, engine.report.accepted, block)
                 assert induced == k * len(block) - 2 * k
                 # inside the nodes that no deficient node but u or v reaches
-                reach = digraph.multi_source_forward_reach(
-                    lambda x: digraph.indeg[x] < k, excluded=(u, v)
-                )
+                reach = digraph.multi_source_forward_reach(excluded=(u, v))
                 unreached = set(range(g.n)) - set(reach)
                 assert block <= unreached
                 smaller += len(block) < len(unreached)

@@ -9,6 +9,7 @@ import pytest
 
 from klsparse import (
     GraphParseError,
+    InnerDigraph,
     Instrumentation,
     InvariantError,
     Multigraph,
@@ -368,15 +369,18 @@ def _internal_error_line(capsys, name: str) -> None:
 
 
 def test_decide_reversal_bound_is_internal_error(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(SparsityParams, "reversal_bound", property(lambda p: -1))
+    monkeypatch.setattr(InnerDigraph, "reverse", lambda self, path: None)
     argv = ["decide", "-k", "2", "-l", "3", "--input", k4_path(tmp_path)]
     assert main(argv) == EXIT_INTERNAL == 4
     _internal_error_line(capsys, "ReversalBoundError")
 
 
 def test_maximal_2k_zeroing_bound_is_internal_error(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr("klsparse.sparse2k._zeroing_bound", lambda k: -1)
-    argv = ["maximal-2k", "-k", "1", "--input", k4_path(tmp_path)]
+    monkeypatch.setattr(InnerDigraph, "reverse", lambda self, path: None)
+    # the path 0-1-2: accepting 1-2 first zeroes node 1 by one reversal
+    path = tmp_path / "path.txt"
+    path.write_text("kl-graph 3 2\n0 1\n1 2\n")
+    argv = ["maximal-2k", "-k", "1", "--input", str(path)]
     assert main(argv) == EXIT_INTERNAL
     _internal_error_line(capsys, "ReversalBoundError")
 

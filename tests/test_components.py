@@ -18,7 +18,6 @@ from klsparse import (
     ReversalBoundError,
     SparsityParams,
     components_of,
-    detect_block,
     extract,
     extract_with_components,
     gen_erdos_renyi,
@@ -28,13 +27,6 @@ from klsparse import (
 from klsparse import components
 from klsparse.orientation import InnerDigraph
 from conftest import ALL_PAIRS, brute_force_components, random_multigraph
-
-
-def test_detect_block_none_below_threshold():
-    d = InnerDigraph(3, 2)
-    d.insert_arc(0, 0, 1)
-    # indegree sum 1 < 2k - l = 1? no: equal thresholds detect; use fresh pair
-    assert detect_block(d, 0, 2, SparsityParams(2, 3)) is None
 
 
 def test_detect_block_on_tight_pair():
@@ -215,7 +207,7 @@ def test_pass_reversal_bound_is_checked_without_assert(monkeypatch):
     p = SparsityParams(2, 3)
     engine = PebbleEngine(g, p)
     engine.run(make_strategy("NBasicComp", g, p))
-    monkeypatch.setattr(SparsityParams, "reversal_bound", property(lambda p: 0))
+    monkeypatch.setattr(InnerDigraph, "reverse", lambda self, path: None)
     with pytest.raises(ReversalBoundError):
         components._components(engine)
 

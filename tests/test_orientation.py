@@ -12,6 +12,7 @@ from klsparse import (
     InnerDigraph,
     Instrumentation,
     Multigraph,
+    ReversalBoundError,
     SparsityParams,
     StalePathError,
     components_of,
@@ -96,7 +97,7 @@ def test_reverse_stale_path_rejected():
         # a failed search
         lambda d: d.find_reversal_path((2,), forbidden_sources=(0,)),
         lambda d: d.saturated_closure((2,)),
-        lambda d: d.multi_source_forward_reach(lambda x: d.indeg[x] < 1),
+        lambda d: d.multi_source_forward_reach(),
         lambda d: d.reverse(d.find_reversal_path((1,))),
     ],
     ids=["search", "failed search", "closure", "forward reach", "reversal"],
@@ -289,6 +290,47 @@ def test_drain_never_uses_a_forbidden_source():
     assert sorted(d.last_closure) == [0, 2]
 
 
+# (k, arcs, drain arguments, the drain's bound): a pair whose indegree sum
+# 4 must fall below the (2,3) ceiling 1, and one node zeroed with node 1
+# forbidden as a source, so its second path runs from node 3 through node 1
+_BOUND_CASES = [
+    (2, [(2, 0), (3, 0), (4, 1), (5, 1)], (0, 1, 1, ()), 4),
+    (2, [(1, 0), (2, 0), (3, 1)], (0, 0, 1, (1,)), 2),
+]
+
+
+def _digraph(k, arcs):
+    d = InnerDigraph(1 + max(max(arc) for arc in arcs), k)
+    for e, (tail, head) in enumerate(arcs):
+        d.insert_arc(e, tail, head)
+    return d
+
+
+@pytest.mark.parametrize("k, arcs, args, bound", _BOUND_CASES, ids=["pair", "single"])
+def test_drain_may_take_exactly_its_bound(k, arcs, args, bound):
+    d = _digraph(k, arcs)
+    assert d.drain(*args) == bound
+    u, v, ceiling, _ = args
+    assert d.indeg[u] + d.indeg[v] < ceiling
+
+
+@pytest.mark.parametrize("k, arcs, args, bound", _BOUND_CASES, ids=["pair", "single"])
+def test_drain_stops_at_its_bound_when_reversals_move_nothing(
+    k, arcs, args, bound, monkeypatch
+):
+    calls = 0
+
+    def move_nothing(self, path):
+        nonlocal calls
+        calls += 1
+
+    d = _digraph(k, arcs)
+    monkeypatch.setattr(InnerDigraph, "reverse", move_nothing)
+    with pytest.raises(ReversalBoundError):
+        d.drain(*args)
+    assert calls == bound
+
+
 def test_saturated_closure():
     d = build_path_digraph()
     # node 2's backward closure contains the deficient node 0
@@ -320,20 +362,19 @@ def test_saturated_closure_with_forbidden_sources_and_reached_nodes():
 
 def test_multi_source_forward_reach():
     d = build_path_digraph()
-    reach = d.multi_source_forward_reach(lambda x: d.indeg[x] < 1)
+    reach = d.multi_source_forward_reach()
     assert sorted(reach) == [0, 1, 2]
-    reach = d.multi_source_forward_reach(lambda x: d.indeg[x] < 1, excluded=(1,))
+    reach = d.multi_source_forward_reach(excluded=(1,))
     assert sorted(reach) == [0]
 
 
-def test_unstamped_after_forward_reach():
+def test_forward_reach_skips_excluded_sources():
     d = InnerDigraph(4, 1)
     d.insert_arc(0, 0, 1)
     d.insert_arc(1, 2, 3)
     # sources 0 and 2; excluding 2 leaves node 3 neither reached nor excluded
-    reach = d.multi_source_forward_reach(lambda x: d.indeg[x] < 1, excluded=(2,))
-    assert sorted(reach) == [0, 1]
-    assert d.unstamped() == [3]
+    reach = d.multi_source_forward_reach(excluded=(2,))
+    assert reach == [0, 1]
     assert d.counters.bfs_node_visits == 2
 
 

@@ -11,6 +11,7 @@ import pytest
 
 from klsparse import (
     STRATEGY_NAMES,
+    InnerDigraph,
     Instrumentation,
     Multigraph,
     PebbleEngine,
@@ -116,7 +117,7 @@ def test_reversal_bound_per_acceptance():
 
 
 def test_reversal_bound_is_checked_without_assert(monkeypatch):
-    monkeypatch.setattr(SparsityParams, "reversal_bound", property(lambda p: -1))
+    monkeypatch.setattr(InnerDigraph, "reverse", lambda self, path: None)
     with pytest.raises(ReversalBoundError):
         extract(complete_graph(3), SparsityParams(2, 3))
 
@@ -215,6 +216,20 @@ def test_decide_flags():
     assert d.is_sparse
     assert not d.is_spanning
     assert not d.is_tight
+
+
+def test_decide_flags_at_l_equals_2k():
+    # one maximal pass decides sparse and tight; spanning is not decided
+    p12 = SparsityParams(1, 2)
+    tri = Multigraph(3, [(0, 1), (0, 2), (1, 2)])
+    d = decide(tri, p12)
+    assert (d.accepted_count, d.is_sparse, d.is_tight) == (1, False, False)
+    assert d.is_spanning is None
+
+    lone = Multigraph(3, [(0, 1)])
+    d = decide(lone, p12)
+    assert (d.accepted_count, d.is_sparse, d.is_tight) == (1, True, True)
+    assert d.is_spanning is None
 
 
 def test_report_shape():
