@@ -52,9 +52,7 @@ from .multigraph import (
     serialize_graph,
 )
 from .oracle import (
-    DEFAULT_BUDGET,
     BudgetExceededError,
-    OracleBudget,
     is_maximal_2k,
     is_sparse_bruteforce,
     max_sparse_size_oracle,
@@ -96,7 +94,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BudgetExceededError",
     "ComponentSet",
-    "DEFAULT_BUDGET",
     "EdgeCountMismatchError",
     "ExtractionReport",
     "FAMILIES",
@@ -113,7 +110,6 @@ __all__ = [
     "NodeIdOutOfRangeError",
     "NotSimpleInputError",
     "NotSparseInputError",
-    "OracleBudget",
     "OrientationInfeasibleError",
     "PebbleEngine",
     "PhaseOneResult",

@@ -27,7 +27,7 @@ component.
 from __future__ import annotations
 
 from .multigraph import Multigraph
-from .orientation import InnerDigraph, Instrumentation
+from .orientation import InnerDigraph
 from .pebble import (
     ComponentSet,  # re-exported: the block store
     ExtractionReport,
@@ -74,26 +74,21 @@ def _components(engine: PebbleEngine) -> ComponentSet:
 
 
 def extract_with_components(
-    graph: Multigraph,
-    params: SparsityParams,
-    order=None,
-    counters: Instrumentation | None = None,
+    graph: Multigraph, params: SparsityParams, order=None
 ) -> tuple[ExtractionReport, list[list[int]]]:
     """Run an extraction with any strategy (default NBasicComp, seed 0),
     then find the components of its accepted set in one offline pass.
-    Returns the report and the sorted component list."""
-    engine = PebbleEngine(graph, params, counters)
+    Returns the report and the sorted component list; the report's
+    ``counters`` include the pass's searches and reversals."""
+    engine = PebbleEngine(graph, params)
     report = engine.run(resolve_order(order, graph, params, "NBasicComp"))
     return report, _components(engine).components()
 
 
-def components_of(
-    graph: Multigraph,
-    params: SparsityParams,
-    counters: Instrumentation | None = None,
-) -> list[list[int]]:
-    """Components of a (k,l)-sparse graph (every edge must be accepted)."""
-    report, comps = extract_with_components(graph, params, counters=counters)
+def components_of(graph: Multigraph, params: SparsityParams) -> list[list[int]]:
+    """Components of a (k,l)-sparse graph (every edge must be accepted).
+    :func:`extract_with_components` also returns the run's report."""
+    report, comps = extract_with_components(graph, params)
     if report.accepted_count != graph.m:
         raise NotSparseInputError(
             f"input graph is not ({params.k},{params.l})-sparse: "

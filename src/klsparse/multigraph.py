@@ -8,7 +8,9 @@ The on-disk format is a plain UTF-8 edge list::
 
 ``#`` starts a comment line; blank lines are ignored.  Node ids are dense
 integers in ``[0, n)``, edge ids are the 0-based position of the edge line.
-Loops and parallel edges are allowed.
+Loops and parallel edges are allowed.  A count, id or weight token holding
+``_`` or a non-ASCII character is malformed, though Python's ``int`` and
+``float`` would read it.
 """
 
 from __future__ import annotations
@@ -73,7 +75,8 @@ class Multigraph:
         included) in ``[0, sys.maxsize]``, the valid list lengths.  One
         pass over the pairs orders each ``u <= v`` and names the first bad
         edge: a pair of the wrong length, an endpoint outside ``[0, n)``
-        (NaN included) or a non-integer endpoint, checked in that order.
+        (NaN included) or a non-integer endpoint (a bool included), checked
+        in that order.
         A bad weight or a weights list of the wrong length raises last.
         """
         if isinstance(n, bool) or not isinstance(n, int):
@@ -98,9 +101,12 @@ class Multigraph:
                 # with u <= v these bound both endpoints; NaN fails them
                 if not (0 <= u and v < n):
                     raise ValueError(f"edge {e}: endpoint out of range [0, {n})")
-                # a loop keeps its given objects, so (1, 1.0) is a loop at 1
-                index(u)
-                if v != u:
+                if u.__class__ is not int or v.__class__ is not int:
+                    # any other integer type is kept as given, but a bool
+                    # would be written as True or False
+                    if isinstance(u, bool) or isinstance(v, bool):
+                        raise TypeError
+                    index(u)
                     index(v)
             except TypeError:
                 raise ValueError(
@@ -196,9 +202,6 @@ class Multigraph:
             and self.edge_v == other.edge_v
             and self.weights == other.weights
         )
-
-    def __hash__(self) -> int:  # pragma: no cover - not used as dict key
-        return hash((self.n, tuple(self.edge_u), tuple(self.edge_v)))
 
     def __repr__(self) -> str:
         tag = " weighted" if self.is_weighted else ""
@@ -314,6 +317,9 @@ def _parse_lines(text: str | bytes) -> Multigraph:
             ) from None
     lines = text.splitlines()
     eof = len(lines) + 1
+    # text with no "_" and no non-ASCII character needs no check per token
+    # (str returns a str token itself)
+    plain = _plain if "_" in text or not text.isascii() else str
 
     header: tuple[int, int, bool] | None = None
     edge_u: list[int] = []
@@ -338,7 +344,7 @@ def _parse_lines(text: str | bytes) -> Multigraph:
                     f"unknown header flag {tokens[3]!r}", lineno
                 )
             try:
-                n, m = int(tokens[1]), int(tokens[2])
+                n, m = int(plain(tokens[1])), int(plain(tokens[2]))
             except ValueError:
                 raise MalformedHeaderError(
                     f"node/edge counts must be integers, got {stripped!r}",
@@ -369,7 +375,7 @@ def _parse_lines(text: str | bytes) -> Multigraph:
                 lineno,
             )
         try:
-            u, v = int(tokens[0]), int(tokens[1])
+            u, v = int(plain(tokens[0])), int(plain(tokens[1]))
         except ValueError:
             raise MalformedEdgeError(
                 f"endpoints must be integers, got {stripped!r}", lineno
@@ -380,7 +386,7 @@ def _parse_lines(text: str | bytes) -> Multigraph:
             )
         if weighted:
             try:
-                w = float(tokens[2])
+                w = float(plain(tokens[2]))
             except ValueError:
                 raise MalformedEdgeError(
                     f"weight must be a decimal number, got {tokens[2]!r}",
@@ -405,6 +411,15 @@ def _parse_lines(text: str | bytes) -> Multigraph:
     return Multigraph._from_columns(
         n, edge_u, edge_v, weights if weighted else None
     )
+
+
+def _plain(token: str) -> str:
+    """``token`` itself, or ``ValueError`` when it holds ``_`` or a
+    non-ASCII character: ``int`` and ``float`` read ``1_0`` as 10 and the
+    digits of other scripts as numbers, which the format does not."""
+    if "_" in token or not token.isascii():
+        raise ValueError(token)
+    return token
 
 
 def serialize_graph(g: Multigraph) -> str:

@@ -3,12 +3,10 @@
 Everything here enumerates node subsets as bitmasks and counts induced
 edges directly, so results depend only on the counting definition of
 sparsity: i(X) <= max(k|X| - l, 0) for every X (restricted to |X| >= 3
-when l = 2k).  Budgets keep the exponential enumeration honest.
+when l = 2k).  Each check takes graphs of at most :data:`MAX_N` nodes.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .multigraph import Multigraph
 from .orientation import InnerDigraph
@@ -19,23 +17,16 @@ class BudgetExceededError(ValueError):
     """The instance is too large for exhaustive subset enumeration."""
 
 
-@dataclass(frozen=True)
-class OracleBudget:
-    max_n: int = 12
-    max_subsets: int = 1 << 12
+# the largest node count a check enumerates the 2^n node subsets of
+MAX_N = 12
 
 
-DEFAULT_BUDGET = OracleBudget()
-
-
-def _check_budget(n: int, budget: OracleBudget | None) -> OracleBudget:
-    budget = budget if budget is not None else DEFAULT_BUDGET
-    if n > budget.max_n or (1 << n) > budget.max_subsets:
+def _check_budget(n: int) -> None:
+    if n > MAX_N:
         raise BudgetExceededError(
-            f"n={n} exceeds oracle budget (max_n={budget.max_n}, "
-            f"max_subsets={budget.max_subsets})"
+            f"n={n} exceeds oracle budget (max_n={MAX_N}, "
+            f"max_subsets={1 << MAX_N})"
         )
-    return budget
 
 
 def _induced_counts(graph: Multigraph, edges=None) -> list[int]:
@@ -80,16 +71,14 @@ def _mask_nodes(mask: int) -> list[int]:
 
 
 def is_sparse_bruteforce(
-    graph: Multigraph,
-    params: SparsityParams,
-    budget: OracleBudget | None = None,
+    graph: Multigraph, params: SparsityParams
 ) -> tuple[bool, list[int] | None]:
     """Exhaustively test (k,l)-sparsity.
 
     Returns ``(True, None)`` or ``(False, witness)`` where the witness is
     the sorted node list of one subset violating the counting bound.
     """
-    _check_budget(graph.n, budget)
+    _check_budget(graph.n)
     cnt = _induced_counts(graph)
     bounds = _bounds(graph.n, params)
     for mask in range(1, 1 << graph.n):
@@ -99,11 +88,7 @@ def is_sparse_bruteforce(
     return True, None
 
 
-def max_sparse_size_oracle(
-    graph: Multigraph,
-    params: SparsityParams,
-    budget: OracleBudget | None = None,
-) -> int:
+def max_sparse_size_oracle(graph: Multigraph, params: SparsityParams) -> int:
     """Size of a maximum (k,l)-sparse subgraph, l < 2k, by greedy scan.
 
     Edges are taken in storage order whenever adding them keeps every
@@ -111,7 +96,7 @@ def max_sparse_size_oracle(
     so the greedy size is the true maximum.
     """
     params.require_augmenting_regime()
-    _check_budget(graph.n, budget)
+    _check_budget(graph.n)
     n = graph.n
     full = (1 << n) - 1
     bounds = _bounds(n, params)
@@ -143,15 +128,10 @@ def max_sparse_size_oracle(
     return taken
 
 
-def is_maximal_2k(
-    graph: Multigraph,
-    accepted: set[int],
-    k: int,
-    budget: OracleBudget | None = None,
-) -> bool:
+def is_maximal_2k(graph: Multigraph, accepted: set[int], k: int) -> bool:
     """True iff ``accepted`` is (k,2k)-sparse and no rejected edge could
     be added without breaking the bound on some subset of size >= 3."""
-    _check_budget(graph.n, budget)
+    _check_budget(graph.n)
     params = SparsityParams(k, 2 * k)
     n = graph.n
     full = (1 << n) - 1

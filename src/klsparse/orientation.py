@@ -42,7 +42,8 @@ class ReversalBoundError(InvariantError):
 
 @dataclass
 class Instrumentation:
-    """Monotone work counters shared by one extraction run.
+    """Monotone work counters of one extraction run: its digraph makes
+    them, and callers read them as the report's ``counters``.
 
     With epoch stamps a traversal's reset work is one stamp write per node
     it visits, so ``bfs_node_visits`` counts both.
@@ -94,7 +95,7 @@ class InnerDigraph:
         "_epoch",
     )
 
-    def __init__(self, n: int, k: int, counters: Instrumentation | None = None) -> None:
+    def __init__(self, n: int, k: int) -> None:
         if k < 1:
             raise ValueError(f"k must be positive, got {k}")
         self.n = n
@@ -105,7 +106,7 @@ class InnerDigraph:
         self.inc: list[list[int]] = [[] for _ in range(n)]
         self.in_arcs: list[list[int]] = [[] for _ in range(n)]
         self.indeg: list[int] = [0] * n
-        self.counters = counters if counters is not None else Instrumentation()
+        self.counters = Instrumentation()
         self.last_closure: list[int] = []
         self._stamp = [0] * n
         self._parent = [0] * n
@@ -261,8 +262,8 @@ class InnerDigraph:
     def saturated_closure(
         self,
         targets: Sequence[int],
-        forbidden_sources: Sequence[int] = (),
-        reached: set[int] | None = None,
+        forbidden_sources: Sequence[int],
+        reached: set[int],
     ) -> list[int] | None:
         """Backward closure of ``targets`` if it contains no deficient node
         outside the targets and ``forbidden_sources``, else None.
@@ -270,7 +271,7 @@ class InnerDigraph:
         The returned list is every node with a directed path to a target
         (targets included); all of them except possibly the targets and the
         forbidden nodes have indegree exactly k.  The backward BFS stops at
-        the first eligible deficient node it meets.  ``reached`` may hold
+        the first eligible deficient node it meets.  ``reached`` holds
         nodes already known to have a path from such a node; the search
         stops at them too, and a successful search adds the nodes of its
         path.
@@ -283,7 +284,6 @@ class InnerDigraph:
         arc_tail = self.arc_tail
         in_arcs = self.in_arcs
         k = self.k
-        stop_at = () if reached is None else reached
 
         queue = list(targets)
         for t in queue:
@@ -296,7 +296,7 @@ class InnerDigraph:
                     stamp[y] = epoch
                     parent[y] = a
                     append(y)
-                    if indeg[y] < k and y not in forbidden_sources or y in stop_at:
+                    if indeg[y] < k and y not in forbidden_sources or y in reached:
                         break
             else:
                 continue
@@ -306,14 +306,13 @@ class InnerDigraph:
             self.counters.bfs_node_visits += len(queue)
             return queue
         self.counters.bfs_node_visits += len(queue)
-        if reached is not None:
-            # the source reaches every node on its path to the target
-            arc_head = self.arc_head
-            node = y
-            while node not in targets:
-                reached.add(node)
-                node = arc_head[parent[node]]
+        # the source reaches every node on its path to the target
+        arc_head = self.arc_head
+        node = y
+        while node not in targets:
             reached.add(node)
+            node = arc_head[parent[node]]
+        reached.add(node)
         return None
 
     def multi_source_forward_reach(self, excluded: Iterable[int] = ()) -> list[int]:

@@ -126,10 +126,12 @@ class ExtractionReport:
     """Outcome of one extraction run.
 
     ``accepted`` is the accepted edge-id set and ``order`` the processed
-    edge ids in processing order.  Per-edge outcomes are kept compact: a
-    reason code per edge id and the non-zero reversal counts, written by
-    :meth:`PebbleEngine.run` (and :meth:`PebbleEngine.preaccept`), the one
-    recording path of both engines.  Codes start at EARLY_TERMINATED, so
+    edge ids in processing order; ``counters`` is the run's one
+    :class:`Instrumentation`, made by the engine's digraph.  Per-edge
+    outcomes are kept compact: a reason code per edge id and the non-zero
+    reversal counts, written by :meth:`PebbleEngine.run` (and
+    :meth:`PebbleEngine.preaccept`), the one recording path of both
+    engines.  Codes start at EARLY_TERMINATED, so
     the edges past the tight size need no write at all.  :class:`Verdict`
     objects exist only on read: ``verdicts`` builds them from these
     records.  The classification flags are filled by
@@ -145,8 +147,8 @@ class ExtractionReport:
     params: SparsityParams
     n: int
     m: int
+    counters: Instrumentation
     accepted: set[int] = field(default_factory=set)
-    counters: Instrumentation = field(default_factory=Instrumentation)
     total_weight: float | None = None
     is_sparse: bool | None = None
     is_tight: bool | None = None
@@ -444,22 +446,16 @@ class PebbleEngine:
 
     augmenting = True  # False in the l = 2k configuration
 
-    def __init__(
-        self,
-        graph: Multigraph,
-        params: SparsityParams,
-        counters: Instrumentation | None = None,
-    ) -> None:
+    def __init__(self, graph: Multigraph, params: SparsityParams) -> None:
         if self.augmenting:
             params.require_augmenting_regime()
         self.graph = graph
         self.params = params
-        self.counters = counters if counters is not None else Instrumentation()
-        self.digraph = InnerDigraph(graph.n, params.k, self.counters)
+        self.digraph = InnerDigraph(graph.n, params.k)
         self.processed = [False] * graph.m
         self.blocks = ComponentSet(graph.n, params)
         self.report = ExtractionReport(params=params, n=graph.n, m=graph.m,
-                                       counters=self.counters)
+                                       counters=self.digraph.counters)
         # arc count at which run stops: no further edge can be accepted
         self._stop = params.tight_size(graph.n)
         # try_accept's per-edge constants: the pair and loop ceilings of
@@ -551,9 +547,6 @@ class PebbleEngine:
         reasons = report._reasons
         reversals_of = report._reversals
         accepted = report.accepted
-        # counted after the loop, with the edges that two-phase strategies
-        # preaccept in ``start``
-        first, first_accepted = len(order), len(accepted)
         strategy.start(self)
         edge_u, edge_v = self.graph.edge_u, self.graph.edge_v
         arcs = self.digraph.arc_tail
@@ -594,22 +587,18 @@ class PebbleEngine:
                 f"{_name(strategy)} ended its order with {rest} edge(s) "
                 "unprocessed"
             )
-        counters = self.counters
-        counters.edges_processed += len(order) - first
-        counters.edges_accepted += len(accepted) - first_accepted
+        # every edge is processed now or in the deferred tail; the accepted
+        # count includes the edges two-phase strategies preaccept in ``start``
+        counters = report.counters
+        counters.edges_processed = report.m
+        counters.edges_accepted = len(accepted)
         if rest > 0:
-            counters.edges_processed += rest
             counters.early_termination_hit = 1
             report._tail = (strategy, processed)
         return report
 
 
-def extract(
-    graph: Multigraph,
-    params: SparsityParams,
-    order=None,
-    counters: Instrumentation | None = None,
-) -> ExtractionReport:
+def extract(graph: Multigraph, params: SparsityParams, order=None) -> ExtractionReport:
     """Extract a maximum-size (k,l)-sparse subgraph, l < 2k.
 
     ``order`` is a heuristic strategy or an explicit edge-id sequence,
@@ -617,7 +606,7 @@ def extract(
     accepted cardinality is order-independent, the work done is not.
     """
     strategy = resolve_order(order, graph, params, "Basic")
-    return PebbleEngine(graph, params, counters).run(strategy)
+    return PebbleEngine(graph, params).run(strategy)
 
 
 def resolve_order(order, graph: Multigraph, params: SparsityParams, default: str):
@@ -626,8 +615,8 @@ def resolve_order(order, graph: Multigraph, params: SparsityParams, default: str
     sequence, and the object itself when it is already a strategy.
 
     An explicit sequence must hold every edge id in ``range(m)`` exactly
-    once, each an integer; otherwise ``ValueError`` names the first bad
-    entry (or the first id left out)."""
+    once, each an integer and not a bool; otherwise ``ValueError`` names
+    the first bad entry (or the first id left out)."""
     if order is None:
         from .heuristics import make_strategy
 
@@ -641,7 +630,9 @@ def resolve_order(order, graph: Multigraph, params: SparsityParams, default: str
         try:
             e = operator.index(item)
         except TypeError:
-            raise ValueError(f"order entry {i} is {item!r}, not an edge id") from None
+            e = None
+        if e is None or isinstance(item, bool):
+            raise ValueError(f"order entry {i} is {item!r}, not an edge id")
         if not 0 <= e < m:
             raise ValueError(f"order entry {i} is {e}, not an edge id in range({m})")
         if seen[e]:
@@ -653,11 +644,7 @@ def resolve_order(order, graph: Multigraph, params: SparsityParams, default: str
     return _FixedOrder(sequence)
 
 
-def extract_weighted(
-    graph: Multigraph,
-    params: SparsityParams,
-    counters: Instrumentation | None = None,
-) -> ExtractionReport:
+def extract_weighted(graph: Multigraph, params: SparsityParams) -> ExtractionReport:
     """Extract a maximum-weight (k,l)-sparse subgraph, l < 2k.
 
     Processes edges by non-increasing weight (ties by edge id); matroid
@@ -669,17 +656,12 @@ def extract_weighted(
         raise UnweightedInputError("graph has no edge weights")
     weights = graph.weights
     sequence = sorted(range(graph.m), key=lambda e: (-weights[e], e))
-    engine = PebbleEngine(graph, params, counters)
-    report = engine.run(_FixedOrder(sequence))
+    report = PebbleEngine(graph, params).run(_FixedOrder(sequence))
     report.total_weight = sum(weights[e] for e in report.accepted)
     return report
 
 
-def decide(
-    graph: Multigraph,
-    params: SparsityParams,
-    counters: Instrumentation | None = None,
-) -> ExtractionReport:
+def decide(graph: Multigraph, params: SparsityParams) -> ExtractionReport:
     """Classify the graph: fills is_sparse / is_tight / is_spanning.
 
     sparse: every edge accepted; spanning: the accepted subgraph reaches
@@ -701,12 +683,12 @@ def decide(
     tight_size = params.tight_size(graph.n)
     if params.is_augmenting_regime:
         strategy = resolve_order(None, graph, params, "NInDegMin")
-        report = extract(graph, params, strategy, counters=counters)
+        report = extract(graph, params, strategy)
         report.is_spanning = len(report.accepted) == tight_size
     else:
         from .sparse2k import extract_maximal_2k
 
-        report = extract_maximal_2k(graph, params.k, counters)
+        report = extract_maximal_2k(graph, params.k)
     report.is_sparse = len(report.accepted) == graph.m
     report.is_tight = report.is_sparse and graph.m == tight_size
     return report

@@ -22,9 +22,10 @@ inclusion-wise maximal (k,2k)-sparse subgraph.
 
 The pass is a configuration of :class:`~klsparse.pebble.PebbleEngine`:
 :class:`TwoKEngine` supplies the test above as its ``try_accept`` and
-runs the shared loop, which writes the verdicts, over storage order (a
-``_FixedOrder`` of all edge ids).  It has no early stop: the loop's stop
-value is m arcs, so every edge is examined.
+runs the shared loop, which writes the verdicts, over the order it is
+given: storage order (a ``_FixedOrder`` of all edge ids) in
+:func:`extract_maximal_2k`.  It has no early stop: the loop's stop value
+is m arcs, so every edge is examined.
 
 A failed probe exposes a tight block: the closure of w is saturated off
 the endpoints and entered by no arc from outside, so with u and v it
@@ -48,7 +49,7 @@ from __future__ import annotations
 from operator import eq
 
 from .multigraph import Multigraph
-from .orientation import InnerDigraph, Instrumentation, InvariantError
+from .orientation import InnerDigraph, InvariantError
 from .pebble import (
     ExtractionReport,
     PebbleEngine,
@@ -118,21 +119,16 @@ def insertable(digraph: InnerDigraph, u: int, v: int) -> bool:
 class TwoKEngine(PebbleEngine):
     """One-pass maximality engine for l = 2k on a simple graph: the
     :class:`~klsparse.pebble.PebbleEngine` loop and records with its own
-    :meth:`try_accept`, storage order by default and no early stop, with
-    the tight blocks exposed by failed probes in ``blocks``."""
+    :meth:`try_accept` and no early stop, with the tight blocks exposed by
+    failed probes in ``blocks``."""
 
     augmenting = False
 
-    def __init__(
-        self,
-        graph: Multigraph,
-        k: int,
-        counters: Instrumentation | None = None,
-    ) -> None:
+    def __init__(self, graph: Multigraph, k: int) -> None:
         edge_u, edge_v = graph.edge_u, graph.edge_v
         if any(map(eq, edge_u, edge_v)) or len(set(zip(edge_u, edge_v))) < graph.m:
             _raise_first_non_simple_edge(graph)
-        super().__init__(graph, SparsityParams(k, 2 * k), counters)
+        super().__init__(graph, SparsityParams(k, 2 * k))
         # no early stop: the digraph holds m arcs only once every edge
         # has been accepted
         self._stop = graph.m
@@ -156,13 +152,6 @@ class TwoKEngine(PebbleEngine):
         self.blocks.record(digraph.last_closure + [u, v])
         return -1 - reversals
 
-    def run(self, strategy=None) -> ExtractionReport:
-        """:meth:`PebbleEngine.run` over ``strategy``'s order, storage
-        order by default."""
-        if strategy is None:
-            strategy = _FixedOrder(list(range(self.graph.m)))
-        return super().run(strategy)
-
 
 def _raise_first_non_simple_edge(graph: Multigraph) -> None:
     """Raise :class:`NotSimpleInputError` naming the first loop or repeated
@@ -179,11 +168,7 @@ def _raise_first_non_simple_edge(graph: Multigraph) -> None:
         seen.add((u, v))
 
 
-def extract_maximal_2k(
-    graph: Multigraph,
-    k: int,
-    counters: Instrumentation | None = None,
-) -> ExtractionReport:
+def extract_maximal_2k(graph: Multigraph, k: int) -> ExtractionReport:
     """Extract an inclusion-wise maximal (k,2k)-sparse subgraph of a
     simple graph, processing edges in storage order."""
-    return TwoKEngine(graph, k, counters).run()
+    return TwoKEngine(graph, k).run(_FixedOrder(list(range(graph.m))))

@@ -13,7 +13,6 @@ from contextlib import contextmanager
 import pytest
 
 from klsparse import (
-    Instrumentation,
     Multigraph,
     Reason,
     SparsityParams,
@@ -223,8 +222,8 @@ def test_criterion_7_early_termination_is_free():
     )
     with criterion(7, label):
         g = complete_graph(50)
-        c_full = Instrumentation()
-        rep = extract(g, SparsityParams(1, 1), counters=c_full)
+        rep = extract(g, SparsityParams(1, 1))
+        c_full = rep.counters
         assert rep.accepted_count == 49
         accepted_seen = 0
         cut = None
@@ -243,8 +242,7 @@ def test_criterion_7_early_termination_is_free():
         # replaying only the accepted prefix produces identical traversal
         # counters, so the terminated tail cost zero visits
         prefix = Multigraph(50, [g.endpoints(e) for e in range(49)])
-        c_prefix = Instrumentation()
-        extract(prefix, SparsityParams(1, 1), counters=c_prefix)
+        c_prefix = extract(prefix, SparsityParams(1, 1)).counters
         assert c_full.bfs_node_visits == c_prefix.bfs_node_visits
         assert c_full.path_reversals == c_prefix.path_reversals
         assert c_full.early_termination_hit == 1

@@ -23,6 +23,7 @@ from klsparse import (
     is_sparse_bruteforce,
     make_strategy,
 )
+from klsparse.pebble import _FixedOrder
 from conftest import ALL_PAIRS
 
 
@@ -188,7 +189,7 @@ def test_maximal_2k_blocks_are_tight():
         g = gen_erdos_renyi(n, rng.uniform(0.1, 0.6), seed=rng.randrange(10**6))
         for k in (1, 2, 3):
             engine = TwoKEngine(g, k)
-            report = engine.run()
+            report = engine.run(_FixedOrder(list(range(g.m))))
             _check_blocks(g, engine.params, report, engine.blocks.components())
             counts = report.reason_counts()
             assert counts[Reason.ACCEPTED] == report.accepted_count
@@ -202,7 +203,7 @@ def test_maximal_2k_block_is_the_failed_probe_closure():
     # K4 at k = 1: edge (0,2) fails at the saturated neighbour 1 of node 0,
     # whose closure is {1, 0}; edge (0,3) likewise, giving a second block
     engine = TwoKEngine(Multigraph(4, list(combinations(range(4), 2))), 1)
-    engine.run()
+    engine.run(_FixedOrder(list(range(6))))
     assert engine.blocks.components() == [[0, 1, 2], [0, 1, 3]]
 
     rng = random.Random(83)
@@ -251,7 +252,7 @@ def test_maximal_2k_block_is_the_failed_probe_closure():
 
             # checked after each rejection, inside one run
             engine.try_accept = check
-            engine.run()
+            engine.run(_FixedOrder(list(range(g.m))))
             _check_blocks(g, engine.params, engine.report, engine.blocks.components())
     # the closure of one neighbour is often smaller than the unreached set
     assert checked > 1000 and smaller > 100

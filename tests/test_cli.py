@@ -10,7 +10,6 @@ import pytest
 from klsparse import (
     GraphParseError,
     InnerDigraph,
-    Instrumentation,
     InvariantError,
     Multigraph,
     ReversalBoundError,
@@ -330,11 +329,9 @@ def test_bench_times_the_order_extract_runs(capsys):
     assert [row[6] for row in rows] == ["0", "1"]
     p = SparsityParams(2, 3)
     for row in rows:
-        counters = Instrumentation()
-        report = extract(gen_erdos_renyi(60, 0.1, int(row[6])), p,
-                         counters=counters)
+        report = extract(gen_erdos_renyi(60, 0.1, int(row[6])), p)
         assert row[7] == str(report.accepted_count)
-        assert row[9] == str(counters.bfs_node_visits)
+        assert row[9] == str(report.counters.bfs_node_visits)
 
 
 def test_bench_molecular_rejects_bad_multiplicity(capsys):

@@ -10,7 +10,6 @@ import pytest
 from klsparse import (
     STRATEGY_NAMES,
     ComponentSet,
-    Instrumentation,
     Multigraph,
     NotSparseInputError,
     PebbleEngine,
@@ -196,10 +195,10 @@ def test_rigid_components_visits_stay_linear():
     p = SparsityParams(2, 3)
     tight = _accepted_subgraph(g, extract(g, p))
     assert (tight.n, tight.m) == (1394, 2785)
-    counters = Instrumentation()
-    assert components_of(tight, p, counters) == [list(range(tight.n))]
+    report, comps = extract_with_components(tight, p)
+    assert comps == [list(range(tight.n))]
     # a block probe after every accepted edge makes about 3.9M visits here
-    assert counters.bfs_node_visits <= 20 * tight.m
+    assert report.counters.bfs_node_visits <= 20 * tight.m
 
 
 def test_pass_reversal_bound_is_checked_without_assert(monkeypatch):

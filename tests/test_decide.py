@@ -12,7 +12,6 @@ import random
 import pytest
 
 from klsparse import (
-    Instrumentation,
     Reason,
     SparsityParams,
     decide,
@@ -100,11 +99,10 @@ def test_decide_visits_fewer_nodes_than_basic():
     # decide benchmark runs, NInDegMin must search less than Basic
     g = gen_erdos_renyi(600, 0.1, seed=1)
     params = SparsityParams(2, 3)
-    decided, basic = Instrumentation(), Instrumentation()
-    d = decide(g, params, counters=decided)
-    b = extract(g, params, counters=basic)
+    d = decide(g, params)
+    b = extract(g, params)
     assert d.accepted_count == b.accepted_count
-    assert decided.bfs_node_visits < basic.bfs_node_visits
+    assert d.counters.bfs_node_visits < b.counters.bfs_node_visits
 
 
 @pytest.mark.parametrize("first_read", ["order", "verdicts", "reason_counts"])

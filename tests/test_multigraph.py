@@ -148,6 +148,23 @@ def test_parse_malformed_edge_line_number():
     assert info.value.line == 3
 
 
+@pytest.mark.parametrize("text, error, line", [
+    ("kl-graph 3 1\n\u0661 2\n", MalformedEdgeError, 2),
+    ("kl-graph 3 1\n0 \uff12\n", MalformedEdgeError, 2),
+    ("kl-graph 1_0 1\n0 1\n", MalformedHeaderError, 1),
+    ("kl-graph 3 1 weighted\n0 1 1_5\n", MalformedEdgeError, 2),
+])
+def test_parse_refuses_python_number_leniency(text, error, line):
+    # int() reads "\u0661" (ARABIC-INDIC DIGIT ONE) as 1 and "1_0" as 10,
+    # and float() reads "1_5" as 15.0
+    with pytest.raises(error) as info:
+        parse_graph(text)
+    assert info.value.line == line
+    # a comment may hold either; the numbers around it are still read
+    g = parse_graph("# caf\u00e9_1\nkl-graph 3 1 weighted\n0 2 1.5\n")
+    assert (g.edges(), g.weights) == ([(0, 2)], [1.5])
+
+
 def test_parse_node_out_of_range():
     with pytest.raises(NodeIdOutOfRangeError) as info:
         parse_graph("kl-graph 3 1\n0 7\n")
@@ -272,10 +289,11 @@ def test_first_bad_edge_is_named(edges, message):
 
 
 def test_loops_and_swaps_keep_endpoint_objects():
-    # on a tie the stored endpoints are the given ones, as in u <= v storage
-    g = Multigraph(3, [(1, 1.0), (True, 1), (2, 0)])
-    assert [(type(u), type(v)) for u, v in g.edges()] == [
-        (int, float), (bool, int), (int, int)
-    ]
-    assert g.edges() == [(1, 1), (1, 1), (0, 2)]
-    assert g.degree == [1, 4, 1]
+    g = Multigraph(3, [(1, 1), (2, 0)])
+    assert g.edges() == [(1, 1), (0, 2)]
+    assert g.degree == [1, 2, 1]
+    # a float on a loop or a bool would be written as 1.0 or True, which
+    # parse_graph refuses
+    for pair in [(1, 1.0), (1.0, 1), (True, 1), (True, 2), (0, False)]:
+        with pytest.raises(ValueError, match="must be a pair of integers"):
+            Multigraph(3, [pair])

@@ -9,7 +9,6 @@ import pytest
 from klsparse import (
     BudgetExceededError,
     Multigraph,
-    OracleBudget,
     SparsityParams,
     extract,
     is_maximal_2k,
@@ -55,12 +54,14 @@ def test_loop_counting():
 
 def test_budget_enforced():
     big = Multigraph(13, [])
-    with pytest.raises(BudgetExceededError):
+    message = r"^n=13 exceeds oracle budget \(max_n=12, max_subsets=4096\)$"
+    with pytest.raises(BudgetExceededError, match=message):
         is_sparse_bruteforce(big, SparsityParams(1, 1))
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetExceededError, match=message):
         max_sparse_size_oracle(big, SparsityParams(1, 1))
-    roomy = OracleBudget(max_n=14, max_subsets=1 << 14)
-    ok, _ = is_sparse_bruteforce(big, SparsityParams(1, 1), budget=roomy)
+    with pytest.raises(BudgetExceededError, match=message):
+        is_maximal_2k(big, set(), 1)
+    ok, _ = is_sparse_bruteforce(Multigraph(12, []), SparsityParams(1, 1))
     assert ok
 
 

@@ -10,15 +10,14 @@ import pytest
 from klsparse import (
     IndegreeOverflowError,
     InnerDigraph,
-    Instrumentation,
     Multigraph,
     ReversalBoundError,
     SparsityParams,
     StalePathError,
-    components_of,
     decide,
     extract,
     extract_maximal_2k,
+    extract_with_components,
     gen_erdos_renyi,
     make_strategy,
 )
@@ -96,7 +95,7 @@ def test_reverse_stale_path_rejected():
         lambda d: d.find_reversal_path((2,)),
         # a failed search
         lambda d: d.find_reversal_path((2,), forbidden_sources=(0,)),
-        lambda d: d.saturated_closure((2,)),
+        lambda d: d.saturated_closure((2,), (), set()),
         lambda d: d.multi_source_forward_reach(),
         lambda d: d.reverse(d.find_reversal_path((1,))),
     ],
@@ -196,7 +195,7 @@ def test_reverse_flips_path_arcs_only():
             assert grown == reached.union(nodes)
 
             source, order, nodes = _reference_search(d, targets, forbidden)
-            assert d.saturated_closure(targets, forbidden) == (
+            assert d.saturated_closure(targets, forbidden, set()) == (
                 order if source < 0 else None
             )
             before = d.counters.bfs_node_visits
@@ -334,13 +333,13 @@ def test_drain_stops_at_its_bound_when_reversals_move_nothing(
 def test_saturated_closure():
     d = build_path_digraph()
     # node 2's backward closure contains the deficient node 0
-    assert d.saturated_closure((2,)) is None
+    assert d.saturated_closure((2,), (), set()) is None
     d.reverse(d.find_reversal_path((2,)))
     d2 = InnerDigraph(3, 1)
     d2.insert_arc(0, 0, 1)
     d2.insert_arc(1, 1, 0)
     # the 2-cycle is saturated on both nodes
-    closure = d2.saturated_closure((0,))
+    closure = d2.saturated_closure((0,), (), set())
     assert closure is not None
     assert sorted(closure) == [0, 1]
 
@@ -349,7 +348,7 @@ def test_saturated_closure_with_forbidden_sources_and_reached_nodes():
     d = build_path_digraph()
     # with the only deficient node forbidden, node 2's closure is saturated
     # off it and holds it
-    assert sorted(d.saturated_closure((2,), (0,))) == [0, 1, 2]
+    assert sorted(d.saturated_closure((2,), (0,), set())) == [0, 1, 2]
     reached: set[int] = set()
     assert d.saturated_closure((2,), (), reached) is None
     # the found path 0 -> 1 -> 2 is reached, source and target included
@@ -379,8 +378,8 @@ def test_forward_reach_skips_excluded_sources():
 
 
 def test_counters_accumulate():
-    c = Instrumentation()
-    d = InnerDigraph(3, 1, counters=c)
+    d = InnerDigraph(3, 1)
+    c = d.counters
     d.insert_arc(0, 0, 1)
     d.insert_arc(1, 1, 2)
     d.find_reversal_path((2,))
@@ -432,12 +431,13 @@ def test_searches_and_reversals_go_through_the_traced_methods(
 ):
     """Every node visit is made inside one of the digraph's traversal
     methods and every reversal inside ``reverse``, for ``extract`` under
-    three orders, ``decide``, ``components_of`` and ``extract_maximal_2k``:
-    the layer boundaries a tracer wraps see all of the work."""
+    three orders, ``decide``, ``extract_with_components`` and
+    ``extract_maximal_2k``: the layer boundaries a tracer wraps see all of
+    the work."""
     p = SparsityParams(2, 3)
     g = gen_erdos_renyi(120, 0.08, seed=5)
     if run == "components":
-        # its accepted subgraph: components_of needs a sparse input
+        # its accepted subgraph, the sparse input components_of takes
         g = Multigraph(g.n, [g.endpoints(e) for e in sorted(extract(g, p).accepted)])
     visits = 0
     calls = dict.fromkeys(
@@ -462,15 +462,15 @@ def test_searches_and_reversals_go_through_the_traced_methods(
 
     for name in calls:
         spy(name)
-    c = Instrumentation()
     if run == "decide":
-        decide(g, p, c)
+        rep = decide(g, p)
     elif run == "components":
-        components_of(g, p, c)
+        rep, _ = extract_with_components(g, p)
     elif run == "maximal-2k":
-        extract_maximal_2k(g, 2, c)
+        rep = extract_maximal_2k(g, 2)
     else:
-        extract(g, p, make_strategy(run, g, p, seed=2), counters=c)
+        rep = extract(g, p, make_strategy(run, g, p, seed=2))
+    c = rep.counters
     assert c.bfs_node_visits > 0
     assert visits == c.bfs_node_visits
     assert calls["reverse"] == c.path_reversals > 0

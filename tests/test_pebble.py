@@ -12,7 +12,6 @@ import pytest
 from klsparse import (
     STRATEGY_NAMES,
     InnerDigraph,
-    Instrumentation,
     Multigraph,
     PebbleEngine,
     Reason,
@@ -133,8 +132,8 @@ def test_verdict_reasons_cover_run():
 
 def test_early_termination_skips_traversal():
     g = complete_graph(6)
-    c = Instrumentation()
-    rep = extract(g, SparsityParams(1, 1), counters=c)
+    rep = extract(g, SparsityParams(1, 1))
+    c = rep.counters
     accepted_seen = 0
     terminated = False
     for v in rep.verdicts:
@@ -162,6 +161,8 @@ def test_custom_order_changes_nothing_for_size():
     ([0, 1, 1] + list(range(2, 18)), "order entry 2 repeats edge 1"),
     ([0.0] + list(range(1, 18)), "order entry 0 is 0.0, not an edge id"),
     (["0"] + list(range(1, 18)), "order entry 0 is '0', not an edge id"),
+    # True would be read as edge 1
+    ([True] + list(range(1, 18)), "order entry 0 is True, not an edge id"),
 ])
 def test_explicit_order_must_be_a_permutation(order, message):
     # a negative id would alias an edge from the end, a short order would

@@ -8,7 +8,6 @@ import random
 import pytest
 
 from klsparse import (
-    Instrumentation,
     InnerDigraph,
     Multigraph,
     NotSimpleInputError,
@@ -142,10 +141,9 @@ def test_insertability_probes_stay_local(monkeypatch):
 
     monkeypatch.setattr(InnerDigraph, "multi_source_forward_reach", no_reach)
     g = gen_erdos_renyi(2000, 0.0015, seed=7)
-    counters = Instrumentation()
-    rep = extract_maximal_2k(g, 2, counters)
+    rep = extract_maximal_2k(g, 2)
     assert rep.reason_counts()[Reason.INDEGREE_BLOCKED] > 0
-    assert counters.bfs_node_visits <= 20 * g.m
+    assert rep.counters.bfs_node_visits <= 20 * g.m
 
 
 def test_verdict_reasons():
