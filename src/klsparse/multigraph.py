@@ -317,9 +317,6 @@ def _parse_lines(text: str | bytes) -> Multigraph:
             ) from None
     lines = text.splitlines()
     eof = len(lines) + 1
-    # text with no "_" and no non-ASCII character needs no check per token
-    # (str returns a str token itself)
-    plain = _plain if "_" in text or not text.isascii() else str
 
     header: tuple[int, int, bool] | None = None
     edge_u: list[int] = []
@@ -344,7 +341,7 @@ def _parse_lines(text: str | bytes) -> Multigraph:
                     f"unknown header flag {tokens[3]!r}", lineno
                 )
             try:
-                n, m = int(plain(tokens[1])), int(plain(tokens[2]))
+                n, m = int(_plain(tokens[1])), int(_plain(tokens[2]))
             except ValueError:
                 raise MalformedHeaderError(
                     f"node/edge counts must be integers, got {stripped!r}",
@@ -375,7 +372,7 @@ def _parse_lines(text: str | bytes) -> Multigraph:
                 lineno,
             )
         try:
-            u, v = int(plain(tokens[0])), int(plain(tokens[1]))
+            u, v = int(_plain(tokens[0])), int(_plain(tokens[1]))
         except ValueError:
             raise MalformedEdgeError(
                 f"endpoints must be integers, got {stripped!r}", lineno
@@ -386,7 +383,7 @@ def _parse_lines(text: str | bytes) -> Multigraph:
             )
         if weighted:
             try:
-                w = float(plain(tokens[2]))
+                w = float(_plain(tokens[2]))
             except ValueError:
                 raise MalformedEdgeError(
                     f"weight must be a decimal number, got {tokens[2]!r}",

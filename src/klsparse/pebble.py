@@ -628,11 +628,11 @@ def resolve_order(order, graph: Multigraph, params: SparsityParams, default: str
     sequence = []
     for i, item in enumerate(order):
         try:
+            if isinstance(item, bool):
+                raise TypeError
             e = operator.index(item)
         except TypeError:
-            e = None
-        if e is None or isinstance(item, bool):
-            raise ValueError(f"order entry {i} is {item!r}, not an edge id")
+            raise ValueError(f"order entry {i} is {item!r}, not an edge id") from None
         if not 0 <= e < m:
             raise ValueError(f"order entry {i} is {e}, not an edge id in range({m})")
         if seen[e]:

@@ -292,6 +292,14 @@ def test_loops_and_swaps_keep_endpoint_objects():
     g = Multigraph(3, [(1, 1), (2, 0)])
     assert g.edges() == [(1, 1), (0, 2)]
     assert g.degree == [1, 2, 1]
+
+    class Id(int):
+        pass
+
+    # an integer type other than int and bool is kept as given
+    g = Multigraph(3, [(Id(2), Id(1))])
+    assert g.edges() == [(1, 2)]
+    assert all(type(x) is Id for x in g.edges()[0])
     # a float on a loop or a bool would be written as 1.0 or True, which
     # parse_graph refuses
     for pair in [(1, 1.0), (1.0, 1), (True, 1), (True, 2), (0, False)]:
