@@ -257,6 +257,15 @@ _PINNED_STREAMS = {
         "fbd4958909b6446e95e7c64bebed8a92099d364ba1658927f76138724b78b237",
         "21bc3cea5e3efe034461aba13fafac3b19133ee902cee8c919b6a2a8e3f07a09",
     ),
+    # k > l: PForestsBFS/DFS seed pseudoforests here
+    ((60, 0.4, 6), (2, 0)): (
+        "0f643c9c0c8f366fe2731b15d5f8b99b16ba1faacaa6e30e95d6eadb239e8b56",
+        "014e4fc123e22dbdd202726ddad950efa4bb1138b60a229fa6ffecf79b523795",
+    ),
+    ((60, 0.4, 6), (3, 1)): (
+        "4778268be310cc4e80466a0e87e909472f75d8fe69d8f284571c6ac73d0e14c6",
+        "6d3fe453029186f9d4fa36850b6e8031ed5d22e0a4815dff6562ebcf06c9aa9f",
+    ),
 }
 
 
