@@ -34,11 +34,8 @@ from .generators import (
 )
 from .heuristics import (
     STRATEGY_NAMES,
-    PhaseOneResult,
     Strategy,
-    build_phase_one,
     make_strategy,
-    phase_one_sparsity_check,
 )
 from .multigraph import (
     EdgeCountMismatchError,
@@ -112,7 +109,6 @@ __all__ = [
     "NotSparseInputError",
     "OrientationInfeasibleError",
     "PebbleEngine",
-    "PhaseOneResult",
     "Reason",
     "ReversalBoundError",
     "ReversalPath",
@@ -125,7 +121,6 @@ __all__ = [
     "UnweightedInputError",
     "Verdict",
     "WrongRegimeError",
-    "build_phase_one",
     "components_of",
     "decide",
     "detect_block",
@@ -145,7 +140,6 @@ __all__ = [
     "molecular_transform",
     "naive_l2k_check",
     "parse_graph",
-    "phase_one_sparsity_check",
     "random_labeled_tree",
     "serialize_graph",
     "zero_pair_indegrees",

@@ -12,9 +12,11 @@ Four families:
                    stays at a node while its edges keep being accepted)
 * two-phase     -- PForestsBFS/DFS, ForestsBFS/DFS, UnionBasic, UnionNBasic,
                    UnionTranspOne: seed the digraph with edge-disjoint
-                   forests (and pseudoforests where k > l), then stream the
-                   leftovers through a paired second-phase order, which
-                   the Union* forest scans also walk
+                   structures grown by BFS, DFS or a union-find scan, then
+                   stream the leftovers through a paired second-phase
+                   order.  Only PForests* seed pseudoforests (where k > l);
+                   the others seed forests, and the Union* scans walk the
+                   second phase's own order
 
 A strategy is a configuration of the :class:`~klsparse.pebble.Strategy`
 protocol, which lives next to the engine loop that drives it (and is
@@ -27,7 +29,8 @@ flagged, so a two-phase strategy is its second-phase class with phase one
 as a ``start`` step, and a union-find phase one restarts that same order
 for each forest it scans.  One table, ``_CATALOG``, maps each of the 21
 names to its factory and its whole configuration, a node order's arc rule
-(toward the current node or away from it) included.  Ordering never
+(toward the current node or away from it) and a two-phase name's structure
+builder included.  Ordering never
 changes the accepted cardinality (matroid regime); it only moves the
 traversal work around.  Every strategy is deterministic for a fixed seed,
 with seed 0 meaning exact storage order where a shuffle would otherwise
@@ -38,7 +41,6 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass
 from functools import partial
 
 from . import pebble
@@ -336,21 +338,6 @@ class TranspOneStrategy(TranspStrategy):
             self._at = self._last
 
 
-@dataclass
-class PhaseOneResult:
-    """Forest/pseudoforest seeding for a two-phase run.
-
-    ``arcs`` holds (edge, tail, head) in insertion order, structure by
-    structure, and ``structures`` the edge ids of each structure.  The
-    engine inserts the arcs (:meth:`~klsparse.pebble.PebbleEngine.preaccept`),
-    which enforces the indegree bound; the paired strategy streams the
-    unused edges.
-    """
-
-    arcs: list[tuple[int, int, int]]
-    structures: list[list[int]]
-
-
 def _orient_component_tree(
     graph: Multigraph,
     arcs: list[tuple[int, int, int]],
@@ -372,15 +359,17 @@ def _orient_component_tree(
 
 
 def _structure_traversal(
-    graph: Multigraph,
+    strategy: Strategy,
     used: bytearray,
-    take_extra: bool,
+    take_extra: bool = False,
+    *,
     dfs: bool,
 ) -> list[tuple[int, int, int]]:
     """Grow one spanning forest (plus one cycle edge per component when
-    ``take_extra``) over the unused edges by BFS or DFS; arcs are oriented
-    parent -> child from each root, so per-node indegree stays <= 1."""
-    g = graph
+    ``take_extra``) over the unused edges of ``strategy``'s graph by BFS
+    or DFS; arcs are oriented parent -> child from each root, so per-node
+    indegree stays <= 1."""
+    g = strategy.graph
     visited = bytearray(g.n)
     arcs: list[tuple[int, int, int]] = []
     for root in range(g.n):
@@ -417,38 +406,10 @@ def _structure_traversal(
     return arcs
 
 
-class _UnionFind:
-    __slots__ = ("parent", "size", "cycled")
-
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
-        self.size = [1] * n
-        self.cycled = bytearray(n)
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> int:
-        if self.size[a] < self.size[b]:
-            a, b = b, a
-        self.parent[b] = a
-        self.size[a] += self.size[b]
-        if self.cycled[b]:
-            self.cycled[a] = 1
-        return a
-
-
-def _orient_structure_edges(
-    graph: Multigraph,
-    tree_edges: list[int],
-    extra_edges: list[int],
+def _orient_forest(
+    graph: Multigraph, tree_edges: list[int]
 ) -> list[tuple[int, int, int]]:
-    """Root every tree at its smallest node, orient parent -> child, then
-    fix up each component's extra edge."""
+    """Root every tree at its smallest node and orient parent -> child."""
     g = graph
     adj: dict[int, list[tuple[int, int]]] = {}
     for e in tree_edges:
@@ -457,13 +418,7 @@ def _orient_structure_edges(
         adj.setdefault(v, []).append((e, u))
     visited: set[int] = set()
     arcs: list[tuple[int, int, int]] = []
-    arc_at: dict[int, int] = {}
-    touched = sorted(
-        set(adj)
-        | {g.edge_u[e] for e in extra_edges}
-        | {g.edge_v[e] for e in extra_edges}
-    )
-    for root in touched:
+    for root in sorted(adj):
         if root in visited:
             continue
         visited.add(root)
@@ -472,127 +427,67 @@ def _orient_structure_edges(
         while qi < len(queue):
             x = queue[qi]
             qi += 1
-            for e, y in adj.get(x, ()):
+            for e, y in adj[x]:
                 if y in visited:
                     continue
                 visited.add(y)
-                arc_at[y] = len(arcs)
                 arcs.append((e, x, y))
                 queue.append(y)
-    for e in extra_edges:
-        _orient_component_tree(g, arcs, arc_at, e)
     return arcs
 
 
 def _structure_union_scan(
-    graph: Multigraph,
-    used: bytearray,
-    take_extra: bool,
-    order: Strategy,
+    strategy: Strategy, used: bytearray
 ) -> list[tuple[int, int, int]]:
-    """Grow one forest (plus one cycle edge per component when asked) with
-    a union-find pass over ``order``, restarted over the unused edges.
-    Each edge it takes is marked in ``used``, and ``order`` hears every
-    verdict before it yields the next edge."""
-    g = graph
-    uf = _UnionFind(g.n)
+    """Grow one forest with a union-find pass over ``strategy``'s own
+    order, restarted over the unused edges.  Each edge it takes is marked
+    in ``used``, and the order hears every verdict before it yields the
+    next edge.  The scan grows forests only, so a configuration that asks
+    it for a pseudoforest fails on the ``take_extra`` keyword."""
+    g = strategy.graph
+    parent = list(range(g.n))
     tree: list[int] = []
-    extras: list[int] = []
     seen = bytearray(used)
-    order.restart(seen)
-    next_edge, on_processed = order.next_edge, order.on_processed
-    find, cycled = uf.find, uf.cycled
+    strategy.restart(seen)
+    next_edge, on_processed = strategy.next_edge, strategy.on_processed
     while (e := next_edge()) is not None:
         seen[e] = 1
-        ru, rv = find(g.edge_u[e]), find(g.edge_v[e])
-        if ru != rv:
-            # joining two unicyclic components would carry two cycles
-            took = not (take_extra and cycled[ru] and cycled[rv])
-            if took:
-                uf.union(ru, rv)
-                tree.append(e)
-        else:
-            took = take_extra and not cycled[ru]
-            if took:
-                cycled[ru] = 1
-                extras.append(e)
-        on_processed(e, took)
+        # the roots of both endpoints, halving the paths walked
+        u, v = g.edge_u[e], g.edge_v[e]
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        took = u != v
         if took:
+            parent[u] = v
+            tree.append(e)
             used[e] = 1
-            if len(tree) == g.n - 1 and (extras or not take_extra):
-                # one spanning component that takes no further edge
-                break
-    return _orient_structure_edges(g, tree, extras)
-
-
-def build_phase_one(
-    graph: Multigraph,
-    params: SparsityParams,
-    method: str = "bfs",
-    *,
-    pseudoforests: bool = True,
-    order: Strategy | None = None,
-) -> PhaseOneResult:
-    """Build the edge-disjoint first-phase structures.
-
-    With ``pseudoforests`` (the PForests variants): (k-l)+ pseudoforests
-    first, then min(l, 2k-l) forests.  Without: min(l, 2k-l) + (k-l)+
-    plain forests.  Their union is (k,l)-sparse, and per-structure
-    indegrees stay <= 1, so the seeded digraph respects the k bound.
-    ``method`` is one of bfs / dfs / union.  The union-find scan walks
-    ``order``, a strategy it restarts over the unused edges for each
-    structure (storage order by default); a two-phase strategy passes
-    itself, so its scan walks its second phase's own order.  bfs and dfs
-    ignore ``order``.
-    """
-    params.require_augmenting_regime()
-    if method not in ("bfs", "dfs", "union"):
-        raise ValueError(f"unknown phase-one method {method!r}")
-    k, l = params.k, params.l
-    n_pseudo = max(k - l, 0) if pseudoforests else 0
-    n_forest = min(l, 2 * k - l) + (0 if pseudoforests else max(k - l, 0))
-
-    used = bytearray(graph.m)
-    arcs: list[tuple[int, int, int]] = []
-    structures: list[list[int]] = []
-    plan = [True] * n_pseudo + [False] * n_forest
-    if method == "union" and order is None:
-        order = pebble._FixedOrder(list(range(graph.m)))
-    for take_extra in plan:
-        if method == "union":
-            structure = _structure_union_scan(graph, used, take_extra, order)
-        else:
-            structure = _structure_traversal(graph, used, take_extra, method == "dfs")
-        arcs.extend(structure)
-        structures.append([e for e, _, _ in structure])
-    return PhaseOneResult(arcs=arcs, structures=structures)
-
-
-def phase_one_sparsity_check(
-    result: PhaseOneResult, params: SparsityParams
-) -> tuple[bool, list[int] | None]:
-    """Brute-force check that the seeded union is (k,l)-sparse (small n).
-
-    Its graph spans the nodes up to the largest arc endpoint: a node that
-    no arc touches never takes part in a violated count.
-    """
-    from .oracle import is_sparse_bruteforce
-
-    edges = [(t, h) for _, t, h in result.arcs]
-    n = max((max(edge) + 1 for edge in edges), default=0)
-    return is_sparse_bruteforce(Multigraph(n, edges), params)
+        on_processed(e, took)
+        if took and len(tree) == g.n - 1:
+            break  # one spanning tree: no further edge joins two trees
+    return _orient_forest(g, tree)
 
 
 class _TwoPhase(Strategy):
-    """Phase one as a start step, mixed in before the second-phase class:
-    seed the digraph with :func:`build_phase_one`'s arcs (a union scan
-    walks this strategy's own order), then start the second phase, whose
-    order and orientation the engine drives.  Keywords other than the
-    phase-one ``method`` and ``pseudoforests`` go to the second phase."""
+    """Phase one as a start step, mixed in before the second-phase class.
 
-    def __init__(self, graph, params, seed=0, *, method, pseudoforests=False, **second):
+    ``start`` seeds the digraph with edge-disjoint structures grown over
+    the edges no earlier structure took: with ``pseudoforests`` (the
+    PForests names) (k-l)+ pseudoforests first, then min(l, 2k-l) forests;
+    without, min(l, 2k-l) + (k-l)+ plain forests.  Their union is
+    (k,l)-sparse by the map-decomposition counts of Haas, Lee, Streinu &
+    Theran, and each structure gives a node indegree at most 1, so every
+    arc goes to :meth:`~klsparse.pebble.PebbleEngine.preaccept` as grown.
+    ``grow(strategy, used)`` builds one forest and, with
+    ``take_extra=True``, one pseudoforest; the union scan walks this
+    strategy's own order.  Then the second phase starts, whose order and
+    orientation the engine drives.  Keywords other than ``grow`` and
+    ``pseudoforests`` go to the second phase."""
+
+    def __init__(self, graph, params, seed=0, *, grow, pseudoforests=False, **second):
         super().__init__(graph, params, seed, **second)
-        self._method = method
+        self._grow = grow
         self._pseudoforests = pseudoforests
 
     def start(self, engine):
@@ -602,15 +497,17 @@ class _TwoPhase(Strategy):
                 f"{pebble._name(self)} is a two-phase order, which needs "
                 f"l < 2k; (k={p.k}, l={p.l}) has l = 2k"
             )
-        plan = build_phase_one(
-            self.graph,
-            self.params,
-            self._method,
-            pseudoforests=self._pseudoforests,
-            order=self,
-        )
-        for e, t, h in plan.arcs:
-            engine.preaccept(e, t, h)
+        k, l = p.k, p.l
+        n_pseudo = max(k - l, 0) if self._pseudoforests else 0
+        n_forest = min(l, 2 * k - l) + max(k - l, 0) - n_pseudo
+        used = bytearray(self.graph.m)
+        for i in range(n_pseudo + n_forest):
+            if i < n_pseudo:
+                arcs = self._grow(self, used, take_extra=True)
+            else:
+                arcs = self._grow(self, used)
+            for e, t, h in arcs:
+                engine.preaccept(e, t, h)
         super().start(engine)
 
 
@@ -627,6 +524,8 @@ class _TwoPhaseTranspOne(_TwoPhase, TranspOneStrategy):
 
 
 _NDEGMIN = partial(NDegMinStrategy, toward_current=True)
+_BFS = partial(_structure_traversal, dfs=False)
+_DFS = partial(_structure_traversal, dfs=True)
 
 # name -> factory with its whole configuration; a Comp variant flips its
 # node order's arc rule, except NDegMinComp, which is NDegMin.
@@ -644,13 +543,15 @@ _CATALOG = {
     "NDegMinComp": _NDEGMIN,
     "NProcMinComp": partial(NProcMinStrategy, toward_current=False),
     "NInDegMinComp": partial(NInDegMinStrategy, toward_current=True),
-    "PForestsBFS": partial(_TwoPhaseBasic, method="bfs", pseudoforests=True),
-    "PForestsDFS": partial(_TwoPhaseBasic, method="dfs", pseudoforests=True),
-    "ForestsBFS": partial(_TwoPhaseBasic, method="bfs"),
-    "ForestsDFS": partial(_TwoPhaseBasic, method="dfs"),
-    "UnionBasic": partial(_TwoPhaseBasic, method="union"),
-    "UnionNBasic": partial(_TwoPhaseNBasic, method="union", toward_current=True),
-    "UnionTranspOne": partial(_TwoPhaseTranspOne, method="union"),
+    "PForestsBFS": partial(_TwoPhaseBasic, grow=_BFS, pseudoforests=True),
+    "PForestsDFS": partial(_TwoPhaseBasic, grow=_DFS, pseudoforests=True),
+    "ForestsBFS": partial(_TwoPhaseBasic, grow=_BFS),
+    "ForestsDFS": partial(_TwoPhaseBasic, grow=_DFS),
+    "UnionBasic": partial(_TwoPhaseBasic, grow=_structure_union_scan),
+    "UnionNBasic": partial(
+        _TwoPhaseNBasic, grow=_structure_union_scan, toward_current=True
+    ),
+    "UnionTranspOne": partial(_TwoPhaseTranspOne, grow=_structure_union_scan),
     "Transp": TranspStrategy,
     "TranspOne": TranspOneStrategy,
 }

@@ -280,15 +280,27 @@ def _parse_canonical(data: bytes) -> Multigraph | None:
     edge_v: list[int] = []
     try:
         n, m = int(header[1]), int(header[2])
-        # the newline count comes first, so a huge header m never builds a
-        # huge string below
-        if data.count(b"\n", start) != m or not data.endswith(b"\n"):
-            return None
-        # the header already matched, so it reads b"kl-graph  \n" here:
-        # no copy of the body is made only to drop its digits
-        if data.translate(None, b"0123456789") != b"kl-graph  \n" + b" \n" * m:
-            return None
+    except ValueError:  # a count past int's digit limit
+        return None
+    # the newline count comes first, so a huge header m never builds a
+    # huge string below
+    if data.count(b"\n", start) != m or not data.endswith(b"\n"):
+        return None
+    # the header already matched, so it reads b"kl-graph  \n" here:
+    # no copy of the body is made only to drop its digits
+    if data.translate(None, b"0123456789") != b"kl-graph  \n" + b" \n" * m:
+        return None
+    try:
         node = list(range(n)).__getitem__
+    except OverflowError:  # an n too large for a list
+        return None
+    except MemoryError:
+        # the line parser would fail the same way, one incidence list at a
+        # time, so the node count is the error
+        raise MalformedHeaderError(
+            f"node count {n} is too large to allocate", 1
+        ) from None
+    try:
         while start < end:
             stop = data.find(b"\n", start + _CHUNK) + 1 or end
             body = data[start:stop - 1].translate(_TO_COMMAS)
@@ -296,9 +308,9 @@ def _parse_canonical(data: bytes) -> Multigraph | None:
             edge_u += map(node, ints[0::2])
             edge_v += map(node, ints[1::2])
             start = stop
-    except (ValueError, IndexError, OverflowError):
+    except (ValueError, IndexError):
         # a leading zero or an empty token (not JSON), a number past int's
-        # digit limit, an endpoint >= n, or an n too large for a list
+        # digit limit or an endpoint >= n
         return None
     del node  # frees the ids no edge uses before the incidence lists exist
     return Multigraph._from_columns(n, edge_u, edge_v)

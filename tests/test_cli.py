@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import hashlib
+import os
+import subprocess
+import sys
 from itertools import combinations
 
 import pytest
 
+import klsparse
 from klsparse import (
     GraphParseError,
     InnerDigraph,
@@ -209,6 +213,33 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert main(["decide", "-k", "1", "-l", "1", "--input", str(bad)]) == 2
     err = capsys.readouterr().err
     assert "parse error" in err
+
+
+def test_canonical_node_count_past_memory_is_parse_error(tmp_path):
+    # n * 8 bytes overflows for n >= 2**60, so building the canonical
+    # parser's node table fails before it allocates; the child process
+    # still caps its address space, so a regression cannot exhaust memory
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))\n"
+        "from klsparse.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    src = os.path.dirname(os.path.dirname(klsparse.__file__))
+    for n in (sys.maxsize, 2**62, 2**60):
+        path = tmp_path / "huge.txt"
+        path.write_text(f"kl-graph {n} 0\n")
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "decide", "-k", "2", "-l", "3",
+             "--input", str(path)],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == EXIT_PARSE, proc.stderr
+        assert proc.stderr == (
+            f"klsparse: parse error: line 1: node count {n} is too large "
+            "to allocate\n"
+        )
 
 
 def test_undecodable_input_is_parse_error(tmp_path, capsys):

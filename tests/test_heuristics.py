@@ -1,4 +1,4 @@
-"""Tests for the heuristic catalog and the two-phase builders."""
+"""Tests for the heuristic catalog and the two-phase start step."""
 
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ import random
 import pytest
 
 import klsparse.heuristics as heuristics
+import klsparse.pebble as pebble
 from klsparse import (
     STRATEGY_NAMES,
     Multigraph,
@@ -15,12 +16,11 @@ from klsparse import (
     SparsityParams,
     TwoKEngine,
     WrongRegimeError,
-    build_phase_one,
     extract,
     gen_erdos_renyi,
+    is_sparse_bruteforce,
     make_strategy,
     max_sparse_size_oracle,
-    phase_one_sparsity_check,
 )
 from klsparse.heuristics import BucketQueue
 from conftest import ALL_PAIRS, complete_graph, random_multigraph
@@ -148,17 +148,36 @@ def test_bucket_queue_stale_reinsert():
         assert out == [1, 0]
 
 
-def test_build_phase_one_structure_counts():
+_TWO_PHASE = (
+    "PForestsBFS",
+    "PForestsDFS",
+    "ForestsBFS",
+    "ForestsDFS",
+    "UnionBasic",
+    "UnionNBasic",
+    "UnionTranspOne",
+)
+
+
+def _phase_one_arcs(name, g, p, seed=0):
+    """The arcs the named two-phase strategy's start step preaccepts, as
+    (edge, tail, head) in insertion order."""
+    engine = PebbleEngine(g, p)
+    make_strategy(name, g, p, seed=seed).start(engine)
+    d = engine.digraph
+    return list(zip(d.arc_edge, d.arc_tail, d.arc_head))
+
+
+def test_phase_one_arc_counts():
+    # each BFS structure grows over the edges its predecessors left, so
+    # only the first one spans K6
     g = complete_graph(6)
-    # (3,1): two pseudoforests and one forest
-    res = build_phase_one(g, SparsityParams(3, 1), method="bfs")
-    assert len(res.structures) == 3
-    # (2,2): no pseudoforests, two forests
-    res = build_phase_one(g, SparsityParams(2, 2), method="bfs")
-    assert len(res.structures) == 2
-    # pseudoforests disabled: (3,1) becomes three forests
-    res = build_phase_one(g, SparsityParams(3, 1), method="bfs", pseudoforests=False)
-    assert len(res.structures) == 3
+    # (3,1): two pseudoforests and one forest, of 6 + 5 + 3 edges
+    assert len(_phase_one_arcs("PForestsBFS", g, SparsityParams(3, 1))) == 14
+    # (2,2): no pseudoforests, two forests of 5 + 4 edges
+    assert len(_phase_one_arcs("PForestsBFS", g, SparsityParams(2, 2))) == 9
+    # plain forests: (3,1) becomes three forests, of 5 + 4 + 3 edges
+    assert len(_phase_one_arcs("ForestsBFS", g, SparsityParams(3, 1))) == 12
 
 
 def test_phase_one_output_sparse_all_methods():
@@ -167,57 +186,39 @@ def test_phase_one_output_sparse_all_methods():
     for g in graphs:
         for k, l in [(1, 0), (1, 1), (2, 1), (2, 3), (3, 2)]:
             p = SparsityParams(k, l)
-            for method in ("bfs", "dfs", "union"):
-                for pseudo in (True, False):
-                    res = build_phase_one(
-                        g, p, method=method, pseudoforests=pseudo,
-                        order=make_strategy("Basic", g, p, seed=3),
-                    )
-                    case = (method, pseudo, k, l)
-                    assert phase_one_sparsity_check(res, p)[0], case
-                    edges = [e for e, _, _ in res.arcs]
-                    assert len(set(edges)) == len(edges), case
+            for name in _TWO_PHASE:
+                arcs = _phase_one_arcs(name, g, p, seed=3)
+                case = (name, k, l)
+                seeded = Multigraph(g.n, [(t, h) for _, t, h in arcs])
+                assert is_sparse_bruteforce(seeded, p)[0], case
+                edges = [e for e, _, _ in arcs]
+                assert len(set(edges)) == len(edges), case
 
 
-def test_union_phase_one_structures_are_forests_or_pseudoforests():
+def test_union_scan_structures_are_forests():
     rng = random.Random(19)
     for _ in range(6):
         g = random_multigraph(rng, max_n=7, max_m=14)
-        p = SparsityParams(2, 1)
-        res = build_phase_one(
-            g, p, method="union", order=make_strategy("Basic", g, p, seed=1)
-        )
-        # structure 0 may carry one cycle per connected component,
-        # structures beyond index 0 of the forest block may not
-        n_pseudo = max(p.k - p.l, 0)
-        for idx, edge_set in enumerate(res.structures):
-            nodes: dict[int, int] = {}
+        order = make_strategy("Basic", g, SparsityParams(2, 1), seed=1)
+        used = bytearray(g.m)
+        taken: set[int] = set()
+        for _ in range(3):
+            structure = heuristics._structure_union_scan(order, used)
+            edges = [e for e, _, _ in structure]
+            assert taken.isdisjoint(edges)
+            taken.update(edges)
+            assert taken == {e for e in range(g.m) if used[e]}
             parent = list(range(g.n))
 
             def find(x: int) -> int:
                 while parent[x] != x:
-                    parent[x] = parent[parent[x]]
                     x = parent[x]
                 return x
 
-            cycles_by_root: dict[int, int] = {}
-            for e in edge_set:
-                u, v = g.endpoints(e)
-                nodes[u] = nodes.get(u, 0) + 1
-                nodes[v] = nodes.get(v, 0) + 1
-                ru, rv = find(u), find(v)
-                if ru == rv:
-                    cycles_by_root[ru] = cycles_by_root.get(ru, 0) + 1
-                else:
-                    merged = cycles_by_root.get(ru, 0) + cycles_by_root.get(rv, 0)
-                    parent[ru] = rv
-                    cycles_by_root.pop(ru, None)
-                    if merged:
-                        cycles_by_root[rv] = merged
-            if idx < n_pseudo:
-                assert all(c <= 1 for c in cycles_by_root.values())
-            else:
-                assert not cycles_by_root
+            for e in edges:
+                ru, rv = find(g.edge_u[e]), find(g.edge_v[e])
+                assert ru != rv, "cycle"
+                parent[ru] = rv
 
 
 def test_union_nbasic_builds_its_order_once(monkeypatch):
@@ -231,11 +232,8 @@ def test_union_nbasic_builds_its_order_once(monkeypatch):
     monkeypatch.setattr(heuristics.NBasicStrategy, "_node_order", counted)
     g = gen_erdos_renyi(40, 0.3, seed=2)
     p = SparsityParams(2, 0)
-    res = build_phase_one(
-        g, p, method="union", order=make_strategy("NBasic", g, p, seed=1)
-    )
-    # two pseudoforests at (2,0), one scan order
-    assert len(res.structures) == 2
+    # two forests at (2,0), of 39 + 37 edges, from one scan order
+    assert len(_phase_one_arcs("UnionNBasic", g, p, seed=1)) == 76
     assert calls == [1]
     # verdict streams of UnionNBasic on plans of two and three structures,
     # frozen from the order rebuilt per structure
@@ -317,19 +315,24 @@ def test_union_scan_walks_the_second_phase_order(name):
     g = gen_erdos_renyi(40, 0.3, seed=4)
     for pair in ((2, 3), (2, 0), (3, 1)):
         p = SparsityParams(*pair)
+        # min(l, 2k-l) + (k-l)+ forests
+        structures = min(p.k, 2 * p.k - p.l)
+
+        def scanned(order):
+            used = bytearray(g.m)
+            return [
+                arc
+                for _ in range(structures)
+                for arc in heuristics._structure_union_scan(order, used)
+            ]
+
         for seed in (0, 3):
-            engine = PebbleEngine(g, p)
-            make_strategy("Union" + name, g, p, seed=seed).start(engine)
-            d = engine.digraph
-            plan = build_phase_one(
-                g, p, "union", pseudoforests=False,
-                order=make_strategy(name, g, p, seed=seed),
-            )
-            assert plan.arcs == list(zip(d.arc_edge, d.arc_tail, d.arc_head))
+            arcs = _phase_one_arcs("Union" + name, g, p, seed=seed)
+            assert arcs == scanned(make_strategy(name, g, p, seed=seed))
             if seed:
                 # and the order matters: storage order builds other forests
-                storage = build_phase_one(g, p, "union", pseudoforests=False)
-                assert plan.arcs != storage.arcs
+                storage = scanned(pebble._FixedOrder(list(range(g.m)), g, p))
+                assert arcs != storage
 
 
 def test_two_phase_strategies_prime_the_engine():
