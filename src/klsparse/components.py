@@ -86,12 +86,14 @@ def extract_with_components(
 
 
 def components_of(graph: Multigraph, params: SparsityParams) -> list[list[int]]:
-    """Components of a (k,l)-sparse graph (every edge must be accepted).
-    :func:`extract_with_components` also returns the run's report."""
-    report, comps = extract_with_components(graph, params)
+    """Components of a (k,l)-sparse graph, in the default order of
+    :func:`extract_with_components`.  Raises :class:`NotSparseInputError`
+    when an edge is rejected, before the components pass runs."""
+    engine = PebbleEngine(graph, params)
+    report = engine.run(resolve_order(None, graph, params, "NBasicComp"))
     if report.accepted_count != graph.m:
         raise NotSparseInputError(
             f"input graph is not ({params.k},{params.l})-sparse: "
             f"{graph.m - report.accepted_count} edge(s) rejected"
         )
-    return comps
+    return _components(engine).components()

@@ -24,14 +24,18 @@ re-exported here): which edge comes next and where its arc points.  Basic
 is the engine's one edge-sequence cursor, ``pebble._FixedOrder``, over a
 seeded permutation, plus a coin for the arc.  The node orders and the
 sweeps step through incidence lists with one resumable cursor,
-:func:`_take`.  ``restart`` begins an order afresh over the edges not yet
-flagged, so a two-phase strategy is its second-phase class with phase one
-as a ``start`` step, and a union-find phase one restarts that same order
-for each forest it scans.  One table, ``_CATALOG``, maps each of the 21
-names to its factory and its whole configuration, a node order's arc rule
-(toward the current node or away from it) and a two-phase name's structure
-builder included.  Ordering never
-changes the accepted cardinality (matroid regime); it only moves the
+:func:`_take`.  The four keyed orders are a count source mixed into a
+queue cursor: the count is each node's processed edges (``ProcMin``) or
+its live indegree (``InDegMin``), and the cursor takes from a
+:class:`BucketQueue` the edge with the least endpoint-count sum (``Inc``)
+or the node with the least count (``N``).  ``restart`` begins an order
+afresh over the edges not yet flagged, so a two-phase strategy is its
+second-phase class with phase one as a ``start`` step, and a union-find
+phase one restarts that same order for each forest it scans.  One table,
+``_CATALOG``, maps each of the 21 names to its factory and its whole
+configuration, a node order's arc rule (toward the current node or away
+from it) and a two-phase name's structure builder included.  Ordering
+never changes the accepted cardinality (matroid regime); it only moves the
 traversal work around.  Every strategy is deterministic for a fixed seed,
 with seed 0 meaning exact storage order where a shuffle would otherwise
 apply.
@@ -51,49 +55,43 @@ class BucketQueue:
     """Integer-keyed FIFO buckets with lazy re-keying.
 
     ``BucketQueue(count)`` starts with items ``0..count-1`` at key 0, in
-    id order.
-    ``pop`` re-inserts an entry at its current key when the stored key went
-    stale.  With keys that only grow the returned entry is an exact minimum;
-    with keys that can also shrink (indegrees) a stale-low entry surfaces
-    only once the scan reaches its old bucket, so the pop is a deterministic
+    id order.  ``pop(key_of)`` takes the front entry of the lowest
+    non-empty bucket; when its stored key went stale it moves the entry to
+    the back of the bucket of its current key and looks again.  With keys
+    that only grow the returned entry is an exact minimum; with keys that
+    can also shrink (indegrees) a stale-low entry surfaces only once the
+    scan reaches its old bucket, so the pop is a deterministic
     approximation of the instantaneous minimum.
     """
 
     __slots__ = ("_buckets", "_min", "_size")
 
-    def __init__(self, count: int = 0) -> None:
+    def __init__(self, count: int) -> None:
         self._buckets: list[deque] = [deque(range(count))]
         self._min = 0
         self._size = count
 
-    def push(self, item: int, key: int) -> None:
-        buckets = self._buckets
-        while len(buckets) <= key:
-            buckets.append(deque())
-        buckets[key].append(item)
-        if key < self._min:
-            self._min = key
-        self._size += 1
-
     def pop(self, key_of) -> int | None:
+        if not self._size:
+            return None
         buckets = self._buckets
-        while self._size:
-            b = None
-            while self._min < len(buckets):
-                b = buckets[self._min]
-                if b:
-                    break
-                self._min += 1
-            if self._min >= len(buckets):
-                return None
-            item = b.popleft()
+        lo = self._min
+        # every entry lies at lo or above: the scan meets a non-empty bucket
+        while True:
+            while not buckets[lo]:
+                lo += 1
+            item = buckets[lo].popleft()
             key = key_of(item)
-            if key == self._min:
-                self._size -= 1
-                return item
-            self._size -= 1
-            self.push(item, key)
-        return None
+            if key == lo:
+                break
+            while len(buckets) <= key:
+                buckets.append(deque())
+            buckets[key].append(item)
+            if key < lo:
+                lo = key
+        self._min = lo
+        self._size -= 1
+        return item
 
 
 def _shuffled(items: list[int], seed: int, salt: str) -> list[int]:
@@ -119,29 +117,41 @@ class BasicStrategy(pebble._FixedOrder):
 
 
 class _ProcCountStrategy(Strategy):
-    """Keeps ``_proc[v]``, the number of processed edges at node ``v`` (a
-    loop counts once), for the strategies keyed on it."""
+    """Count source: ``_count[v]`` is the number of processed edges at
+    node ``v`` (a loop counts once), made afresh by ``restart``."""
 
     def restart(self, flags):
+        # bound before the queue cursor's restart builds its key on it
+        self._count = [0] * self.graph.n
         super().restart(flags)
-        self._proc = [0] * self.graph.n
 
     def on_processed(self, edge, accepted):
         g = self.graph
         u, v = g.edge_u[edge], g.edge_v[edge]
-        self._proc[u] += 1
+        self._count[u] += 1
         if v != u:
-            self._proc[v] += 1
+            self._count[v] += 1
+
+
+class _InDegreeStrategy(Strategy):
+    """Count source: ``_count`` is the engine's live indegree list, which
+    reversals can also lower."""
+
+    def start(self, engine):
+        self._count = engine.digraph.indeg
+        super().start(engine)
 
 
 class _EdgeKeyStrategy(Strategy):
-    """Next edge by minimum ``_key``, from a queue of all edges made in
-    ``restart``; an edge set in the restart flags is popped and passed
-    over."""
+    """Queue cursor over edges: next edge by minimum ``_count[u] +
+    _count[v]``, from a queue of all edges made in ``restart``; an edge
+    set in the restart flags is popped and passed over."""
 
     def restart(self, flags):
         super().restart(flags)
         self._bq = BucketQueue(self.graph.m)
+        count, edge_u, edge_v = self._count, self.graph.edge_u, self.graph.edge_v
+        self._key = lambda e: count[edge_u[e]] + count[edge_v[e]]
 
     def next_edge(self):
         pop, key, flags = self._bq.pop, self._key, self._processed
@@ -154,28 +164,14 @@ class IncProcMinStrategy(_ProcCountStrategy, _EdgeKeyStrategy):
     """Next edge minimizing the endpoints' processed-incident-edge total,
     arc oriented toward the endpoint with fewer processed edges."""
 
-    def _key(self, e: int) -> int:
-        g = self.graph
-        proc = self._proc
-        return proc[g.edge_u[e]] + proc[g.edge_v[e]]
-
     def orient(self, u, v):
-        proc = self._proc
-        return u if (proc[u], u) <= (proc[v], v) else v
+        count = self._count
+        return u if (count[u], u) <= (count[v], v) else v
 
 
-class IncInDegMinStrategy(_EdgeKeyStrategy):
+class IncInDegMinStrategy(_InDegreeStrategy, _EdgeKeyStrategy):
     """Next edge minimizing the endpoints' current indegree total; the
     engine's default rule already orients toward the smaller indegree."""
-
-    def start(self, engine):
-        self._indeg = engine.digraph.indeg
-        super().start(engine)
-
-    def _key(self, e: int) -> int:
-        g = self.graph
-        indeg = self._indeg
-        return indeg[g.edge_u[e]] + indeg[g.edge_v[e]]
 
 
 def _take(incidence: list[list[int]], ptr: list[int], flags, v: int) -> int | None:
@@ -246,14 +242,10 @@ class NBasicStrategy(_NodeOrderStrategy):
 
     def restart(self, flags):
         super().restart(flags)
-        self._idx = 0
+        self._nodes = iter(self._perm)
 
     def _select_node(self):
-        if self._idx >= len(self._perm):
-            return None
-        v = self._perm[self._idx]
-        self._idx += 1
-        return v
+        return next(self._nodes, None)
 
 
 class NDegMinStrategy(NBasicStrategy):
@@ -268,34 +260,26 @@ class NDegMinStrategy(NBasicStrategy):
         return sorted(range(self.graph.n), key=self.graph.degree.__getitem__)
 
 
-class NProcMinStrategy(_ProcCountStrategy, _NodeOrderStrategy):
+class _NodeKeyStrategy(_NodeOrderStrategy):
+    """Queue cursor over nodes: next node by minimum ``_count``, from a
+    queue of all nodes made in ``restart``."""
+
+    def restart(self, flags):
+        super().restart(flags)
+        self._bq = BucketQueue(self.graph.n)
+
+    def _select_node(self):
+        return self._bq.pop(self._count.__getitem__)
+
+
+class NProcMinStrategy(_ProcCountStrategy, _NodeKeyStrategy):
     """Nodes by minimum processed-incident-edge count (monotone key, exact
     minimum)."""
 
-    def restart(self, flags):
-        super().restart(flags)
-        self._bq = BucketQueue(self.graph.n)
 
-    def _select_node(self):
-        proc = self._proc
-        return self._bq.pop(lambda v: proc[v])
-
-
-class NInDegMinStrategy(_NodeOrderStrategy):
+class NInDegMinStrategy(_InDegreeStrategy, _NodeKeyStrategy):
     """Nodes by minimum current indegree (lazy approximation, the key also
     shrinks under reversals)."""
-
-    def start(self, engine):
-        self._indeg = engine.digraph.indeg
-        super().start(engine)
-
-    def restart(self, flags):
-        super().restart(flags)
-        self._bq = BucketQueue(self.graph.n)
-
-    def _select_node(self):
-        indeg = self._indeg
-        return self._bq.pop(lambda v: indeg[v])
 
 
 class TranspStrategy(Strategy):
@@ -372,20 +356,17 @@ def _structure_traversal(
     g = strategy.graph
     visited = bytearray(g.n)
     arcs: list[tuple[int, int, int]] = []
+    frontier: deque[int] = deque()
+    take = frontier.pop if dfs else frontier.popleft
     for root in range(g.n):
         if visited[root]:
             continue
         visited[root] = 1
         arc_at: dict[int, int] = {}
         extra: int | None = None
-        frontier = [root]
-        qi = 0
-        while qi < len(frontier) if not dfs else frontier:
-            if dfs:
-                x = frontier.pop()
-            else:
-                x = frontier[qi]
-                qi += 1
+        frontier.append(root)
+        while frontier:
+            x = take()
             for e in g.incidence[x]:
                 if used[e]:
                     continue
@@ -422,11 +403,9 @@ def _orient_forest(
         if root in visited:
             continue
         visited.add(root)
-        queue = [root]
-        qi = 0
-        while qi < len(queue):
-            x = queue[qi]
-            qi += 1
+        queue = deque([root])
+        while queue:
+            x = queue.popleft()
             for e, y in adj[x]:
                 if y in visited:
                     continue

@@ -185,9 +185,6 @@ class Multigraph:
     def endpoints(self, e: int) -> tuple[int, int]:
         return self.edge_u[e], self.edge_v[e]
 
-    def is_loop(self, e: int) -> bool:
-        return self.edge_u[e] == self.edge_v[e]
-
     def edges(self) -> list[tuple[int, int]]:
         """Endpoint pairs in storage order; feeding them back to the
         constructor reproduces the graph (weights aside)."""

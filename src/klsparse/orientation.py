@@ -1,8 +1,10 @@
 """Mutable orientation state over accepted edges.
 
-Arcs are stored column-wise (tail, head, source edge per arc id) with a
-single incidence list per node; direction is read off the arc record, so
-reversing a path is one tail/head swap per arc with no adjacency surgery.
+Arcs are stored column-wise (tail, head, source edge per arc id), with
+two lists per node: ``inc``, every arc at the node in either direction,
+which never changes, and ``in_arcs``, the arcs whose head it is, which
+the backward searches walk.  Reversing a path swaps tail and head per arc
+and moves the arc from its old head's ``in_arcs`` list to its new head's.
 Traversal bookkeeping uses epoch stamps: visited state is never cleared,
 a stamp is simply overwritten the next time the node is actually reached,
 which keeps reset work proportional to the nodes visited.  A found path is
@@ -111,10 +113,6 @@ class InnerDigraph:
         self._stamp = [0] * n
         self._parent = [0] * n
         self._epoch = 0
-
-    @property
-    def arc_count(self) -> int:
-        return len(self.arc_tail)
 
     def insert_arc(self, edge: int, tail: int, head: int) -> int:
         """Add the arc ``tail -> head`` for ``edge``; returns the arc id."""
@@ -344,14 +342,3 @@ class InnerDigraph:
                     append(y)
         c.bfs_node_visits += visits
         return queue
-
-    def undirected_edges(self) -> list[tuple[int, int, int]]:
-        """Current arcs as ``(min_endpoint, max_endpoint, edge_id)`` tuples,
-        one per accepted edge (test/inspection helper)."""
-        out = []
-        for a in range(len(self.arc_tail)):
-            t, h = self.arc_tail[a], self.arc_head[a]
-            if t > h:
-                t, h = h, t
-            out.append((t, h, self.arc_edge[a]))
-        return out

@@ -112,9 +112,10 @@ _EARLY_TERMINATED = _CODE[Reason.EARLY_TERMINATED]
 
 
 class StrategyContractError(InvariantError):
-    """A strategy's order broke the engine's contract: it ended with edges
-    unprocessed while more could be accepted, or past the tight size it
-    did not yield each still-unprocessed edge exactly once."""
+    """A strategy's order broke the engine's contract: it yielded an edge
+    already processed, it ended with edges unprocessed while more could be
+    accepted, or past the tight size it did not yield each
+    still-unprocessed edge exactly once."""
 
 
 def _name(strategy) -> str:
@@ -260,7 +261,7 @@ class ComponentSet:
         if c < 0:
             return False
         d = owner[v]
-        if c == d or u == v:
+        if c == d:
             return True
         extra = self._extra
         if d < 0 or not (u in extra or v in extra):
@@ -367,11 +368,11 @@ class Strategy:
     Contract: called until it returns None, ``next_edge`` eventually
     yields every edge not yet processed exactly once, and ``graph`` and
     ``params``, where set, are the engine's.  The engine checks the
-    second part before the run and an order that ends early after it.  It
-    relies on the first part when it stops at the tight size: it counts
-    the remaining edges without asking for them, and walks them only when
-    the report's order is first read, which raises
-    :class:`StrategyContractError` on a broken order.
+    second part before the run, and during it refuses an edge yielded
+    twice and an order that ends early.  It relies on the first part when
+    it stops at the tight size: it counts the remaining edges without
+    asking for them, and walks them only when the report's order is first
+    read, which raises :class:`StrategyContractError` on a broken order.
 
     ``start`` binds what the order reads from the engine (the indegree
     orders also bind its live indegrees), then begins the order over the
@@ -532,8 +533,9 @@ class PebbleEngine:
         Raises ``ValueError`` before the run when ``strategy`` was made for
         another graph or (k, l) pair (one whose ``graph`` or ``params`` is
         set and differs from the engine's), and
-        :class:`StrategyContractError` when its order ends below the stop
-        value with edges left unprocessed.
+        :class:`StrategyContractError` when its order yields an edge
+        already processed or ends below the stop value with edges left
+        unprocessed.
         """
         for name, mine in (("graph", self.graph), ("params", self.params)):
             theirs = getattr(strategy, name, None)
@@ -561,6 +563,10 @@ class PebbleEngine:
             e = next_edge()
             if e is None:
                 break
+            if processed[e]:
+                raise StrategyContractError(
+                    f"{_name(strategy)} yielded edge {e}, already processed"
+                )
             u = edge_u[e]
             v = edge_v[e]
             head = orient(u, v)

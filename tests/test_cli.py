@@ -508,22 +508,16 @@ def test_extract_stdout_pinned_per_strategy(tmp_path, capsys, name):
 def test_strategy_contract_failure_is_internal_error(tmp_path, capsys, monkeypatch):
     from klsparse.heuristics import _NodeOrderStrategy
 
-    original_start = _NodeOrderStrategy.start
     original = _NodeOrderStrategy.next_edge
 
-    def start(self, engine):
-        self._digraph = engine.digraph
-        original_start(self, engine)
+    def first_edge_again(self):
+        # the order yields its first edge on every call
+        if not hasattr(self, "_first"):
+            self._first = original(self)
+        return self._first
 
-    def stops_at_cut(self):
-        # past the tight size, end the order early
-        if self._digraph.arc_count >= self.params.tight_size(self.graph.n):
-            return None
-        return original(self)
-
-    monkeypatch.setattr(_NodeOrderStrategy, "start", start)
-    monkeypatch.setattr(_NodeOrderStrategy, "next_edge", stops_at_cut)
-    # K_4 under (1,1) is not sparse; the component pass reads the order
-    argv = ["components", "-k", "1", "-l", "1", "--input", k4_path(tmp_path)]
+    monkeypatch.setattr(_NodeOrderStrategy, "next_edge", first_edge_again)
+    # decide runs NInDegMin, a node order; the engine refuses the repeat
+    argv = ["decide", "-k", "2", "-l", "3", "--input", k4_path(tmp_path)]
     assert main(argv) == EXIT_INTERNAL
     _internal_error_line(capsys, StrategyContractError.__name__)

@@ -217,6 +217,22 @@ def test_components_of_rejects_non_sparse_input():
         components_of(k4_plus, SparsityParams(2, 3))
 
 
+def test_components_of_refuses_before_the_pass(monkeypatch):
+    # G(60, 0.1) under (2,3) is not sparse, and the pass over its accepted
+    # set would probe blocks
+    g = gen_erdos_renyi(60, 0.1, seed=1)
+    p = SparsityParams(2, 3)
+    calls = []
+    detect = components.detect_block
+    monkeypatch.setattr(components, "detect_block",
+                        lambda *args: calls.append(args) or detect(*args))
+    with pytest.raises(NotSparseInputError, match="not \\(2,3\\)-sparse"):
+        components_of(g, p)
+    assert calls == []
+    extract_with_components(g, p)
+    assert calls
+
+
 def test_component_set_skips_singletons():
     p = SparsityParams(1, 0)
     cs = ComponentSet(3, p)

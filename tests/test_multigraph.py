@@ -33,8 +33,8 @@ def test_canonical_endpoint_storage():
 def test_loop_and_parallel_bookkeeping():
     g = Multigraph(3, [(0, 1), (1, 0), (2, 2)])
     assert g.m == 3
-    assert g.is_loop(2)
-    assert not g.is_loop(0)
+    assert g.edge_u[2] == g.edge_v[2]
+    assert g.edge_u[0] != g.edge_v[0]
     # parallel edges both appear in the incidence lists
     assert sorted(g.incidence[0]) == [0, 1]
     assert sorted(g.incidence[1]) == [0, 1]

@@ -39,7 +39,7 @@ def test_insert_arc_updates_state():
     assert d.arc_head[a] == 1
     assert d.arc_edge[a] == 7
     assert d.indeg == [0, 1, 0]
-    assert d.arc_count == 1
+    assert len(d.arc_tail) == 1
     assert a in d.inc[0] and a in d.inc[1]
     assert d.in_arcs[1] == [a]
 
@@ -229,7 +229,7 @@ def test_reverse_flips_path_arcs_only():
             assert max(d.indeg) <= k
             for x in range(n):
                 assert sorted(d.in_arcs[x]) == [
-                    a for a in range(d.arc_count) if d.arc_head[a] == x
+                    a for a in range(len(d.arc_tail)) if d.arc_head[a] == x
                 ]
     assert found > 100 and failed > 100
 
@@ -402,17 +402,9 @@ def test_in_arcs_consistent_after_many_reversals():
             d.reverse(path)
         for x in range(4):
             assert sorted(d.in_arcs[x]) == sorted(
-                a for a in range(d.arc_count) if d.arc_head[a] == x
+                a for a in range(len(d.arc_tail)) if d.arc_head[a] == x
             )
             assert d.indeg[x] == len(d.in_arcs[x])
-
-
-def test_undirected_edges():
-    d = build_path_digraph()
-    assert sorted(d.undirected_edges()) == [(0, 1, 0), (1, 2, 1)]
-    d.reverse(d.find_reversal_path((2,)))
-    # reversal changes arc directions, not the underlying edge set
-    assert sorted(d.undirected_edges()) == [(0, 1, 0), (1, 2, 1)]
 
 
 @pytest.mark.parametrize(

@@ -27,7 +27,7 @@ from klsparse import (
     make_strategy,
 )
 from klsparse.heuristics import BasicStrategy
-from klsparse.pebble import _FixedOrder
+from klsparse.pebble import Strategy, _FixedOrder
 from conftest import complete_graph
 
 
@@ -419,6 +419,35 @@ class _RepeatsAfterCut(BasicStrategy):
             self._pos -= 1
             return 0
         return e
+
+
+class _RepeatsBeforeCut(Strategy):
+    """Yields edge 0 three times, then each other edge of a 6-edge graph
+    once."""
+
+    def restart(self, flags):
+        super().restart(flags)
+        self._rest = iter([0, 0, 0, 1, 2, 3, 4, 5])
+
+    def next_edge(self):
+        return next(self._rest, None)
+
+
+@pytest.mark.parametrize("graph, params", [
+    # unchecked, the run accepts {0, 2, 3} with three arcs for edge 0,
+    # where the maximum is 5
+    (Multigraph(3, [(0, 1), (0, 1), (1, 2), (0, 2), (0, 2), (1, 2)]),
+     SparsityParams(2, 1)),
+    # unchecked, the run ends clean and a later read of ``order`` reports
+    # -2 edges unprocessed
+    (complete_graph(4), SparsityParams(1, 1)),
+])
+def test_edge_repeated_before_the_cut_is_a_contract_error(graph, params):
+    engine = PebbleEngine(graph, params)
+    with pytest.raises(StrategyContractError,
+                       match="yielded edge 0, already processed"):
+        engine.run(_RepeatsBeforeCut(graph, params))
+    assert engine.digraph.arc_edge == [0]
 
 
 @pytest.mark.parametrize("stub", [_DropsLastEdge, _RepeatsAfterCut])
