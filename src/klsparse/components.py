@@ -12,16 +12,16 @@ component found so far covers, drains its endpoints below that ceiling by
 :meth:`~klsparse.orientation.InnerDigraph.drain`, the engine's own
 augmentation routine, which also checks its own reversal bound.  When
 the drain fails instead, :func:`detect_block` reads the maximal block
-through the edge, its component, off the failed drain by one forward
-sweep.
+through the edge, its component, off the failed drain with
+:meth:`~klsparse.orientation.InnerDigraph.maximal_block`, the same probe
+the engine runs on each failed drain during the extraction.
 
 Every component of at least two nodes induces an edge, and an edge inside
 a found component needs no probe, so the pass costs one probe per
 accepted edge that no component covers: one probe on a tight input.  The
 found blocks live in their own :class:`ComponentSet`, apart from the
-engine's store.  That store holds failed-search closures, which are tight
-but not maximal, and an edge inside one can still lie in a larger
-component.
+engine's store.  The engine's blocks were maximal when recorded, but
+edges accepted after that can make a block part of a larger component.
 """
 
 from __future__ import annotations
@@ -41,17 +41,12 @@ class NotSparseInputError(ValueError):
     """The input graph was expected to be (k,l)-sparse but is not."""
 
 
-def detect_block(digraph: InnerDigraph, u: int, v: int) -> frozenset[int]:
-    """The node set of the maximal block through the accepted edge uv,
-    read off a drain of u and v that just failed at the edge's ceiling.
-
-    The failed search certifies that a tight set contains both endpoints.
-    Tight sets are backward-closed and saturated off the endpoints, so the
-    maximal one is every node that no deficient node other than u and v
-    reaches: the complement of one forward sweep.  Nothing is reversed.
-    """
-    reach = digraph.multi_source_forward_reach(excluded=(u, v))
-    return frozenset(range(digraph.n)).difference(reach)
+def detect_block(digraph: InnerDigraph, u: int, v: int) -> list[int]:
+    """The node list of the maximal block through the accepted edge uv,
+    read off a drain of u and v that just failed at the edge's ceiling by
+    :meth:`~klsparse.orientation.InnerDigraph.maximal_block`, the probe
+    the engine runs on each failed drain too."""
+    return digraph.maximal_block(u, v)
 
 
 def _components(engine: PebbleEngine) -> ComponentSet:

@@ -14,12 +14,18 @@ reversed since.  The two backward searches,
 :meth:`InnerDigraph.find_reversal_path` and
 :meth:`InnerDigraph.saturated_closure`, each run their BFS in their own
 frame: most searches visit a handful of nodes, so a shared helper call
-would cost about as much as the visits.
+would cost about as much as the visits.  The one forward sweep,
+:meth:`InnerDigraph.multi_source_forward_reach`, finds its sources and
+:meth:`InnerDigraph.maximal_block` its complement by C-level scans over
+all n nodes; the probe sweeps only when its local search, one saturated
+closure per out-neighbour of the block, does not settle the block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, repeat
+from operator import lt, ne
 from typing import Iterable, Sequence
 
 
@@ -95,6 +101,7 @@ class InnerDigraph:
         "_stamp",
         "_parent",
         "_epoch",
+        "_last_block",
     )
 
     def __init__(self, n: int, k: int) -> None:
@@ -113,6 +120,8 @@ class InnerDigraph:
         self._stamp = [0] * n
         self._parent = [0] * n
         self._epoch = 0
+        # the first probe sweeps: a tight input's one probe finds all n nodes
+        self._last_block = n
 
     def insert_arc(self, edge: int, tail: int, head: int) -> int:
         """Add the arc ``tail -> head`` for ``edge``; returns the arc id."""
@@ -315,19 +324,22 @@ class InnerDigraph:
 
     def multi_source_forward_reach(self, excluded: Iterable[int] = ()) -> list[int]:
         """Nodes reachable by directed paths from any non-excluded node of
-        indegree below k; excluded nodes are never visited."""
+        indegree below k; excluded nodes are never visited, and every node
+        the sweep returns or excludes is stamped with the current epoch."""
         self._epoch += 1
         epoch = self._epoch
         stamp = self._stamp
         arc_head = self.arc_head
         inc = self.inc
-        indeg = self.indeg
         k = self.k
         c = self.counters
 
+        # the sources, by C-level scans over the indegrees
+        deficient = list(map(lt, self.indeg, repeat(k)))
         for v in excluded:
             stamp[v] = epoch
-        queue = [v for v in range(self.n) if stamp[v] != epoch and indeg[v] < k]
+            deficient[v] = False
+        queue = list(compress(range(self.n), deficient))
         for v in queue:
             stamp[v] = epoch
         visits = len(queue)
@@ -342,3 +354,88 @@ class InnerDigraph:
                     append(y)
         c.bfs_node_visits += visits
         return queue
+
+    def maximal_block(self, u: int, v: int) -> list[int]:
+        """The node list of the maximal block Y through u and v, read right
+        after a drain of u and v failed at the ceiling of edge uv, while
+        ``last_closure`` still holds the failed search's closure.
+
+        The failed search certifies that a tight set contains both
+        endpoints.  Tight sets are backward-closed and saturated off the
+        endpoints, so Y is every node that no deficient node other than u
+        and v reaches: the complement of one forward sweep, taken by a
+        C-level scan of the sweep's stamps.  Nothing is reversed.
+
+        The sweep costs O(n) however small Y is, so for l >= 1 (at the
+        failure indeg(u) + indeg(v) = 2k - l, so the endpoints tell) the
+        local probe :meth:`_local_block` runs first, unless the last block,
+        or the whole digraph before the first block, held more than n/8
+        nodes: blocks that large come in runs, and the local probe gives
+        up at that size anyway.
+        """
+        block = None
+        if (self.indeg[u] + self.indeg[v] < 2 * self.k
+                and self._last_block <= self.n >> 3):
+            block = self._local_block(u, v)
+        if block is None:
+            self.multi_source_forward_reach((u, v))
+            unreached = map(ne, self._stamp, repeat(self._epoch))
+            block = list(compress(range(self.n), unreached))
+            block.append(u)
+            if v != u:
+                block.append(v)
+        self._last_block = len(block)
+        return block
+
+    def _local_block(self, u: int, v: int) -> list[int] | None:
+        """Lee & Streinu's local component detection: the maximal block Y
+        through u and v for l >= 1, or None once Y and the probe's searches
+        pass n/8 nodes.
+
+        For l >= 1 u or v reaches every node of Y: a part of Y they do not
+        reach would be saturated with no entering arc, k|Z| edges on Z.  A
+        path from u or v into Y stays in Y, so the probe walks out-arcs
+        from ``last_closure``, which lies in Y.  An out-neighbour whose
+        backward closure holds no deficient node but u and v joins Y with
+        that closure; one that a deficient node reaches is outside, and so
+        is every node of the path found, which later searches stop at.
+        """
+        frontier = self.last_closure[:]
+        inside = set(frontier)
+        outside: set[int] = set()
+        indeg = self.indeg
+        arc_tail = self.arc_tail
+        arc_head = self.arc_head
+        in_arcs = self.in_arcs
+        inc = self.inc
+        k = self.k
+        counters = self.counters
+        # Y and the searches' visits may grow to n/8 nodes together
+        budget = self.n >> 3
+        spent = 0
+        while frontier:
+            if len(inside) + spent > budget:
+                return None
+            for a in inc[frontier.pop()]:
+                w = arc_head[a]
+                if w in inside or w in outside:
+                    continue
+                if indeg[w] < k:
+                    outside.add(w)
+                    continue
+                for b in in_arcs[w]:
+                    if arc_tail[b] not in inside:
+                        break
+                else:
+                    # every arc into w comes from Y: its closure adds only w
+                    inside.add(w)
+                    frontier.append(w)
+                    continue
+                start = counters.bfs_node_visits
+                closure = self.saturated_closure((w,), (u, v), outside)
+                spent += counters.bfs_node_visits - start
+                if closure is not None:
+                    joined = set(closure).difference(inside)
+                    inside |= joined
+                    frontier.extend(joined)
+        return list(inside)

@@ -8,12 +8,16 @@ time.  For 0 <= l < 2k the accepted sets form the independent sets of a
 matroid, so any processing order yields a maximum-size subgraph and
 non-increasing weight order yields a maximum-weight one.
 
-A failed search leaves a tight block behind: its backward closure X has no
-arc entering from outside and every node but the endpoints at indegree k,
-so X induces at least k|X| - l accepted edges, and stays tight as more are
-accepted.  The engine records every such closure in one block store, and
-rejects a later edge inside a recorded block (or a loop at a node of one)
-with zero traversal.
+A failed search certifies a tight block through u and v: a node set X
+with no arc entering from outside and every node but the endpoints at
+indegree k, so X induces k|X| - l accepted edges, and stays tight as more
+are accepted.  The engine records the maximal one,
+:meth:`~klsparse.orientation.InnerDigraph.maximal_block` (every node that
+no deficient node other than u and v reaches, as in Lee & Streinu's
+component detection), in one block store, and rejects a later edge inside
+a recorded block (or a loop at a node of one) with zero traversal.  So
+each rigid region costs one failed search and one probe, not one failed
+search per edge in it.
 
 The order comes from a :class:`Strategy`, the protocol the engine loop
 drives: next edge, preferred arc head, verdict callback.  Its one cursor
@@ -470,7 +474,8 @@ class PebbleEngine:
 
         Returns the path reversals performed, r >= 0, when ``e`` is
         accepted and -1 - r when it is rejected.  The caller checks block
-        coverage first; a failed search records its closure as a block.
+        coverage first; a failed drain records the maximal block through
+        the endpoints.
         Reversals performed before a rejection are kept; they only reorient
         the same accepted set.  ``preferred_head`` is honoured if its
         indegree allows, otherwise the other endpoint takes the arc.  The
@@ -486,7 +491,7 @@ class PebbleEngine:
         digraph = self.digraph
         reversals = digraph.drain(u, v, ceiling)
         if reversals < 0:
-            self.blocks.record(digraph.last_closure)
+            self.blocks.record(digraph.maximal_block(u, v))
             return reversals
         indeg = digraph.indeg
         if preferred_head is not None and indeg[preferred_head] < digraph.k:
@@ -677,9 +682,9 @@ def decide(graph: Multigraph, params: SparsityParams) -> ExtractionReport:
     not :func:`extract`'s default Basic: the flags and the accepted count
     depend only on the matroid rank, so any order gives the same answer,
     and NInDegMin reaches the tight size after far fewer edges and node
-    visits (on G(600, 0.1, seed 1000) at (2,3): 2,961 edges against
-    Basic's 17,707).  The accepted set, the verdicts and the counters do
-    follow the order.
+    visits (on G(600, 0.1, seed 1000) at (2,3): 2,961 edges and 22k
+    visits against Basic's 17,707 edges and 218k visits).  The accepted
+    set, the verdicts and the counters do follow the order.
 
     For l = 2k the accepted sets form no matroid, so spanning is not
     decided and stays None; one maximal pass of

@@ -20,9 +20,12 @@ from klsparse import (
     extract_weighted,
     extract_with_components,
     gen_erdos_renyi,
+    gen_rigid,
     is_sparse_bruteforce,
     make_strategy,
 )
+from klsparse.oracle import _induced_counts
+from klsparse.orientation import InnerDigraph
 from klsparse.pebble import _FixedOrder
 from conftest import ALL_PAIRS
 
@@ -140,6 +143,150 @@ def test_failed_search_closure_rejects_later_edges_without_search():
     assert report.verdicts[-1].reversals_used == 0
     assert engine.blocks.covers(0, 1)
     _check_blocks(g, p, report, engine.blocks.components())
+
+
+def test_failed_drain_records_the_maximal_block():
+    # at each failed drain the engine records the largest node set through
+    # u and v that is tight in the edges accepted so far, found here by
+    # brute force over node subsets
+    rng = random.Random(2027)
+    checked = 0
+    for _ in range(40):
+        n = rng.randint(2, 10)
+        g = _random_multigraph(rng, n, rng.randint(n, 4 * n))
+        for k, l in ALL_PAIRS:
+            p = SparsityParams(k, l)
+            for name in ("Basic", "NInDegMin", "Transp", "IncProcMin", "UnionBasic"):
+                engine = PebbleEngine(g, p)
+                recorded = []
+                record = engine.blocks.record
+
+                def spy(nodes, record=record, recorded=recorded):
+                    recorded.append(set(nodes))
+                    record(nodes)
+
+                engine.blocks.record = spy
+                try_accept = engine.try_accept
+
+                def check(e, head=None, try_accept=try_accept, recorded=recorded):
+                    nonlocal checked
+                    before = len(recorded)
+                    r = try_accept(e, head)
+                    u, v = g.endpoints(e)
+                    if r >= 0 or (u == v and k <= l):
+                        # accepted, or a loop no orientation can take
+                        assert len(recorded) == before
+                        return r
+                    assert len(recorded) == before + 1
+                    cnt = _induced_counts(g, engine.report.accepted)
+                    ends = (1 << u) | (1 << v)
+                    tight = [
+                        mask for mask in range(1 << n)
+                        if mask & ends == ends
+                        and cnt[mask] == k * bin(mask).count("1") - l
+                    ]
+                    largest = max(tight, key=lambda mask: bin(mask).count("1"))
+                    assert all(mask | largest == largest for mask in tight)
+                    assert recorded[-1] == {x for x in range(n) if largest >> x & 1}
+                    checked += 1
+                    return r
+
+                engine.try_accept = check
+                engine.run(make_strategy(name, g, p, seed=rng.randrange(1, 100)))
+    assert checked > 1000
+
+
+def test_local_probe_agrees_with_the_sweep(monkeypatch):
+    # wherever the local probe settles a block, the forward sweep from the
+    # other deficient nodes leaves exactly that block unreached; rigid
+    # inputs keep blocks small enough for the probe, which then joins
+    # out-neighbours both by their in-arcs and by saturated closures
+    local_block = InnerDigraph._local_block
+    closure = InnerDigraph.saturated_closure
+    settled = grown = searches = 0
+
+    def counted_closure(self, *args):
+        nonlocal searches
+        searches += 1
+        return closure(self, *args)
+
+    def checked(self, u, v):
+        nonlocal settled, grown, searches
+        before = len(self.last_closure)
+        calls = searches
+        block = local_block(self, u, v)
+        if block is not None:
+            unreached = set(range(self.n)) - set(self.multi_source_forward_reach((u, v)))
+            assert sorted(block) == sorted(unreached)
+            settled += 1
+            grown += len(block) > before
+        else:
+            searches = calls
+        return block
+
+    monkeypatch.setattr(InnerDigraph, "_local_block", checked)
+    monkeypatch.setattr(InnerDigraph, "saturated_closure", counted_closure)
+    rng = random.Random(31)
+    graphs = [gen_rigid(60, seed=1), gen_rigid(40, seed=2),
+              _random_multigraph(rng, 200, 700)]
+    for g in graphs:
+        for pair in ((2, 3), (2, 1), (1, 1), (3, 5)):
+            p = SparsityParams(*pair)
+            for name in ("Basic", "NDegMin", "IncProcMin", "Transp"):
+                extract(g, p, make_strategy(name, g, p, seed=rng.randrange(2)))
+    assert settled > 1000 and grown > 300 and searches > 100
+
+
+def test_every_rejection_has_a_tight_block_certificate():
+    # a rejected edge that is neither a loop nor past the tight size lies in
+    # one stored block, and each stored block induces exactly k|X| - l
+    # accepted edges: the witness behind every covered-by-component verdict
+    rng = random.Random(29)
+    rejected = 0
+    for _ in range(3):
+        n = rng.randint(20, 80)
+        g = _random_multigraph(rng, n, rng.randint(2 * n, 5 * n))
+        for k, l in ((1, 0), (2, 0), (2, 1), (2, 3), (3, 5)):
+            p = SparsityParams(k, l)
+            for name in STRATEGY_NAMES:
+                engine = PebbleEngine(g, p)
+                report = engine.run(make_strategy(name, g, p, seed=rng.randrange(1, 100)))
+                for verdict in report.verdicts:
+                    u, v = g.endpoints(verdict.edge)
+                    if verdict.accepted or u == v or (
+                        verdict.reason is Reason.EARLY_TERMINATED
+                    ):
+                        continue
+                    assert engine.blocks.covers(u, v), (name, verdict)
+                    rejected += 1
+                for nodes in engine.blocks.components():
+                    assert _induced(g, report.accepted, set(nodes)) == k * len(nodes) - l
+    assert rejected > 1000
+
+
+def test_maximal_blocks_cover_a_rigid_region_after_one_failure():
+    # sparse near-rigid G(2000, 0.004) at (2,3) under Transp: with the
+    # failed search's backward closure as the block, 879 edges were
+    # indegree-blocked and the run made 1.78M node visits
+    g = gen_erdos_renyi(2000, 0.004, seed=1)
+    p = SparsityParams(2, 3)
+    report = extract(g, p, make_strategy("Transp", g, p, seed=1))
+    assert report.accepted_count == 3991
+    assert report.reason_counts()[Reason.INDEGREE_BLOCKED] <= 20
+    assert report.counters.bfs_node_visits <= 300_000
+
+
+def test_weighted_run_rejects_by_maximal_blocks():
+    # the weight order is fixed, so the block store is a weighted run's only
+    # lever: the closure blocks made 2.14M node visits here, for the same
+    # total weight
+    g = gen_erdos_renyi(2000, 0.02, seed=1)
+    rng = random.Random(1)
+    weights = [rng.randrange(10**6) for _ in range(g.m)]
+    g = Multigraph(g.n, [g.endpoints(e) for e in range(g.m)], weights=weights)
+    report = extract_weighted(g, SparsityParams(2, 3))
+    assert report.total_weight == 3786320105
+    assert report.counters.bfs_node_visits <= 1_000_000
 
 
 def test_loop_in_block_is_covered():

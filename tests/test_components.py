@@ -201,6 +201,18 @@ def test_rigid_components_visits_stay_linear():
     assert report.counters.bfs_node_visits <= 20 * tight.m
 
 
+def test_sparse_components_probe_locally():
+    # the accepted (2,3) subgraph of G(4000, 3.2/n) is sparse but far from
+    # tight, so nearly every edge is its own component; one forward sweep
+    # per probe made 25.8M visits here
+    g = gen_erdos_renyi(4000, 3.2 / 4000, seed=1)
+    p = SparsityParams(2, 3)
+    sparse = _accepted_subgraph(g, extract(g, p))
+    report, comps = extract_with_components(sparse, p)
+    assert (sparse.m, len(comps)) == (6428, 6418)
+    assert report.counters.bfs_node_visits <= 1_000_000
+
+
 def test_pass_reversal_bound_is_checked_without_assert(monkeypatch):
     g = Multigraph(3, [(0, 1), (0, 2), (1, 2)])  # the pass reverses a path
     p = SparsityParams(2, 3)
@@ -244,9 +256,10 @@ def test_component_set_skips_singletons():
 
 def test_component_pass_reads_the_order_before_reorienting():
     # sha256 computed before the engine deferred its early-termination
-    # tail.  The indegree-keyed strategies order that tail by the live
-    # digraph, so the digest moves if the pass reorients before the order
-    # is read.  G(120, 0.1) has 728 edges: not sparse, a long tail.
+    # tail, and again once failed drains recorded maximal blocks.  The
+    # indegree-keyed strategies order that tail by the live digraph, so
+    # the digest moves if the pass reorients before the order is read.
+    # G(120, 0.1) has 728 edges: not sparse, a long tail.
     g = gen_erdos_renyi(120, 0.1, seed=11)
     digest = hashlib.sha256()
     for pair in ((2, 3), (1, 1)):
@@ -261,7 +274,7 @@ def test_component_pass_reads_the_order_before_reorienting():
                 c.edges_processed, c.early_termination_hit,
             )).encode())
     assert digest.hexdigest() == (
-        "c89757f1aafeadb53ea4d838850316ee6e880f042ab0b93446c651f10eb06344"
+        "dd6ff568255433e2fac674bf34c6101465b41cbb7c0e2528b66ee39314fea45b"
     )
 
 

@@ -250,21 +250,21 @@ def test_report_shape():
 # seeds 0 and 3; both graphs reach the tight size early under every strategy
 _PINNED_STREAMS = {
     ((80, 0.3, 5), (2, 3)): (
-        "df57889eb24989f1e350f2548f9470f48e73783f32877e54c066b8516ac47a51",
-        "dcf3544ed22ce0afd6662e40d6a69dd8935437f89ff26ce759dd5476b97622d4",
+        "20f0fc583c1743747283df5987a9352d8bbb6495919d325e7bd6e6ba83063987",
+        "d7d95fddad7379d25ec2298b8128ed6616e6e94eea5608ce612904c71f6e4e67",
     ),
     ((60, 0.4, 6), (1, 1)): (
-        "fbd4958909b6446e95e7c64bebed8a92099d364ba1658927f76138724b78b237",
-        "21bc3cea5e3efe034461aba13fafac3b19133ee902cee8c919b6a2a8e3f07a09",
+        "35f493584567702ce27b3ddfea95a7418f7c901e037a9879591f26370955c006",
+        "d6d8d335a2929cd31b6a63af12e15a11ac4517a73890a7076b0be0cdd2ae9945",
     ),
     # k > l: PForestsBFS/DFS seed pseudoforests here
     ((60, 0.4, 6), (2, 0)): (
-        "0f643c9c0c8f366fe2731b15d5f8b99b16ba1faacaa6e30e95d6eadb239e8b56",
-        "014e4fc123e22dbdd202726ddad950efa4bb1138b60a229fa6ffecf79b523795",
+        "ad34aec174fbe95d3de0bd4e837e6b19c63bf30dd0b6e073f8c4cfdb33080183",
+        "02ff934a9ecf83bf3980f0a3ab1fd3e70366a0d62788e61f48b04bfe0806a5f8",
     ),
     ((60, 0.4, 6), (3, 1)): (
-        "4778268be310cc4e80466a0e87e909472f75d8fe69d8f284571c6ac73d0e14c6",
-        "6d3fe453029186f9d4fa36850b6e8031ed5d22e0a4815dff6562ebcf06c9aa9f",
+        "f0fd1c00ece5164b8ce5e07ae31fee0ac971d86b163431adf442d5b1ed0b2b62",
+        "e9be88a5e6b4438cf97cc1e649cb2512ec1056b8799518ebf23242e014b77b25",
     ),
 }
 
