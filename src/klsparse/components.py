@@ -56,9 +56,6 @@ def _components(engine: PebbleEngine) -> ComponentSet:
     graph, params, digraph = engine.graph, engine.params, engine.digraph
     report = engine.report
     found = ComponentSet(graph.n, params)
-    # reading ``order`` walks the engine's deferred early-termination tail,
-    # and indegree-keyed strategies order that tail by the live digraph:
-    # read it here, before the first reversal below reorients the digraph
     for e in report.order:
         if e not in report.accepted:
             continue

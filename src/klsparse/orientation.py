@@ -1,6 +1,6 @@
 """Mutable orientation state over accepted edges.
 
-Arcs are stored column-wise (tail, head, source edge per arc id), with
+Arcs are stored column-wise (tail and head per arc id), with
 two lists per node: ``inc``, every arc at the node in either direction,
 which never changes, and ``in_arcs``, the arcs whose head it is, which
 the backward searches walk.  Reversing a path swaps tail and head per arc
@@ -92,7 +92,6 @@ class InnerDigraph:
         "k",
         "arc_tail",
         "arc_head",
-        "arc_edge",
         "inc",
         "in_arcs",
         "indeg",
@@ -111,7 +110,6 @@ class InnerDigraph:
         self.k = k
         self.arc_tail: list[int] = []
         self.arc_head: list[int] = []
-        self.arc_edge: list[int] = []
         self.inc: list[list[int]] = [[] for _ in range(n)]
         self.in_arcs: list[list[int]] = [[] for _ in range(n)]
         self.indeg: list[int] = [0] * n
@@ -123,8 +121,8 @@ class InnerDigraph:
         # the first probe sweeps: a tight input's one probe finds all n nodes
         self._last_block = n
 
-    def insert_arc(self, edge: int, tail: int, head: int) -> int:
-        """Add the arc ``tail -> head`` for ``edge``; returns the arc id."""
+    def insert_arc(self, tail: int, head: int) -> int:
+        """Add the arc ``tail -> head``; returns the arc id."""
         if self.indeg[head] >= self.k:
             raise IndegreeOverflowError(
                 f"head {head} already has indegree {self.indeg[head]} = k"
@@ -132,7 +130,6 @@ class InnerDigraph:
         a = len(self.arc_tail)
         self.arc_tail.append(tail)
         self.arc_head.append(head)
-        self.arc_edge.append(edge)
         self.inc[tail].append(a)
         if head != tail:
             self.inc[head].append(a)

@@ -31,6 +31,7 @@ from __future__ import annotations
 import enum
 import operator
 from dataclasses import dataclass, field
+from itertools import compress
 
 from .multigraph import Multigraph
 from .orientation import (
@@ -117,9 +118,8 @@ _EARLY_TERMINATED = _CODE[Reason.EARLY_TERMINATED]
 
 class StrategyContractError(InvariantError):
     """A strategy's order broke the engine's contract: it yielded an edge
-    already processed, it ended with edges unprocessed while more could be
-    accepted, or past the tight size it did not yield each
-    still-unprocessed edge exactly once."""
+    already processed, or it ended with edges unprocessed while more could
+    be accepted."""
 
 
 def _name(strategy) -> str:
@@ -142,11 +142,9 @@ class ExtractionReport:
     records.  The classification flags are filled by
     :func:`decide` and stay None otherwise.
 
-    An engine that stops at the tight size leaves the rest of its
-    strategy's order as a deferred tail: the strategy and the processed
-    flags it shares with the engine.  The first read of ``order``,
-    ``verdicts`` or :meth:`reason_counts` walks that tail once; later
-    reads are free.
+    A run that stops at the tight size never examines the remaining
+    edges, so no order is theirs: ``order`` lists them after the examined
+    edges in id order, from their codes, on first read.
     """
 
     params: SparsityParams
@@ -163,7 +161,6 @@ class ExtractionReport:
         self._order: list[int] = []
         self._reasons = bytearray([_EARLY_TERMINATED]) * self.m
         self._reversals: dict[int, int] = {}
-        self._tail = None  # (strategy, processed flags) until walked
 
     @property
     def accepted_count(self) -> int:
@@ -171,47 +168,19 @@ class ExtractionReport:
 
     @property
     def order(self) -> list[int]:
-        """Processed edge ids in processing order (walks a deferred tail
-        on first read)."""
-        if self._tail is not None:
-            self._walk_tail()
-        return self._order
-
-    def _walk_tail(self) -> None:
-        """List the deferred tail: mark each remaining edge of the order
-        processed, append it (its reason code already reads
-        EARLY_TERMINATED) and tell the strategy.  The strategy's methods
-        are looked up now, not when the tail was deferred, so wrappers
-        installed or removed after the run apply to the walk.  Raises
-        :class:`StrategyContractError` unless the order yields every
-        unprocessed edge exactly once."""
-        strategy, processed = self._tail
+        """Processed edge ids in processing order, the never-examined
+        edges of an early-terminated run last, in id order."""
         order = self._order
-        next_edge = strategy.next_edge
-        on_processed = strategy.on_processed
-        while (e := next_edge()) is not None:
-            if processed[e]:
-                raise StrategyContractError(
-                    f"{_name(strategy)} yielded edge {e}, already processed"
-                )
-            processed[e] = True
-            order.append(e)
-            on_processed(e, False)
-        if len(order) != self.m:
-            raise StrategyContractError(
-                f"{_name(strategy)} left {self.m - len(order)} edge(s) "
-                "unprocessed"
-            )
-        self._tail = None
+        if self.counters.early_termination_hit and len(order) < self.m:
+            order += compress(range(self.m),
+                              map(_EARLY_TERMINATED.__eq__, self._reasons))
+        return order
 
     def reason_counts(self) -> dict[Reason, int]:
-        """Number of processed edges per verdict reason (every reason
-        listed, zeros included)."""
-        counts = [0] * len(_REASONS)
-        reasons = self._reasons
-        for e in self.order:
-            counts[reasons[e]] += 1
-        return dict(zip(_REASONS, counts))
+        """Number of edges per verdict reason (every reason listed, zeros
+        included), by their codes."""
+        return {reason: self._reasons.count(code)
+                for code, reason in enumerate(_REASONS)}
 
     @property
     def verdicts(self) -> list[Verdict]:
@@ -369,23 +338,19 @@ class Strategy:
     :func:`~klsparse.heuristics.make_strategy` sets ``name`` to the
     catalog name.
 
-    Contract: called until it returns None, ``next_edge`` eventually
-    yields every edge not yet processed exactly once, and ``graph`` and
-    ``params``, where set, are the engine's.  The engine checks the
-    second part before the run, and during it refuses an edge yielded
-    twice and an order that ends early.  It relies on the first part when
-    it stops at the tight size: it counts the remaining edges without
-    asking for them, and walks them only when the report's order is first
-    read, which raises :class:`StrategyContractError` on a broken order.
+    Contract: called until it returns None, ``next_edge`` yields every
+    edge not yet processed exactly once, and ``graph`` and ``params``,
+    where set, are the engine's.  The engine checks the second part
+    before the run, and during it refuses an edge yielded twice and an
+    order that ends early.  Once the engine stops at the tight size it
+    asks the strategy for nothing more.
 
     ``start`` binds what the order reads from the engine (the indegree
     orders also bind its live indegrees), then begins the order over the
     engine's processed flags with ``restart``.  ``restart(flags)`` makes
     all of a run's order state afresh, over the edges not set in
     ``flags``; phase one's union scan restarts its second phase's order
-    this way, once per structure, on flags of its own.  A strategy keeps
-    no reference to the engine: a deferred tail keeps the strategy in the
-    engine's report, so one would make a cycle.
+    this way, once per structure, on flags of its own.
     """
 
     name = ""
@@ -443,10 +408,9 @@ class PebbleEngine:
     Drives a strategy's edge order through :meth:`try_accept`, maintaining
     the inner digraph, the processed flags shared with the strategy, the
     block store fed by failed searches, and the early-termination cutoff
-    at max(k*n - l, 0) arcs, where :meth:`run` stops and defers the rest
-    of the order to the report.  This class decides l < 2k;
-    :class:`~klsparse.sparse2k.TwoKEngine` configures it for l = 2k with
-    its own :meth:`try_accept` and no cutoff.
+    at max(k*n - l, 0) arcs, where :meth:`run` stops.  This class decides
+    l < 2k; :class:`~klsparse.sparse2k.TwoKEngine` configures it for
+    l = 2k with its own :meth:`try_accept` and no cutoff.
     """
 
     augmenting = True  # False in the l = 2k configuration
@@ -501,7 +465,7 @@ class PebbleEngine:
             # ties to the smaller id; that endpoint is below k because the
             # indegree sum is below 2k (a loop's one node is below k - l)
             head = u if (indeg[u], u) <= (indeg[v], v) else v
-        digraph.insert_arc(e, u + v - head, head)
+        digraph.insert_arc(u + v - head, head)
         return reversals
 
     def preaccept(self, e: int, tail: int, head: int) -> None:
@@ -511,7 +475,7 @@ class PebbleEngine:
         sparse by construction, so :meth:`run` counts the edge; the
         indegree bound is still enforced on insert.
         """
-        self.digraph.insert_arc(e, tail, head)
+        self.digraph.insert_arc(tail, head)
         self.processed[e] = True
         report = self.report
         report._order.append(e)
@@ -527,13 +491,9 @@ class PebbleEngine:
 
         Once the digraph holds max(k*n - l, 0) arcs no further edge can be
         accepted, so the run stops there (the l = 2k configuration stops
-        only at m arcs, so it examines every edge).  The counters already
-        count the remaining edges (processed, early-terminated); the report
-        lists them in ``order`` on first read, by walking the rest of the
-        strategy's order then.  Strategies that key their order on the
-        live indegrees (IncInDegMin, NInDegMin, NInDegMinComp) read this
-        engine's digraph during that walk, so read ``order`` before
-        anything reorients it.
+        only at m arcs, so it examines every edge).  The counters count
+        the remaining edges as processed and set the early-termination
+        flag; the report lists them last in ``order``, in id order.
 
         Raises ``ValueError`` before the run when ``strategy`` was made for
         another graph or (k, l) pair (one whose ``graph`` or ``params`` is
@@ -598,14 +558,14 @@ class PebbleEngine:
                 f"{_name(strategy)} ended its order with {rest} edge(s) "
                 "unprocessed"
             )
-        # every edge is processed now or in the deferred tail; the accepted
-        # count includes the edges two-phase strategies preaccept in ``start``
+        # the edges past the tight size count as processed, early-terminated;
+        # the accepted count includes the edges two-phase strategies
+        # preaccept in ``start``
         counters = report.counters
         counters.edges_processed = report.m
         counters.edges_accepted = len(accepted)
         if rest > 0:
             counters.early_termination_hit = 1
-            report._tail = (strategy, processed)
         return report
 
 

@@ -146,7 +146,7 @@ class TwoKEngine(PebbleEngine):
         reversals = zero_pair_indegrees(digraph, u, v)
         if insertable(digraph, u, v):
             # arc toward the larger id (v, by canonical endpoint storage)
-            digraph.insert_arc(e, u, v)
+            digraph.insert_arc(u, v)
             return reversals
         # the failed probe's closure, tight once u and v join it
         self.blocks.record(digraph.last_closure + [u, v])

@@ -145,7 +145,7 @@ def test_criterion_4_maximal_2k_correct(simple_corpus):
                     fast = insertable(engine.digraph, u, v)
                     assert fast == naive_l2k_check(engine.digraph, u, v, k)
                     if fast:
-                        engine.digraph.insert_arc(e, u, v)
+                        engine.digraph.insert_arc(u, v)
 
 
 def test_criterion_5_known_instances():

@@ -107,15 +107,15 @@ def test_decide_visits_fewer_nodes_than_basic():
 
 @pytest.mark.parametrize("first_read", ["order", "verdicts", "reason_counts"])
 def test_decide_report_walks_its_deferred_tail(first_read):
-    # NInDegMin keys its node order on the live indegrees, so the tail is
-    # walked against the digraph the run left behind
+    # the edges past the tight size are counted by their codes and listed
+    # after the examined ones, by id, on the first read of the order
     g = gen_erdos_renyi(120, 0.2, seed=6)
     params = SparsityParams(2, 3)
     d = decide(g, params)
     assert d.counters.early_termination_hit == 1
     assert d.is_spanning and not d.is_sparse
     processed = len(d._order)
-    assert processed < g.m  # the tail is still deferred
+    assert processed < g.m  # not yet listed
     if first_read == "order":
         order = d.order
     elif first_read == "verdicts":
@@ -130,5 +130,6 @@ def test_decide_report_walks_its_deferred_tail(first_read):
     verdicts = d.verdicts
     assert [v.edge for v in verdicts] == order
     assert all(v.reason is Reason.EARLY_TERMINATED for v in verdicts[processed:])
+    assert order[processed:] == sorted(order[processed:])
     assert {v.edge for v in verdicts if v.accepted} == d.accepted
     assert d.reason_counts()[Reason.ACCEPTED] == d.accepted_count

@@ -13,6 +13,7 @@ from klsparse import (
     STRATEGY_NAMES,
     Multigraph,
     PebbleEngine,
+    Reason,
     SparsityParams,
     TwoKEngine,
     WrongRegimeError,
@@ -171,7 +172,8 @@ def _phase_one_arcs(name, g, p, seed=0):
     engine = PebbleEngine(g, p)
     make_strategy(name, g, p, seed=seed).start(engine)
     d = engine.digraph
-    return list(zip(d.arc_edge, d.arc_tail, d.arc_head))
+    # preaccept lists each edge as it inserts the arc
+    return list(zip(engine.report.order, d.arc_tail, d.arc_head))
 
 
 def test_phase_one_arc_counts():
@@ -242,7 +244,8 @@ def test_union_nbasic_builds_its_order_once(monkeypatch):
     assert len(_phase_one_arcs("UnionNBasic", g, p, seed=1)) == 76
     assert calls == [1]
     # verdict streams of UnionNBasic on plans of two and three structures,
-    # frozen from the order rebuilt per structure
+    # frozen from the order rebuilt per structure, then with each stream's
+    # early-terminated suffix sorted by edge id
     digest = hashlib.sha256()
     for pair in ((2, 0), (3, 1)):
         p = SparsityParams(*pair)
@@ -255,7 +258,7 @@ def test_union_nbasic_builds_its_order_once(monkeypatch):
                 for v in rep.verdicts
             ]).encode())
     assert digest.hexdigest() == (
-        "907cb652831cbe0069f0dd0a0cc8492fe3437bbd532370e0dd78d8133e860bdb"
+        "c8cdff55b04c82db6ef7fdebc065a9020f68cfee75d5e8d41b628e112dd37975"
     )
 
 
@@ -279,27 +282,32 @@ def test_restart_reproduces_the_order(name):
     for seed in (0, 3):
         strategy = make_strategy(name, g, p, seed=seed)
         rep = PebbleEngine(g, p).run(strategy)
-        order = rep.order
-        flags = bytearray(g.m)
-        strategy.restart(flags)
-        drained = []
-        while (e := strategy.next_edge()) is not None:
-            flags[e] = 1
-            drained.append(e)
-            strategy.on_processed(e, e in rep.accepted)
-        assert drained == order
+        assert rep.counters.early_termination_hit == 1
+        # a fresh strategy drained on its own, told the run's verdicts
+        order = _drain(make_strategy(name, g, p, seed=seed), bytearray(g.m),
+                       rep.accepted)
+        assert sorted(order) == list(range(g.m))
+        examined = g.m - rep.reason_counts()[Reason.EARLY_TERMINATED]
+        assert rep.order[:examined] == order[:examined]
+        assert _drain(strategy, bytearray(g.m), rep.accepted) == order
         # over flags set on the first half, the other half, each edge once
         half = g.m // 2
         flags = bytearray(g.m)
         for e in order[:half]:
             flags[e] = 1
-        strategy.restart(flags)
-        rest = []
-        while (e := strategy.next_edge()) is not None:
-            flags[e] = 1
-            rest.append(e)
-            strategy.on_processed(e, False)
-        assert sorted(rest) == sorted(order[half:])
+        assert sorted(_drain(strategy, flags, set())) == sorted(order[half:])
+
+
+def _drain(strategy, flags, accepted) -> list[int]:
+    """Restart ``strategy`` over ``flags`` and take its whole order, telling
+    it each edge's verdict by membership in ``accepted``."""
+    strategy.restart(flags)
+    drained = []
+    while (e := strategy.next_edge()) is not None:
+        flags[e] = 1
+        drained.append(e)
+        strategy.on_processed(e, e in accepted)
+    return drained
 
 
 @pytest.mark.parametrize("name", _SINGLE_PHASE)

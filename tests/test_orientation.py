@@ -26,18 +26,17 @@ from klsparse import (
 def build_path_digraph() -> InnerDigraph:
     """Arcs 0->1->2 with k = 1, so node 0 is the only deficient node."""
     d = InnerDigraph(3, 1)
-    d.insert_arc(0, 0, 1)
-    d.insert_arc(1, 1, 2)
+    d.insert_arc(0, 1)
+    d.insert_arc(1, 2)
     return d
 
 
 def test_insert_arc_updates_state():
     d = InnerDigraph(3, 2)
-    a = d.insert_arc(7, 0, 1)
+    a = d.insert_arc(0, 1)
     assert a == 0
     assert d.arc_tail[a] == 0
     assert d.arc_head[a] == 1
-    assert d.arc_edge[a] == 7
     assert d.indeg == [0, 1, 0]
     assert len(d.arc_tail) == 1
     assert a in d.inc[0] and a in d.inc[1]
@@ -46,7 +45,7 @@ def test_insert_arc_updates_state():
 
 def test_loop_arc_listed_once():
     d = InnerDigraph(2, 2)
-    a = d.insert_arc(0, 1, 1)
+    a = d.insert_arc(1, 1)
     assert d.inc[1] == [a]
     assert d.in_arcs[1] == [a]
     assert d.indeg[1] == 1
@@ -54,9 +53,9 @@ def test_loop_arc_listed_once():
 
 def test_indegree_overflow_rejected():
     d = InnerDigraph(2, 1)
-    d.insert_arc(0, 0, 1)
+    d.insert_arc(0, 1)
     with pytest.raises(IndegreeOverflowError):
-        d.insert_arc(1, 0, 1)
+        d.insert_arc(0, 1)
 
 
 def test_find_reversal_path_nearest_source():
@@ -114,9 +113,9 @@ def test_path_goes_stale_after_any_later_search_or_reversal(later):
 
 def test_path_survives_arc_insertion():
     d = InnerDigraph(4, 1)
-    d.insert_arc(0, 0, 1)
+    d.insert_arc(0, 1)
     path = d.find_reversal_path((1,))
-    d.insert_arc(1, 2, 3)
+    d.insert_arc(2, 3)
     d.reverse(path)
     assert d.indeg == [1, 0, 0, 1]
 
@@ -125,10 +124,10 @@ def test_path_goes_stale_when_an_insertion_fills_its_source():
     # the path 0 -> 1 is found while node 0 is deficient; the arc 2 -> 0
     # then fills it, and reversing would push it to indegree k + 1
     d = InnerDigraph(3, 1)
-    d.insert_arc(0, 0, 1)
+    d.insert_arc(0, 1)
     path = d.find_reversal_path((1,))
     assert path.source == 0
-    d.insert_arc(1, 2, 0)
+    d.insert_arc(2, 0)
     tails, heads, indeg = list(d.arc_tail), list(d.arc_head), list(d.indeg)
     with pytest.raises(StalePathError, match="indegree k"):
         d.reverse(path)
@@ -175,12 +174,12 @@ def test_reverse_flips_path_arcs_only():
     for _ in range(100):
         n, k = rng.randint(2, 12), rng.randint(1, 3)
         d = InnerDigraph(n, k)
-        for e in range(rng.randint(1, 3 * n)):
+        for _ in range(rng.randint(1, 3 * n)):
             t, h = rng.randrange(n), rng.randrange(n)
             if rng.random() < 0.1:
                 t = h  # more loops; repeated draws give parallel arcs
             if d.indeg[h] < k:
-                d.insert_arc(e, t, h)
+                d.insert_arc(t, h)
         for _ in range(10):
             targets = tuple(rng.sample(range(n), rng.randint(1, min(2, n))))
             forbidden = tuple(rng.sample(range(n), rng.randint(0, min(3, n))))
@@ -241,7 +240,7 @@ def test_forbidden_sources_skipped():
 
 def test_target_not_its_own_source():
     d = InnerDigraph(2, 1)
-    d.insert_arc(0, 0, 1)
+    d.insert_arc(0, 1)
     # node 1 is saturated and node 0 is deficient
     path = d.find_reversal_path((1,))
     assert path.source == 0
@@ -280,8 +279,8 @@ def test_drain_counts_a_loop_node_twice():
 
 def test_drain_never_uses_a_forbidden_source():
     d = InnerDigraph(3, 2)
-    d.insert_arc(0, 0, 2)
-    d.insert_arc(1, 1, 2)
+    d.insert_arc(0, 2)
+    d.insert_arc(1, 2)
     # 0 and 1 are both deficient; with 0 forbidden only 1 gives a path
     assert d.drain(2, 2, 1, (0,)) == -2
     assert d.indeg == [0, 1, 1]
@@ -300,8 +299,8 @@ _BOUND_CASES = [
 
 def _digraph(k, arcs):
     d = InnerDigraph(1 + max(max(arc) for arc in arcs), k)
-    for e, (tail, head) in enumerate(arcs):
-        d.insert_arc(e, tail, head)
+    for tail, head in arcs:
+        d.insert_arc(tail, head)
     return d
 
 
@@ -336,8 +335,8 @@ def test_saturated_closure():
     assert d.saturated_closure((2,), (), set()) is None
     d.reverse(d.find_reversal_path((2,)))
     d2 = InnerDigraph(3, 1)
-    d2.insert_arc(0, 0, 1)
-    d2.insert_arc(1, 1, 0)
+    d2.insert_arc(0, 1)
+    d2.insert_arc(1, 0)
     # the 2-cycle is saturated on both nodes
     closure = d2.saturated_closure((0,), (), set())
     assert closure is not None
@@ -369,8 +368,8 @@ def test_multi_source_forward_reach():
 
 def test_forward_reach_skips_excluded_sources():
     d = InnerDigraph(4, 1)
-    d.insert_arc(0, 0, 1)
-    d.insert_arc(1, 2, 3)
+    d.insert_arc(0, 1)
+    d.insert_arc(2, 3)
     # sources 0 and 2; excluding 2 leaves node 3 neither reached nor excluded
     reach = d.multi_source_forward_reach(excluded=(2,))
     assert reach == [0, 1]
@@ -380,8 +379,8 @@ def test_forward_reach_skips_excluded_sources():
 def test_counters_accumulate():
     d = InnerDigraph(3, 1)
     c = d.counters
-    d.insert_arc(0, 0, 1)
-    d.insert_arc(1, 1, 2)
+    d.insert_arc(0, 1)
+    d.insert_arc(1, 2)
     d.find_reversal_path((2,))
     assert c.bfs_node_visits > 0
     before = c.path_reversals
@@ -394,8 +393,8 @@ def test_counters_accumulate():
 def test_in_arcs_consistent_after_many_reversals():
     d = InnerDigraph(4, 2)
     arcs = [(0, 1), (1, 2), (2, 3), (1, 3), (0, 2)]
-    for e, (t, h) in enumerate(arcs):
-        d.insert_arc(e, t, h)
+    for t, h in arcs:
+        d.insert_arc(t, h)
     for target in (3, 2, 3, 1):
         path = d.find_reversal_path((target,))
         if path is not None:

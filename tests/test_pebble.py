@@ -247,23 +247,25 @@ def test_report_shape():
 
 
 # sha256 of the verdict stream and of the counters over every strategy with
-# seeds 0 and 3; both graphs reach the tight size early under every strategy
+# seeds 0 and 3; both graphs reach the tight size early under every strategy.
+# The verdict digests are those of each strategy's whole order, walked past
+# the tight size, with its early-terminated suffix sorted by edge id
 _PINNED_STREAMS = {
     ((80, 0.3, 5), (2, 3)): (
-        "20f0fc583c1743747283df5987a9352d8bbb6495919d325e7bd6e6ba83063987",
+        "119272b0de0cb2915021caea8b06e72782ebe0cc31ac694914212d29bb130fc4",
         "d7d95fddad7379d25ec2298b8128ed6616e6e94eea5608ce612904c71f6e4e67",
     ),
     ((60, 0.4, 6), (1, 1)): (
-        "35f493584567702ce27b3ddfea95a7418f7c901e037a9879591f26370955c006",
+        "481b020c80b1ab5228497f91234867b40399c4ed0510bafe6e0fd58d4ec04f56",
         "d6d8d335a2929cd31b6a63af12e15a11ac4517a73890a7076b0be0cdd2ae9945",
     ),
     # k > l: PForestsBFS/DFS seed pseudoforests here
     ((60, 0.4, 6), (2, 0)): (
-        "ad34aec174fbe95d3de0bd4e837e6b19c63bf30dd0b6e073f8c4cfdb33080183",
+        "04dd6a8d5d063b96bf9fd818621db6ec9cd9cac19895222853c8e20e2210e921",
         "02ff934a9ecf83bf3980f0a3ab1fd3e70366a0d62788e61f48b04bfe0806a5f8",
     ),
     ((60, 0.4, 6), (3, 1)): (
-        "f0fd1c00ece5164b8ce5e07ae31fee0ac971d86b163431adf442d5b1ed0b2b62",
+        "cd5d7069e0da2132c96b78c3f119786cc4d9014d4172b89afb37d771ef2a745a",
         "e9be88a5e6b4438cf97cc1e649cb2512ec1056b8799518ebf23242e014b77b25",
     ),
 }
@@ -365,15 +367,15 @@ def test_run_stops_at_the_tight_size_and_defers_the_tail(monkeypatch):
     assert rep.counters.early_termination_hit == 1
     assert rep.accepted_count == 49
     order = rep.order
-    # the 1176 tail edges, and one None that ends the order
-    assert calls == {"next_edge": 49 + 1177, "on_processed": 49 + 1176}
-    assert order == list(range(g.m))  # seed 0: storage order
+    # seed 0 is storage order, and the 1176 unexamined edges follow by id
+    assert order == list(range(g.m))
     verdicts = rep.verdicts
     assert all(v.accepted for v in verdicts[:49])
     assert all(v.reason is Reason.EARLY_TERMINATED for v in verdicts[49:])
     assert rep.order is order
     rep.reason_counts()
-    assert calls == {"next_edge": 49 + 1177, "on_processed": 49 + 1176}
+    # listing them asks the strategy for nothing
+    assert calls == {"next_edge": 49, "on_processed": 49}
 
 
 @pytest.mark.parametrize("first_read", ["order", "verdicts", "reason_counts"])
@@ -390,16 +392,6 @@ def test_each_reader_walks_the_deferred_tail(first_read):
         assert counts[Reason.EARLY_TERMINATED] == 1176
     assert rep.order == list(range(g.m))
     assert rep.reason_counts()[Reason.EARLY_TERMINATED] == 1176
-
-
-def test_deferred_tail_looks_strategy_methods_up_when_walked(monkeypatch):
-    # a wrapper installed after the run (as a tracer's removal is, in
-    # reverse) must see the tail: no bound method from the run is kept
-    g = complete_graph(50)
-    rep = extract(g, SparsityParams(1, 1))
-    calls = _count_calls(monkeypatch, BasicStrategy, ("next_edge", "on_processed"))
-    rep.order
-    assert calls == {"next_edge": 1177, "on_processed": 1176}
 
 
 class _DropsLastEdge(BasicStrategy):
@@ -447,21 +439,27 @@ def test_edge_repeated_before_the_cut_is_a_contract_error(graph, params):
     with pytest.raises(StrategyContractError,
                        match="yielded edge 0, already processed"):
         engine.run(_RepeatsBeforeCut(graph, params))
-    assert engine.digraph.arc_edge == [0]
+    assert engine.report.accepted == {0}
+    assert len(engine.digraph.arc_tail) == 1
+    assert issubclass(StrategyContractError, RuntimeError)
 
 
 @pytest.mark.parametrize("stub", [_DropsLastEdge, _RepeatsAfterCut])
 def test_tail_contract_is_checked_without_assert(stub):
+    # the engine asks nothing of a strategy past the cut, so an order that
+    # breaks only there still yields a complete and correct report
     g = complete_graph(50)
     p = SparsityParams(1, 1)
     rep = PebbleEngine(g, p).run(stub(g, p))
-    # the counters are set at the cut, before the tail is walked
     assert rep.counters.edges_processed == g.m
     assert rep.counters.early_termination_hit == 1
-    assert rep.accepted_count == 49
-    with pytest.raises(StrategyContractError):
-        rep.order
-    assert issubclass(StrategyContractError, RuntimeError)
+    # storage order: the star at node 0 is accepted, then the cut
+    assert rep.accepted == set(range(49))
+    assert rep.order == list(range(g.m))
+    assert rep.reason_counts() == {
+        Reason.ACCEPTED: 49, Reason.INDEGREE_BLOCKED: 0,
+        Reason.COVERED_BY_COMPONENT: 0, Reason.EARLY_TERMINATED: 1176,
+    }
 
 
 def test_strategy_for_another_graph_is_refused():
@@ -517,15 +515,20 @@ class _RecordsOutcomes(BasicStrategy):
 
 def test_on_processed_sees_the_report_stream():
     # G(40, 0.3, seed 4) under (2,3), Basic with seed 2: acceptances,
-    # searched and covered rejections, then a deferred tail
+    # searched and covered rejections, then edges past the tight size,
+    # which the strategy is not told about
     g = gen_erdos_renyi(40, 0.3, seed=4)
     p = SparsityParams(2, 3)
     strategy = _RecordsOutcomes(g, p, seed=2)
     rep = PebbleEngine(g, p).run(strategy)
     counts = rep.reason_counts()
     assert all(counts[reason] > 0 for reason in Reason)
-    assert strategy.seen == [(v.edge, v.accepted) for v in rep.verdicts]
-    assert [e for e, _ in strategy.seen] == rep.order
+    examined = len(strategy.seen)
+    assert examined == g.m - counts[Reason.EARLY_TERMINATED]
+    verdicts = rep.verdicts
+    assert strategy.seen == [(v.edge, v.accepted) for v in verdicts[:examined]]
+    assert [e for e, _ in strategy.seen] == rep.order[:examined]
+    assert rep.order[examined:] == sorted(rep.order[examined:])
 
 
 def test_rejection_keeps_the_reversals_it_made():
@@ -543,15 +546,14 @@ def test_rejection_keeps_the_reversals_it_made():
 @pytest.mark.parametrize("name", ["Basic", "Transp", "PForestsBFS", "UnionNBasic"])
 @pytest.mark.parametrize("n, prob", [(30, 0.5), (60, 0.03)])
 def test_counters_match_the_report(name, n, prob):
-    # the dense graph reaches the tight size and defers a tail, the sparse
-    # one drains the order
+    # the dense graph reaches the tight size, the sparse one drains the
+    # order
     g = gen_erdos_renyi(n, prob, seed=5)
     p = SparsityParams(2, 3)
     rep = PebbleEngine(g, p).run(make_strategy(name, g, p, seed=1))
     c = rep.counters
     tail = c.early_termination_hit == 1
     assert tail == (prob > 0.1)
-    # complete before any tail is walked
     assert c.edges_processed == g.m
     assert c.edges_accepted == rep.accepted_count
     assert c.edges_processed == len(rep.order)
@@ -566,17 +568,18 @@ def test_engine_is_freed_without_the_cyclic_collector(name):
     try:
         engine = PebbleEngine(g, p)
         report = engine.run(make_strategy(name, g, p, seed=1))
-        assert report._tail is not None  # the strategy is kept for the tail
         dead_engine, dead_report = weakref.ref(engine), weakref.ref(report)
         del engine, report
         assert dead_engine() is None and dead_report() is None
 
         engine = PebbleEngine(g, p)
-        report = engine.run(make_strategy(name, g, p, seed=1))
-        dead_engine = weakref.ref(engine)
-        del engine
-        assert dead_engine() is None
-        # the tail is walked after its engine is gone
+        strategy = make_strategy(name, g, p, seed=1)
+        report = engine.run(strategy)
+        assert report.counters.early_termination_hit == 1
+        dead_engine, dead_strategy = weakref.ref(engine), weakref.ref(strategy)
+        del engine, strategy
+        # the report keeps neither, and lists its order without them
+        assert dead_engine() is None and dead_strategy() is None
         assert sorted(report.order) == list(range(g.m))
     finally:
         gc.enable()

@@ -89,7 +89,7 @@ def test_zero_pair_clears_both_endpoints():
         assert engine.digraph.indeg[u] == 0
         assert engine.digraph.indeg[v] == 0
         if insertable(engine.digraph, u, v):
-            engine.digraph.insert_arc(e, u, v)
+            engine.digraph.insert_arc(u, v)
 
 
 def test_insertable_matches_naive_check():
@@ -106,7 +106,7 @@ def test_insertable_matches_naive_check():
                 slow = naive_l2k_check(engine.digraph, u, v, k)
                 assert fast == slow
                 if fast:
-                    engine.digraph.insert_arc(e, u, v)
+                    engine.digraph.insert_arc(u, v)
                 points += 1
     assert points > 500
 
@@ -125,7 +125,7 @@ def test_insertable_matches_naive_check_past_brute_force_sizes():
                 fast = insertable(engine.digraph, u, v)
                 assert fast == naive_l2k_check(engine.digraph, u, v, k), (n, k, e)
                 if fast:
-                    engine.digraph.insert_arc(e, u, v)
+                    engine.digraph.insert_arc(u, v)
                 else:
                     rejected += 1
                 points += 1
