@@ -284,29 +284,44 @@ class NInDegMinStrategy(_InDegreeStrategy, _NodeKeyStrategy):
 
 class TranspStrategy(Strategy):
     """Cyclic node sweep taking one unprocessed edge per visited node;
-    arcs point toward the current node."""
+    arcs point toward the current node.
+
+    The sweep walks a ring of live nodes, a successor list in id order
+    made in ``restart`` over the nodes with incident edges.  A node is
+    unlinked when the incidence cursor first finds it drained: the flags
+    only grow within a restart, so it would yield nothing again, and the
+    ring visits the remaining nodes in the order the full cyclic scan
+    would.  Each node thus costs at most one failed probe per restart,
+    not one per edge."""
 
     def restart(self, flags):
         super().restart(flags)
-        self._ptr = [0] * self.graph.n
-        self._at = 0  # where the next scan starts
+        n, incidence = self.graph.n, self.graph.incidence
+        live = [v for v in range(n) if incidence[v]]
+        self._ptr = [0] * n
+        self._succ = succ = [0] * n
+        for v, w in zip(live, live[1:] + live[:1]):
+            succ[v] = w
+        # the ring node before the next scan's first one; None once empty
+        self._tail = live[-1] if live else None
         self._last = -1  # node of the last edge taken
+        self._pred = -1  # the ring node before it
 
     def next_edge(self):
+        p = self._tail
+        if p is None:
+            return None
         incidence = self.graph.incidence
-        ptr = self._ptr
-        flags = self._processed
-        n = len(incidence)
-        v = self._at
-        for _ in range(n):
-            e = _take(incidence, ptr, flags, v)
-            nxt = (v + 1) % n
-            if e is not None:
-                self._last = v
-                self._at = nxt
-                return e
-            v = nxt
-        return None
+        ptr, succ, flags = self._ptr, self._succ, self._processed
+        v = succ[p]
+        while (e := _take(incidence, ptr, flags, v)) is None:
+            if v == p:  # the last live node is drained
+                self._tail = None
+                return None
+            succ[p] = v = succ[v]
+        self._pred = p
+        self._last = self._tail = v
+        return e
 
     def orient(self, u, v):
         return self._last
@@ -319,7 +334,7 @@ class TranspOneStrategy(TranspStrategy):
 
     def on_processed(self, edge, accepted):
         if accepted:
-            self._at = self._last
+            self._tail = self._pred
 
 
 def _orient_component_tree(

@@ -638,13 +638,15 @@ def decide(graph: Multigraph, params: SparsityParams) -> ExtractionReport:
     sparse: every edge accepted; spanning: the accepted subgraph reaches
     max(k*n - l, 0) edges; tight: sparse with exactly that many edges.
 
-    For l < 2k the edges are processed in the NInDegMin order (seed 0),
-    not :func:`extract`'s default Basic: the flags and the accepted count
+    For l < 2k the edges are processed in the Transp order (seed 0), not
+    :func:`extract`'s default Basic: the flags and the accepted count
     depend only on the matroid rank, so any order gives the same answer,
-    and NInDegMin reaches the tight size after far fewer edges and node
-    visits (on G(600, 0.1, seed 1000) at (2,3): 2,961 edges and 22k
-    visits against Basic's 17,707 edges and 218k visits).  The accepted
-    set, the verdicts and the counters do follow the order.
+    and Transp reaches the tight size after far fewer edges (on
+    G(600, 0.1, seed 1000) at (2,3): 1,199 edges and 35k node visits,
+    against NInDegMin's 2,961 edges and 22k visits and Basic's 17,707
+    edges and 219k visits; ``tools/order_table.py`` compares the orders
+    on more inputs).  The accepted set, the verdicts and the counters do
+    follow the order.
 
     For l = 2k the accepted sets form no matroid, so spanning is not
     decided and stays None; one maximal pass of
@@ -653,7 +655,7 @@ def decide(graph: Multigraph, params: SparsityParams) -> ExtractionReport:
     """
     tight_size = params.tight_size(graph.n)
     if params.is_augmenting_regime:
-        strategy = resolve_order(None, graph, params, "NInDegMin")
+        strategy = resolve_order(None, graph, params, "Transp")
         report = extract(graph, params, strategy)
         report.is_spanning = len(report.accepted) == tight_size
     else:

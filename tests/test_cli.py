@@ -507,9 +507,9 @@ def test_extract_stdout_pinned_per_strategy(tmp_path, capsys, name):
 
 
 def test_strategy_contract_failure_is_internal_error(tmp_path, capsys, monkeypatch):
-    from klsparse.heuristics import _NodeOrderStrategy
+    from klsparse.heuristics import TranspStrategy
 
-    original = _NodeOrderStrategy.next_edge
+    original = TranspStrategy.next_edge
 
     def first_edge_again(self):
         # the order yields its first edge on every call
@@ -517,8 +517,8 @@ def test_strategy_contract_failure_is_internal_error(tmp_path, capsys, monkeypat
             self._first = original(self)
         return self._first
 
-    monkeypatch.setattr(_NodeOrderStrategy, "next_edge", first_edge_again)
-    # decide runs NInDegMin, a node order; the engine refuses the repeat
+    monkeypatch.setattr(TranspStrategy, "next_edge", first_edge_again)
+    # decide runs Transp; the engine refuses the repeat
     argv = ["decide", "-k", "2", "-l", "3", "--input", k4_path(tmp_path)]
     assert main(argv) == EXIT_INTERNAL
     _internal_error_line(capsys, StrategyContractError.__name__)

@@ -1,4 +1,8 @@
-"""Tests for tools/cli_digest.py, the CLI output digest the roadmap cites."""
+"""Tests for tools/cli_digest.py, the CLI output digest the roadmap cites.
+
+``tools/cli_digest.txt`` pins its lines: a change to any CLI stdout fails
+here until that file is updated with the new lines.
+"""
 
 from __future__ import annotations
 
@@ -6,6 +10,7 @@ import importlib.util
 from pathlib import Path
 
 _TOOL = Path(__file__).resolve().parent.parent / "tools" / "cli_digest.py"
+_PINNED = _TOOL.with_suffix(".txt")
 _spec = importlib.util.spec_from_file_location("cli_digest", _TOOL)
 cli_digest = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(cli_digest)
@@ -14,6 +19,7 @@ _spec.loader.exec_module(cli_digest)
 def test_two_calls_print_the_same_digests(capsys):
     cli_digest.main()
     first = capsys.readouterr().out
+    assert first == _PINNED.read_text(encoding="utf-8")
     cli_digest.main()
     assert capsys.readouterr().out == first
     lines = first.splitlines()

@@ -1,8 +1,9 @@
-"""Tests for `decide` and its default order (NInDegMin, seed 0).
+"""Tests for `decide` and its order (Transp, seed 0).
 
 `decide` reports three flags and the accepted count.  For l < 2k all four
 depend only on the matroid rank, so they must equal those of a Basic
-extraction on every input; the order only moves the work around.
+extraction on every input; the order only moves the work around, and
+Transp is kept for doing less of it than NInDegMin and Basic.
 """
 
 from __future__ import annotations
@@ -85,24 +86,35 @@ def test_decide_answer_is_order_independent(name, input_files, capsys):
         assert captured.err == ""
 
 
-def test_decide_runs_nindegmin_with_seed_0():
+def test_decide_runs_transp_with_seed_0():
     g = gen_erdos_renyi(80, 0.15, seed=2)
     params = SparsityParams(2, 3)
     d = decide(g, params)
-    ref = extract(g, params, make_strategy("NInDegMin", g, params, 0))
+    ref = extract(g, params, make_strategy("Transp", g, params, 0))
     assert d.accepted == ref.accepted
     assert d.order == ref.order
 
 
 def test_decide_visits_fewer_nodes_than_basic():
-    # machine-independent guard for the default: on the input size the
-    # decide benchmark runs, NInDegMin must search less than Basic
+    # machine-independent guard for the order: on the input size the
+    # decide benchmark runs, Transp must search less than Basic
     g = gen_erdos_renyi(600, 0.1, seed=1)
     params = SparsityParams(2, 3)
     d = decide(g, params)
     b = extract(g, params)
     assert d.accepted_count == b.accepted_count
     assert d.counters.bfs_node_visits < b.counters.bfs_node_visits
+
+
+def test_decide_examines_fewer_edges_than_nindegmin():
+    # machine-independent guard for the order: on the same input, Transp
+    # reaches the tight size after fewer edges than the order it replaced
+    g = gen_erdos_renyi(600, 0.1, seed=1)
+    params = SparsityParams(2, 3)
+    d = decide(g, params)
+    ref = extract(g, params, make_strategy("NInDegMin", g, params, 0))
+    assert d.accepted_count == ref.accepted_count
+    assert len(d._order) < len(ref._order)
 
 
 @pytest.mark.parametrize("first_read", ["order", "verdicts", "reason_counts"])

@@ -394,6 +394,40 @@ def test_transp_one_stays_put_while_accepting():
     assert rep.accepted_count == 4
 
 
+_SWEEP_INPUTS = {
+    # two node pairs carry every edge, the other 7,996 nodes are isolated
+    "pairs": [(0, 1)] * 1000 + [(2, 3)] * 1000,
+    # every node past 1 is drained by the first sweep
+    "leaves": [(0, 1)] * 1000 + [(v, v + 1) for v in range(2, 7999, 2)],
+}
+
+
+@pytest.mark.parametrize("name, graph", [
+    ("Transp", "pairs"),
+    ("TranspOne", "pairs"),
+    ("UnionTranspOne", "pairs"),
+    ("Transp", "leaves"),
+    ("TranspOne", "leaves"),
+])
+def test_transp_sweep_probes_a_drained_node_once(name, graph, monkeypatch):
+    # the sweep's ring drops a node once it is found drained; a scan over
+    # every node made about n incidence probes per edge here
+    calls = 0
+    original = heuristics._take
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return original(*args)
+
+    monkeypatch.setattr(heuristics, "_take", counted)
+    g = Multigraph(8000, _SWEEP_INPUTS[graph])
+    p = SparsityParams(2, 3)
+    rep = extract(g, p, order=make_strategy(name, g, p))
+    assert sorted(rep.order) == list(range(g.m))
+    assert calls <= g.m + 2 * g.n
+
+
 def test_node_order_strategies_cover_isolated_free_graphs():
     g = Multigraph(5, [(0, 1), (2, 3)])
     p = SparsityParams(1, 1)

@@ -13,6 +13,9 @@ path), exit code, stdout and stderr to its subcommand's sha256.  Prints
 one line per subcommand, ``<sha256> <subcommand> <runs>``, then the
 sha256 of those lines as ``<sha256> total``.  Two checkouts that print
 the same lines give byte-identical CLI output on the whole matrix.
+``tools/cli_digest.txt`` holds the lines this checkout must print, and
+``tests/test_cli_digest.py`` compares against it, so a change to any CLI
+stdout updates that file too.
 """
 
 from __future__ import annotations
