@@ -302,10 +302,10 @@ class TranspStrategy(Strategy):
         self._succ = succ = [0] * n
         for v, w in zip(live, live[1:] + live[:1]):
             succ[v] = w
-        # the ring node before the next scan's first one; None once empty
+        # the node of the last edge taken, where the next scan starts
+        # after; None once the ring is empty
         self._tail = live[-1] if live else None
-        self._last = -1  # node of the last edge taken
-        self._pred = -1  # the ring node before it
+        self._pred = -1  # the ring node before the last edge's node
 
     def next_edge(self):
         p = self._tail
@@ -320,11 +320,11 @@ class TranspStrategy(Strategy):
                 return None
             succ[p] = v = succ[v]
         self._pred = p
-        self._last = self._tail = v
+        self._tail = v
         return e
 
     def orient(self, u, v):
-        return self._last
+        return self._tail
 
 
 class TranspOneStrategy(TranspStrategy):

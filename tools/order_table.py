@@ -1,15 +1,13 @@
 """Compare edge orders on a fixed set of inputs, as one markdown table.
 
-Usage: python tools/order_table.py [--graph-seed N] [--seed N] [--repeat N]
-       (from anywhere; stdlib only)
+Usage: python tools/order_table.py   (from anywhere; stdlib only)
 
-Builds each row's graph with the library generators (graph seed 1 by
-default), then runs :func:`klsparse.extract` under each order (strategy
-seed 0 by default, the seed ``decide`` uses).  Per row and order it
-prints the edges examined before the run stopped, the node visits and
-path reversals of the engine's counters, the accepted size, and the best
-wall time of ``--repeat`` runs (strategy construction included, graph
-build excluded).  The accepted size is a matroid rank, so every order
+Builds each row's graph with the library generators at graph seed 1,
+then runs :func:`klsparse.extract` under each order at strategy seed 0,
+the seed ``decide`` uses.  Per row and order it prints the edges
+examined before the run stopped, the node visits and path reversals of
+the engine's counters, the accepted size, and the best wall time of
+three runs (strategy construction included, graph build excluded).  The accepted size is a matroid rank, so every order
 must reach the same one; the script exits 1 naming the row if not.
 
 The rows are the heuristic table of ROADMAP item 5, a molecular input at
@@ -19,7 +17,6 @@ NInDegMin.
 
 from __future__ import annotations
 
-import argparse
 import sys
 import time
 from pathlib import Path
@@ -95,14 +92,8 @@ def table(rows, graph_seed: int, seed: int, repeat: int):
                              f"{sorted(sizes)} differ between orders")
 
 
-def main(argv: list[str] | None = None) -> None:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--graph-seed", type=int, default=1)
-    ap.add_argument("--seed", type=int, default=0, help="strategy seed")
-    ap.add_argument("--repeat", type=int, default=3,
-                    help="runs per order; the best wall time is printed")
-    args = ap.parse_args(argv)
-    for line in table(ROWS, args.graph_seed, args.seed, args.repeat):
+def main() -> None:
+    for line in table(ROWS, graph_seed=1, seed=0, repeat=3):
         print(line, flush=True)
 
 
