@@ -216,9 +216,10 @@ def test_parse_error_exit_code(tmp_path, capsys):
 
 
 def test_canonical_node_count_past_memory_is_parse_error(tmp_path):
-    # n * 8 bytes overflows for n >= 2**60, so building the canonical
-    # parser's node table fails before it allocates; the child process
-    # still caps its address space, so a regression cannot exhaust memory
+    # n * 8 bytes overflows for n >= 2**60, so building either parser's
+    # list of node ids fails before it allocates; a comment line sends the
+    # file to the line parser.  The child process still caps its address
+    # space, so a regression cannot exhaust memory
     code = (
         "import resource, sys\n"
         "resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))\n"
@@ -226,20 +227,21 @@ def test_canonical_node_count_past_memory_is_parse_error(tmp_path):
         "sys.exit(main(sys.argv[1:]))\n"
     )
     src = os.path.dirname(os.path.dirname(klsparse.__file__))
-    for n in (sys.maxsize, 2**62, 2**60):
-        path = tmp_path / "huge.txt"
-        path.write_text(f"kl-graph {n} 0\n")
-        proc = subprocess.run(
-            [sys.executable, "-c", code, "decide", "-k", "2", "-l", "3",
-             "--input", str(path)],
-            capture_output=True, text=True, timeout=60,
-            env={**os.environ, "PYTHONPATH": src},
-        )
-        assert proc.returncode == EXIT_PARSE, proc.stderr
-        assert proc.stderr == (
-            f"klsparse: parse error: line 1: node count {n} is too large "
-            "to allocate\n"
-        )
+    for prefix, line in (("", 1), ("# note\n", 2)):
+        for n in (sys.maxsize, 2**62, 2**60):
+            path = tmp_path / "huge.txt"
+            path.write_text(f"{prefix}kl-graph {n} 0\n")
+            proc = subprocess.run(
+                [sys.executable, "-c", code, "decide", "-k", "2", "-l", "3",
+                 "--input", str(path)],
+                capture_output=True, text=True, timeout=60,
+                env={**os.environ, "PYTHONPATH": src},
+            )
+            assert proc.returncode == EXIT_PARSE, proc.stderr
+            assert proc.stderr == (
+                f"klsparse: parse error: line {line}: node count {n} is too "
+                "large to allocate\n"
+            )
 
 
 def test_undecodable_input_is_parse_error(tmp_path, capsys):
