@@ -15,7 +15,6 @@ Loops and parallel edges are allowed.  A count, id or weight token holding
 
 from __future__ import annotations
 
-import json
 import math
 import re
 import sys
@@ -221,13 +220,6 @@ _CANONICAL_HEADER = re.compile(rb"kl-graph ([0-9]+) ([0-9]+)\n")
 # object per endpoint at once: peak RSS of a 100k-edge `extract` read
 # 33.7 MiB that way against 24.2 MiB chunked.
 _CHUNK = 8192
-# The most ids an _IdTable serves.  A larger table falls out of the CPU's
-# cache, and a lookup then costs more than reading the integer as JSON and
-# indexing the id list.  Reading 100k random edges with n ids on a 2-CPU
-# Xeon (2 MiB L2 per core), table over JSON, best of 10: 0.87 at n = 4000,
-# 0.99 at 8000, 1.18 at 16,000, 2.70 at 64,000.
-_TABLE_MAX = 8192
-_TO_COMMAS = bytes.maketrans(b" \n", b",,")
 
 
 def parse_graph(text: str | bytes) -> Multigraph:
@@ -237,14 +229,13 @@ def parse_graph(text: str | bytes) -> Multigraph:
     then exactly ``m`` lines ``<u> <v>\\n`` of ASCII digits separated by one
     space, as :func:`serialize_graph` writes them) is read as integer
     columns in newline-aligned chunks, with no per-line strings: each token
-    is looked up in a table of node ids while at most ``_TABLE_MAX`` ids
-    can occur, and read as JSON past that.  An ASCII ``str`` is encoded
-    once and takes the same path.  Everything else (weights, comments, blank
-    lines, CRLF, tabs, a missing final newline) and any anomaly the gate
-    lets through, such as an empty token, a leading zero or an endpoint
-    outside ``[0, n)``, goes to the line-by-line parser, which gives the
-    same graph or the same error with its exact line.  Either way every
-    endpoint of one node is the same ``int`` object.
+    is looked up in a table from an id's decimal bytes to its ``int``.  An
+    ASCII ``str`` is encoded once and takes the same path.  Everything else
+    (weights, comments, blank lines, CRLF, tabs, a missing final newline)
+    and any anomaly the gate lets through, such as an empty token or an
+    endpoint outside ``[0, n)``, goes to the line-by-line parser, which
+    gives the same graph or the same error with its exact line.  Either
+    way every endpoint of one node is the same ``int`` object.
 
     Raises a :class:`GraphParseError` naming the offending 1-based line
     number: the base class for bytes that are not UTF-8, otherwise one of
@@ -269,16 +260,12 @@ def _parse_canonical(data: bytes) -> Multigraph | None:
     ``" \\n"`` exactly ``m`` times, and ``data`` must end in a newline, so
     every line is digits, one space, digits, one newline.  The gate is all
     ASCII, so it also proves ``data`` is valid UTF-8.  The body is then
-    read in newline-aligned slices of about ``_CHUNK`` bytes.  While the
-    ids that can occur, ``min(n, 2m)``, fit in ``_TABLE_MAX``, each slice
+    read in newline-aligned slices of about ``_CHUNK`` bytes.  Each slice
     is split at its spaces and newlines and each token looked up in an
-    :class:`_IdTable`, which refuses a token that is not the decimal of an
-    id below ``n``, such as one with a leading zero.  Otherwise each slice
-    is read as one JSON array of integers, which refuses a leading zero
-    too, and each integer indexes the list of node ids, which refuses one
-    ``>= n``.  Either way every endpoint of a node is one shared object, a
-    count other than ``2m`` tokens means an empty one, and no negative id
-    passes the gate.
+    :class:`_IdTable`, which refuses a token that is not an id below
+    ``n``.  Every endpoint of a node is one shared object, a count other
+    than ``2m`` tokens means an empty one, and no negative id passes the
+    gate.
     """
     header = _CANONICAL_HEADER.match(data)
     if header is None:
@@ -303,35 +290,22 @@ def _parse_canonical(data: bytes) -> Multigraph | None:
         ids = _node_ids(n, 1)
     except OverflowError:  # an n too large for a list
         return None
-    size = min(n, 2 * m)
-    if size <= _TABLE_MAX:
-        node = _IdTable(ids, size).__getitem__
-        tokenize = bytes.split
-    else:
-        node = ids.__getitem__
-        tokenize = _json_ints
+    node = _IdTable(ids, min(n, 2 * m)).__getitem__
     try:
         while start < end:
             stop = data.find(b"\n", start + _CHUNK) + 1 or end
-            tokens = tokenize(data[start:stop])
+            tokens = data[start:stop].split()
             edge_u += map(node, tokens[0::2])
             edge_v += map(node, tokens[1::2])
             start = stop
-    except (KeyError, IndexError, ValueError):
-        # a token that is not an id's own decimal (a leading zero, or an
-        # empty token in JSON), an endpoint >= n, or a number past int's
-        # digit limit
+    except (IndexError, ValueError):
+        # an endpoint >= n, or a number past int's digit limit
         return None
     if len(edge_u) + len(edge_v) != 2 * m:  # an empty token
         return None
     # frees the ids no edge uses before the incidence lists exist
     del ids, node
     return Multigraph._from_columns(n, edge_u, edge_v)
-
-
-def _json_ints(chunk: bytes) -> list[int]:
-    """The integers of newline-terminated ``chunk``, read as one JSON array."""
-    return json.loads(b"[%b]" % chunk[:-1].translate(_TO_COMMAS))
 
 
 def _node_ids(n: int, line: int) -> list[int]:
@@ -355,10 +329,10 @@ class _IdTable(dict):
 
     Only the ids below ``size`` are filled in up front: a canonical body
     of ``m`` lines holds at most ``2m`` distinct ids, so the table stays
-    O(m) whatever the header's ``n``.  Any other token is read on first
-    use: an id ``>= n`` raises ``IndexError``, a number past ``int``'s
-    digit limit ``ValueError``, and a token that is not its id's own
-    decimal (a leading zero) ``KeyError``.
+    O(m) whatever the header's ``n``.  Any other token, such as one with a
+    leading zero, is read with ``int`` as the line parser reads it: an id
+    ``>= n`` raises ``IndexError``, a number past ``int``'s digit limit
+    ``ValueError``.
     """
 
     __slots__ = ("ids",)
@@ -368,11 +342,7 @@ class _IdTable(dict):
         self.ids = ids
 
     def __missing__(self, token: bytes) -> int:
-        i = self.ids[int(token)]
-        if b"%d" % i != token:
-            raise KeyError(token)
-        self[token] = i
-        return i
+        return self.ids[int(token)]
 
 
 def _parse_lines(text: str | bytes) -> Multigraph:
@@ -389,11 +359,10 @@ def _parse_lines(text: str | bytes) -> Multigraph:
     lines = text.splitlines()
     eof = len(lines) + 1
 
-    header: tuple[int, int, bool] | None = None
+    header: int | None = None  # the header's line
     edge_u: list[int] = []
     edge_v: list[int] = []
     weights: list[float] = []
-    ids: list[int] = []
     n = m = 0
     weighted = False
 
@@ -429,9 +398,8 @@ def _parse_lines(text: str | bytes) -> Multigraph:
                 raise MalformedHeaderError(
                     f"node count must be at most {sys.maxsize}, got {n}", lineno
                 )
-            ids = _node_ids(n, lineno)
             weighted = len(tokens) == 4
-            header = (n, m, weighted)
+            header = lineno
             continue
 
         if len(edge_u) >= m:
@@ -469,8 +437,8 @@ def _parse_lines(text: str | bytes) -> Multigraph:
             if w < 0:
                 raise NegativeWeightError(f"negative weight {tokens[2]}", lineno)
             weights.append(w)
-        edge_u.append(ids[u])
-        edge_v.append(ids[v])
+        edge_u.append(u)
+        edge_v.append(v)
 
     if header is None:
         raise MalformedHeaderError("missing 'kl-graph' header", eof)
@@ -478,7 +446,12 @@ def _parse_lines(text: str | bytes) -> Multigraph:
         raise EdgeCountMismatchError(
             f"expected {m} edge lines, found {len(edge_u)}", eof
         )
-    del ids
+    # after every edge line is checked, so a huge n fails no earlier than
+    # the incidence lists would
+    ids = _node_ids(n, header)
+    edge_u = list(map(ids.__getitem__, edge_u))
+    edge_v = list(map(ids.__getitem__, edge_v))
+    del ids  # frees the ids no edge uses before the incidence lists exist
     return Multigraph._from_columns(
         n, edge_u, edge_v, weights if weighted else None
     )

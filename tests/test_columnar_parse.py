@@ -35,8 +35,6 @@ def _family_graphs() -> list[tuple[str, Multigraph]]:
         ),
         ("empty", Multigraph(0, [])),
         ("edgeless", Multigraph(7, [])),
-        # more ids than the canonical parser's table serves: read as JSON
-        ("erdos-renyi-sparse", GenSpec("erdos-renyi", seed=6, n=10000, p=1.2e-4).build()),
         # n > 2m with every id >= 2m: no endpoint is in the canonical
         # parser's prefilled id table
         (
@@ -63,13 +61,7 @@ def _outcome(parse, text):
 
 
 def _assert_same(text) -> None:
-    """``parse_graph`` agrees with the line parser on ``text``, with the
-    canonical parser's id table and with its JSON read."""
-    expected = _outcome(multigraph._parse_lines, text)
-    assert _outcome(parse_graph, text) == expected
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(multigraph, "_TABLE_MAX", -1)
-        assert _outcome(parse_graph, text) == expected
+    assert _outcome(parse_graph, text) == _outcome(multigraph._parse_lines, text)
 
 
 def _mutants(text: str) -> dict[str, str]:
@@ -203,14 +195,10 @@ def test_canonical_input_never_falls_back(monkeypatch):
         raise AssertionError("canonical input reached the line parser")
 
     monkeypatch.setattr(multigraph, "_parse_lines", no_fallback)
-    sparse = dict(FAMILIES)["erdos-renyi-sparse"]
-    assert min(sparse.n, 2 * sparse.m) > multigraph._TABLE_MAX
-    for table_max in (multigraph._TABLE_MAX, -1):
-        monkeypatch.setattr(multigraph, "_TABLE_MAX", table_max)
-        for _, g in FAMILIES:
-            text = serialize_graph(g)
-            assert parse_graph(text) == g
-            assert parse_graph(text.encode("ascii")) == g
+    for _, g in FAMILIES:
+        text = serialize_graph(g)
+        assert parse_graph(text) == g
+        assert parse_graph(text.encode("ascii")) == g
     with pytest.raises(AssertionError):
         parse_graph(MUTANTS["crlf"])
 
@@ -269,22 +257,18 @@ def test_canonical_parse_shares_one_int_per_node(monkeypatch):
     """Every endpoint of one node is one ``int`` object: ids above 256 are
     not cached by the interpreter, so a parse that does not share them holds
     one object per endpoint."""
-    texts = [
-        serialize_graph(dict(FAMILIES)[name])
-        for name in ("erdos-renyi-large", "erdos-renyi-sparse")
-    ]
-    expected = [_outcome(multigraph._parse_lines, text) for text in texts]
+    text = serialize_graph(dict(FAMILIES)["erdos-renyi-large"])
+    expected = _outcome(multigraph._parse_lines, text)
 
     def no_fallback(text):
         raise AssertionError("canonical input reached the line parser")
 
     monkeypatch.setattr(multigraph, "_parse_lines", no_fallback)
-    for text, outcome in zip(texts, expected):
-        for data in (text, text.encode("ascii")):
-            g = parse_graph(data)
-            assert g.n > 256
-            assert len({id(x) for x in g.edge_u + g.edge_v}) <= g.n
-            assert _outcome(parse_graph, data) == outcome
+    for data in (text, text.encode("ascii")):
+        g = parse_graph(data)
+        assert g.n > 256
+        assert len({id(x) for x in g.edge_u + g.edge_v}) <= g.n
+        assert _outcome(parse_graph, data) == expected
 
 
 def test_line_parser_shares_one_int_per_node():

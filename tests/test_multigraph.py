@@ -104,6 +104,19 @@ def test_node_count_past_list_length_is_refused():
     ], proc.stderr
 
 
+def test_line_parser_checks_edges_before_node_count_allocation():
+    # the line parser builds its list of node ids only once every edge line
+    # is read, so a bad line is the error whatever the node count.  The
+    # valid file is tested in test_cli.py, under an address-space cap
+    n = 2**62
+    with pytest.raises(MalformedEdgeError) as info:
+        parse_graph(f"# c\nkl-graph {n} 1\nx y\n")
+    assert info.value.line == 3
+    with pytest.raises(EdgeCountMismatchError) as info:
+        parse_graph(f"# c\nkl-graph {n} 2\n0 1\n")
+    assert info.value.line == 4
+
+
 def test_negative_weight_rejected():
     with pytest.raises(ValueError):
         Multigraph(2, [(0, 1)], weights=[-1.0])
