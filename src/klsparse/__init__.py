@@ -61,7 +61,6 @@ from .orientation import (
     Instrumentation,
     InvariantError,
     ReversalBoundError,
-    ReversalPath,
     StalePathError,
 )
 from .pebble import (
@@ -111,7 +110,6 @@ __all__ = [
     "PebbleEngine",
     "Reason",
     "ReversalBoundError",
-    "ReversalPath",
     "STRATEGY_NAMES",
     "SparsityParams",
     "StalePathError",

@@ -7,11 +7,11 @@ the backward searches walk.  Reversing a path swaps tail and head per arc
 and moves the arc from its old head's ``in_arcs`` list to its new head's.
 Traversal bookkeeping uses epoch stamps: visited state is never cleared,
 a stamp is simply overwritten the next time the node is actually reached,
-which keeps reset work proportional to the nodes visited.  A found path is
-the search's parent pointers, so it is reversed along them with no copy of
-its arcs; it is stale, and refused, once the digraph has searched or
-reversed since.  The two backward searches,
-:meth:`InnerDigraph.find_reversal_path` and
+which keeps reset work proportional to the nodes visited.  A successful
+:meth:`InnerDigraph.find_reversal_path` returns only its source: the path
+is the search's parent pointers, which :meth:`InnerDigraph.drain` flips in
+one walk from that source, with no copy of its arcs and no second pass.
+The two backward searches, :meth:`InnerDigraph.find_reversal_path` and
 :meth:`InnerDigraph.saturated_closure`, each run their BFS in their own
 frame: most searches visit a handful of nodes, so a shared helper call
 would cost about as much as the visits.  The one forward sweep,
@@ -64,26 +64,6 @@ class Instrumentation:
     early_termination_hit: int = 0
 
 
-@dataclass(slots=True)
-class ReversalPath:
-    """A directed path from a deficient source node to a target, as found
-    by :meth:`InnerDigraph.find_reversal_path`; ``len()`` is its arc count.
-
-    The arcs themselves are the search's parent pointers, so the path is a
-    handle on the digraph's state right after that search: it goes stale
-    once the digraph that found it searches or reverses again, and
-    :meth:`InnerDigraph.reverse` refuses a stale path.
-    """
-
-    source: int
-    target: int
-    arcs: int
-    epoch: int
-
-    def __len__(self) -> int:
-        return self.arcs
-
-
 class InnerDigraph:
     """Orientation of the accepted edges with all indegrees at most ``k``."""
 
@@ -100,6 +80,7 @@ class InnerDigraph:
         "_stamp",
         "_parent",
         "_epoch",
+        "_found",
         "_last_block",
     )
 
@@ -118,6 +99,8 @@ class InnerDigraph:
         self._stamp = [0] * n
         self._parent = [0] * n
         self._epoch = 0
+        # (source, targets, epoch) of the latest successful search
+        self._found: tuple[int, Sequence[int], int] = (-1, (), -1)
         # the first probe sweeps: a tight input's one probe finds all n nodes
         self._last_block = n
 
@@ -137,32 +120,40 @@ class InnerDigraph:
         self.indeg[head] += 1
         return a
 
-    def reverse(self, path: ReversalPath) -> None:
-        """Flip every arc on ``path``, moving one indegree unit from
-        ``path.target`` to ``path.source``.
+    def reverse(self, source: int) -> None:
+        """Flip the path that the latest search found from ``source``: the
+        single step of :meth:`drain`, for callers that search and reverse
+        one path at a time.
 
-        Raises :class:`StalePathError` if this digraph has searched or
-        reversed since it found ``path``, or if an arc inserted since then
-        has filled the source to indegree k.
+        Raises :class:`StalePathError` unless this digraph's latest search
+        or reversal was a successful :meth:`find_reversal_path` that
+        returned ``source``, or if an arc inserted since has filled
+        ``source`` to indegree k.
         """
-        if path.epoch != self._epoch:
+        found, targets, epoch = self._found
+        if epoch != self._epoch or source != found:
             raise StalePathError(
-                f"path {path.source}->{path.target} is stale: the digraph "
-                "searched or reversed since it was found"
+                f"path from {source} is stale: it is not the path of the "
+                "digraph's latest search or reversal"
             )
-        if self.indeg[path.source] >= self.k:
+        if self.indeg[source] >= self.k:
             raise StalePathError(
-                f"path {path.source}->{path.target} is stale: its source "
-                f"is at indegree k = {self.k}"
+                f"path from {source} is stale: its source is at indegree "
+                f"k = {self.k}"
             )
+        self._flip(source, targets)
+
+    def _flip(self, source: int, targets: Sequence[int]) -> None:
+        """Flip every arc on the latest search's path from ``source`` to
+        the first of ``targets`` it reaches, moving one indegree unit from
+        that target to ``source``; the one flip loop of the digraph."""
         self._epoch += 1
         arc_tail = self.arc_tail
         arc_head = self.arc_head
         in_arcs = self.in_arcs
         parent = self._parent
-        node = path.source
-        target = path.target
-        while node != target:
+        node = source
+        while node not in targets:
             # the search's parent arc runs node -> head, one step nearer
             a = parent[node]
             head = arc_head[a]
@@ -171,21 +162,23 @@ class InnerDigraph:
             in_arcs[head].remove(a)
             in_arcs[node].append(a)
             node = head
-        self.indeg[target] -= 1
-        self.indeg[path.source] += 1
+        self.indeg[node] -= 1
+        self.indeg[source] += 1
         self.counters.path_reversals += 1
 
     def find_reversal_path(
         self, targets: Sequence[int], forbidden_sources: Sequence[int] = ()
-    ) -> ReversalPath | None:
-        """Find a directed path into one of ``targets`` from a node with
-        indegree below k, excluding ``forbidden_sources`` and the targets
-        themselves as sources.
+    ) -> int | None:
+        """The source of a directed path into one of ``targets`` from a
+        node with indegree below k, excluding ``forbidden_sources`` and the
+        targets themselves as sources.
 
         A backward BFS from the targets along incoming arcs, so the first
-        source found is one of minimum arc distance; returns None when the
-        backward closure holds no eligible deficient node, and leaves that
-        closure (targets included) in ``last_closure``.
+        source found is one of minimum arc distance.  The path is left in
+        the search's parent pointers, for :meth:`drain` or :meth:`reverse`
+        to flip; nothing walks it here.  Returns None when the backward
+        closure holds no eligible deficient node, and leaves that closure
+        (targets included) in ``last_closure``.
         """
         self._epoch += 1
         epoch = self._epoch
@@ -218,13 +211,8 @@ class InnerDigraph:
             self.last_closure = queue
             return None
         self.counters.bfs_node_visits += len(queue)
-        arc_head = self.arc_head
-        arcs = 0
-        node = y
-        while node not in targets:
-            node = arc_head[parent[node]]
-            arcs += 1
-        return ReversalPath(y, node, arcs, epoch)
+        self._found = (y, targets, epoch)
+        return y
 
     def drain(
         self, u: int, v: int, ceiling: int, forbidden_sources: Sequence[int] = ()
@@ -235,7 +223,10 @@ class InnerDigraph:
         The one augmentation routine: returns the reversals r >= 0 once
         the sum is below ``ceiling``, or -1 - r when a search fails first,
         leaving that search's closure in ``last_closure``.  Sources are
-        never taken from ``forbidden_sources``.
+        never taken from ``forbidden_sources``.  Each reversal is one
+        :meth:`find_reversal_path` call, which returns the path's source,
+        and one walk that flips the path from that source to the target it
+        reaches; :meth:`reverse` is not called.
 
         Targets are never sources, so each reversal lowers the sum by one
         step (two for a loop) and a drain from sum s takes at most
@@ -256,10 +247,10 @@ class InnerDigraph:
                     f"drain of {targets} below {ceiling} from indegree sum "
                     f"{s} used its bound of {bound} reversal(s)"
                 )
-            path = self.find_reversal_path(targets, forbidden_sources)
-            if path is None:
+            source = self.find_reversal_path(targets, forbidden_sources)
+            if source is None:
                 return -1 - reversals
-            self.reverse(path)
+            self._flip(source, targets)
             reversals += 1
         return reversals
 

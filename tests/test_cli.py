@@ -399,14 +399,14 @@ def _internal_error_line(capsys, name: str) -> None:
 
 
 def test_decide_reversal_bound_is_internal_error(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(InnerDigraph, "reverse", lambda self, path: None)
+    monkeypatch.setattr(InnerDigraph, "_flip", lambda self, source, targets: None)
     argv = ["decide", "-k", "2", "-l", "3", "--input", k4_path(tmp_path)]
     assert main(argv) == EXIT_INTERNAL == 4
     _internal_error_line(capsys, "ReversalBoundError")
 
 
 def test_maximal_2k_zeroing_bound_is_internal_error(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(InnerDigraph, "reverse", lambda self, path: None)
+    monkeypatch.setattr(InnerDigraph, "_flip", lambda self, source, targets: None)
     # the path 0-1-2: accepting 1-2 first zeroes node 1 by one reversal
     path = tmp_path / "path.txt"
     path.write_text("kl-graph 3 2\n0 1\n1 2\n")

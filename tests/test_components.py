@@ -218,7 +218,7 @@ def test_pass_reversal_bound_is_checked_without_assert(monkeypatch):
     p = SparsityParams(2, 3)
     engine = PebbleEngine(g, p)
     engine.run(make_strategy("NBasicComp", g, p))
-    monkeypatch.setattr(InnerDigraph, "reverse", lambda self, path: None)
+    monkeypatch.setattr(InnerDigraph, "_flip", lambda self, source, targets: None)
     with pytest.raises(ReversalBoundError):
         components._components(engine)
 
@@ -293,9 +293,9 @@ def test_component_pass_runs_one_backward_closure_per_probe(monkeypatch):
 
     def counted_search(self, *args):
         nonlocal exhausted
-        path = search(self, *args)
-        exhausted += path is None
-        return path
+        source = search(self, *args)
+        exhausted += source is None
+        return source
 
     def counted_closure(self, *args):
         nonlocal exhausted

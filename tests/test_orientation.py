@@ -23,9 +23,10 @@ from klsparse import (
 )
 
 
-def build_path_digraph() -> InnerDigraph:
-    """Arcs 0->1->2 with k = 1, so node 0 is the only deficient node."""
-    d = InnerDigraph(3, 1)
+def build_path_digraph(n: int = 3) -> InnerDigraph:
+    """Arcs 0->1->2 with k = 1, so node 0 is the only deficient node among
+    the first three."""
+    d = InnerDigraph(n, 1)
     d.insert_arc(0, 1)
     d.insert_arc(1, 2)
     return d
@@ -60,17 +61,18 @@ def test_indegree_overflow_rejected():
 
 def test_find_reversal_path_nearest_source():
     d = build_path_digraph()
-    path = d.find_reversal_path((2,))
-    assert path is not None
-    assert path.source == 0
-    assert path.target == 2
-    assert len(path) == 2
+    assert d.find_reversal_path((2,)) == 0
+    # the path left in the parent pointers ends at target 2 after two arcs
+    d.reverse(0)
+    flipped = [a for a in range(2) if (d.arc_tail[a], d.arc_head[a]) != (a, a + 1)]
+    assert len(flipped) == 2
+    assert d.indeg[2] == 0
 
 
 def test_reverse_moves_indegree():
     d = build_path_digraph()
-    path = d.find_reversal_path((2,))
-    d.reverse(path)
+    source = d.find_reversal_path((2,))
+    d.reverse(source)
     assert d.indeg == [1, 1, 0]
     assert d.arc_tail == [1, 2]
     assert d.arc_head == [0, 1]
@@ -82,16 +84,25 @@ def test_reverse_moves_indegree():
 
 def test_reverse_stale_path_rejected():
     d = build_path_digraph()
-    path = d.find_reversal_path((2,))
-    d.reverse(path)
+    source = d.find_reversal_path((2,))
+    d.reverse(source)
     with pytest.raises(StalePathError):
-        d.reverse(path)
+        d.reverse(source)
+
+
+def test_reverse_refuses_a_source_the_latest_search_did_not_return():
+    d = build_path_digraph()
+    assert d.find_reversal_path((2,)) == 0
+    with pytest.raises(StalePathError):
+        d.reverse(1)
+    assert d.indeg == [0, 1, 1]
 
 
 @pytest.mark.parametrize(
     "later",
     [
-        lambda d: d.find_reversal_path((2,)),
+        # a search from another source: node 3 reaches node 4
+        lambda d: d.find_reversal_path((4,)),
         # a failed search
         lambda d: d.find_reversal_path((2,), forbidden_sources=(0,)),
         lambda d: d.saturated_closure((2,), (), set()),
@@ -101,12 +112,14 @@ def test_reverse_stale_path_rejected():
     ids=["search", "failed search", "closure", "forward reach", "reversal"],
 )
 def test_path_goes_stale_after_any_later_search_or_reversal(later):
-    d = build_path_digraph()
-    path = d.find_reversal_path((2,))
+    d = build_path_digraph(5)
+    d.insert_arc(3, 4)
+    source = d.find_reversal_path((2,))
+    assert source == 0
     later(d)
     tails, heads, indeg = list(d.arc_tail), list(d.arc_head), list(d.indeg)
     with pytest.raises(StalePathError):
-        d.reverse(path)
+        d.reverse(source)
     # a refused path changes nothing
     assert (d.arc_tail, d.arc_head, d.indeg) == (tails, heads, indeg)
 
@@ -114,9 +127,9 @@ def test_path_goes_stale_after_any_later_search_or_reversal(later):
 def test_path_survives_arc_insertion():
     d = InnerDigraph(4, 1)
     d.insert_arc(0, 1)
-    path = d.find_reversal_path((1,))
+    source = d.find_reversal_path((1,))
     d.insert_arc(2, 3)
-    d.reverse(path)
+    d.reverse(source)
     assert d.indeg == [1, 0, 0, 1]
 
 
@@ -125,12 +138,12 @@ def test_path_goes_stale_when_an_insertion_fills_its_source():
     # then fills it, and reversing would push it to indegree k + 1
     d = InnerDigraph(3, 1)
     d.insert_arc(0, 1)
-    path = d.find_reversal_path((1,))
-    assert path.source == 0
+    source = d.find_reversal_path((1,))
+    assert source == 0
     d.insert_arc(2, 0)
     tails, heads, indeg = list(d.arc_tail), list(d.arc_head), list(d.indeg)
     with pytest.raises(StalePathError, match="indegree k"):
-        d.reverse(path)
+        d.reverse(source)
     assert (d.arc_tail, d.arc_head, d.indeg) == (tails, heads, indeg)
     assert indeg == [1, 1, 0]
 
@@ -166,8 +179,8 @@ def test_reverse_flips_path_arcs_only():
     """On seeded random digraphs, both backward searches agree with a
     reference BFS on source, path, closure order, visit count and the
     growth of ``reached``, across forbidden sources, reached sets, loops
-    and parallel arcs; each reversal flips exactly ``len(path)`` arcs,
-    moves one indegree unit from the target to the source, and keeps
+    and parallel arcs; each reversal flips exactly the reference path's
+    arcs, moves one indegree unit from the target to the source, and keeps
     ``in_arcs`` equal to the arcs by head."""
     rng = random.Random(12)
     found = failed = 0
@@ -198,32 +211,32 @@ def test_reverse_flips_path_arcs_only():
                 order if source < 0 else None
             )
             before = d.counters.bfs_node_visits
-            path = d.find_reversal_path(targets, forbidden)
+            found_source = d.find_reversal_path(targets, forbidden)
             assert d.counters.bfs_node_visits - before == len(order)
             if source < 0:
                 failed += 1
-                assert path is None
+                assert found_source is None
                 assert d.last_closure == order
                 continue
             found += 1
-            assert (path.source, path.target, len(path)) == (
-                source, nodes[-1], len(nodes) - 1
-            )
+            assert found_source == source
 
             arcs = list(zip(d.arc_tail, d.arc_head))
             indeg = list(d.indeg)
-            d.reverse(path)
+            d.reverse(source)
             flipped = [
                 a for a, (t, h) in enumerate(arcs)
                 if (d.arc_tail[a], d.arc_head[a]) != (t, h)
             ]
-            assert len(flipped) == len(path) >= 1
+            assert len(flipped) == len(nodes) - 1 >= 1
             assert all(
                 (d.arc_tail[a], d.arc_head[a]) == arcs[a][::-1] for a in flipped
             )
-            assert path.source not in targets and path.target in targets
-            indeg[path.target] -= 1
-            indeg[path.source] += 1
+            # the flipped arcs are the reference path's, now pointing back
+            assert sorted(arcs[a] for a in flipped) == sorted(zip(nodes, nodes[1:]))
+            assert source not in targets and nodes[-1] in targets
+            indeg[nodes[-1]] -= 1
+            indeg[source] += 1
             assert d.indeg == indeg
             assert max(d.indeg) <= k
             for x in range(n):
@@ -242,8 +255,7 @@ def test_target_not_its_own_source():
     d = InnerDigraph(2, 1)
     d.insert_arc(0, 1)
     # node 1 is saturated and node 0 is deficient
-    path = d.find_reversal_path((1,))
-    assert path.source == 0
+    assert d.find_reversal_path((1,)) == 0
     # searching from the deficient node itself finds nothing upstream
     assert d.find_reversal_path((0,)) is None
 
@@ -288,6 +300,73 @@ def test_drain_never_uses_a_forbidden_source():
     assert sorted(d.last_closure) == [0, 2]
 
 
+def _reference_drain(d, u, v, ceiling, forbidden=()):
+    """``drain`` by the book on ``d``'s lists: ``_reference_search`` for
+    each path and an explicit flip of its arcs, source first.  The BFS
+    enters each path node by the first arc in its head's ``in_arcs`` list
+    with that tail.  Returns the drain's value and, on failure, the failed
+    search's closure."""
+    targets = (u,) if u == v else (u, v)
+    reversals = 0
+    while d.indeg[u] + d.indeg[v] >= ceiling:
+        source, order, nodes = _reference_search(d, targets, forbidden)
+        if source < 0:
+            return -1 - reversals, order
+        arcs = [
+            next(a for a in d.in_arcs[head] if d.arc_tail[a] == tail)
+            for tail, head in zip(nodes, nodes[1:])
+        ]
+        for a, tail, head in zip(arcs, nodes, nodes[1:]):
+            d.arc_tail[a], d.arc_head[a] = head, tail
+            d.in_arcs[head].remove(a)
+            d.in_arcs[tail].append(a)
+        d.indeg[nodes[-1]] -= 1
+        d.indeg[source] += 1
+        reversals += 1
+    return reversals, None
+
+
+def test_drain_matches_a_reference_drain():
+    """On seeded random digraphs with loops and parallel arcs, k = 1..3,
+    forbidden sources and failing drains, ``drain`` returns what the
+    reference drain returns and leaves the same arcs, indegrees, in-arc
+    lists in order, and failed closure.  Each successful drain of a pair
+    inserts its edge, as the engine does, so the digraphs fill up."""
+    rng = random.Random(31)
+    outcomes = {"reversed": 0, "failed": 0}
+    for _ in range(60):
+        n, k = rng.randint(2, 12), rng.randint(1, 3)
+        d, ref = InnerDigraph(n, k), InnerDigraph(n, k)
+        for _ in range(rng.randint(0, 2 * n)):
+            t, h = rng.randrange(n), rng.randrange(n)
+            if rng.random() < 0.1:
+                t = h  # more loops; repeated draws give parallel arcs
+            if d.indeg[h] < k:
+                d.insert_arc(t, h)
+                ref.insert_arc(t, h)
+        for _ in range(15):
+            u, v = rng.randrange(n), rng.randrange(n)
+            if rng.random() < 0.2:
+                v = u
+            ceiling = rng.randint(1, 2 * k)
+            forbidden = tuple(rng.sample(range(n), rng.randint(0, min(2, n))))
+            got = d.drain(u, v, ceiling, forbidden)
+            want, closure = _reference_drain(ref, u, v, ceiling, forbidden)
+            assert got == want
+            assert (d.arc_tail, d.arc_head, d.indeg, d.in_arcs) == (
+                ref.arc_tail, ref.arc_head, ref.indeg, ref.in_arcs
+            )
+            if got < 0:
+                outcomes["failed"] += 1
+                assert d.last_closure == closure
+            else:
+                outcomes["reversed"] += got > 0
+                if d.indeg[v] < k:
+                    d.insert_arc(u, v)
+                    ref.insert_arc(u, v)
+    assert outcomes["reversed"] > 100 and outcomes["failed"] > 100
+
+
 # (k, arcs, drain arguments, the drain's bound): a pair whose indegree sum
 # 4 must fall below the (2,3) ceiling 1, and one node zeroed with node 1
 # forbidden as a source, so its second path runs from node 3 through node 1
@@ -318,12 +397,12 @@ def test_drain_stops_at_its_bound_when_reversals_move_nothing(
 ):
     calls = 0
 
-    def move_nothing(self, path):
+    def move_nothing(self, source, targets):
         nonlocal calls
         calls += 1
 
     d = _digraph(k, arcs)
-    monkeypatch.setattr(InnerDigraph, "reverse", move_nothing)
+    monkeypatch.setattr(InnerDigraph, "_flip", move_nothing)
     with pytest.raises(ReversalBoundError):
         d.drain(*args)
     assert calls == bound
@@ -421,16 +500,17 @@ def test_searches_and_reversals_go_through_the_traced_methods(
     run, traversal, monkeypatch
 ):
     """Every node visit is made inside one of the digraph's traversal
-    methods and every reversal inside ``reverse``, for ``extract`` under
-    three orders, ``decide``, ``extract_with_components`` and
-    ``extract_maximal_2k``: the layer boundaries a tracer wraps see all of
-    the work."""
+    methods and every reversal follows one successful
+    ``find_reversal_path`` call, for ``extract`` under three orders,
+    ``decide``, ``extract_with_components`` and ``extract_maximal_2k``: the
+    layer boundaries a tracer wraps see all of the search work.  The
+    engine flips each path inside ``drain`` and never calls ``reverse``."""
     p = SparsityParams(2, 3)
     g = gen_erdos_renyi(120, 0.08, seed=5)
     if run == "components":
         # its accepted subgraph, the sparse input components_of takes
         g = Multigraph(g.n, [g.endpoints(e) for e in sorted(extract(g, p).accepted)])
-    visits = 0
+    visits = found = 0
     calls = dict.fromkeys(
         ("find_reversal_path", "saturated_closure", "multi_source_forward_reach",
          "reverse"),
@@ -441,13 +521,15 @@ def test_searches_and_reversals_go_through_the_traced_methods(
         method = getattr(InnerDigraph, name)
 
         def counted(self, *args, **kwargs):
-            nonlocal visits
+            nonlocal visits, found
             before = self.counters.bfs_node_visits
             try:
-                return method(self, *args, **kwargs)
+                result = method(self, *args, **kwargs)
             finally:
                 visits += self.counters.bfs_node_visits - before
                 calls[name] += 1
+            found += name == "find_reversal_path" and result is not None
+            return result
 
         monkeypatch.setattr(InnerDigraph, name, counted)
 
@@ -464,5 +546,6 @@ def test_searches_and_reversals_go_through_the_traced_methods(
     c = rep.counters
     assert c.bfs_node_visits > 0
     assert visits == c.bfs_node_visits
-    assert calls["reverse"] == c.path_reversals > 0
+    assert found == c.path_reversals > 0
+    assert calls["reverse"] == 0
     assert calls["find_reversal_path"] > 0 and calls[traversal] > 0

@@ -116,7 +116,7 @@ def test_reversal_bound_per_acceptance():
 
 
 def test_reversal_bound_is_checked_without_assert(monkeypatch):
-    monkeypatch.setattr(InnerDigraph, "reverse", lambda self, path: None)
+    monkeypatch.setattr(InnerDigraph, "_flip", lambda self, source, targets: None)
     with pytest.raises(ReversalBoundError):
         extract(complete_graph(3), SparsityParams(2, 3))
 

@@ -163,7 +163,7 @@ def test_empty_and_tiny_graphs():
 
 
 def test_zeroing_bound_is_checked_without_assert(monkeypatch):
-    monkeypatch.setattr(InnerDigraph, "reverse", lambda self, path: None)
+    monkeypatch.setattr(InnerDigraph, "_flip", lambda self, source, targets: None)
     with pytest.raises(ReversalBoundError):
         extract_maximal_2k(Multigraph(3, [(0, 1), (1, 2)]), 1)
 
