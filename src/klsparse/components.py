@@ -20,8 +20,10 @@ Every component of at least two nodes induces an edge, and an edge inside
 a found component needs no probe, so the pass costs one probe per
 accepted edge that no component covers: one probe on a tight input.  The
 found blocks live in their own :class:`ComponentSet`, apart from the
-engine's store.  The engine's blocks were maximal when recorded, but
-edges accepted after that can make a block part of a larger component.
+engine's store.  The engine's blocks were maximal when recorded, and
+grew on acceptance by nodes with k accepted edges into them, but a larger
+component can still hold several of them or nodes whose edges the growth
+count missed, so the pass does not start from them.
 """
 
 from __future__ import annotations

@@ -19,6 +19,16 @@ a recorded block (or a loop at a node of one) with zero traversal.  So
 each rigid region costs one failed search and one probe, not one failed
 search per edge in it.
 
+Blocks also grow on acceptance.  If B is a stored tight block and a node w
+outside it has k accepted edges into B, then B + w is tight:
+i(B + w) >= k|B| - l + k = k|B + w| - l, for every 0 <= l <= 2k.  After
+each accepted edge whose endpoints have different owner blocks the loop
+counts the edge for each endpoint against the other's block, and at the
+k-th edge :meth:`ComponentSet.grow` adds the node, so its later edges into
+the block are covered instead of searched.  A count restarts when a node's
+edges switch blocks and block ids are never reused, so it can fall short
+but never over.
+
 The order comes from a :class:`Strategy`, the protocol the engine loop
 drives: next edge, preferred arc head, verdict callback.  Its one cursor
 over an edge sequence, ``_FixedOrder``, runs explicit orders, the weight
@@ -214,7 +224,9 @@ class ComponentSet:
     sets only at such a node.  A record counts its nodes in each block it
     meets by one set difference per block, drops the nodes already in its
     target block by one more, and spends per-node Python work only on
-    nodes that change block, lie in several blocks or lie in none.
+    nodes that change block, lie in several blocks or lie in none.  A
+    :meth:`grow` by one node runs the same union check from the grown
+    block, or none when the node lies in no block.
     """
 
     def __init__(self, n: int, params: SparsityParams) -> None:
@@ -245,15 +257,32 @@ class ComponentSet:
     def record(self, nodes) -> None:
         """Merge a tight node set into the records (singletons ignored)."""
         pending = set(nodes)
-        if len(pending) < 2:
+        if len(pending) >= 2:
+            self._merge(pending, -1, set())
+
+    def grow(self, c: int, w: int) -> None:
+        """Add node ``w`` to block ``c``, which stays tight with it once
+        ``w`` has k accepted edges into ``c`` (the module docstring's growth
+        rule).  Returns at once when ``c`` is no longer a block id or
+        already holds ``w``; a ``w`` in no block joins in O(1), any other
+        runs :meth:`record`'s union check from the grown block."""
+        members = self._block_nodes.get(c)
+        if members is None or w in members:
             return
+        if self._owner[w] < 0:
+            self._owner[w] = c
+            members.add(w)
+        else:
+            self._merge({w}, c, members)
+
+    def _merge(self, pending: set[int], target: int, members: set[int]) -> None:
+        """Join the ``pending`` nodes to block ``target`` (-1: a new block)
+        with node set ``members``, merging every block that the grown block
+        meets in the union threshold, until none does."""
         owner = self._owner
         extra = self._extra
         block_nodes = self._block_nodes
         threshold = self._threshold
-        # ``pending`` nodes join block ``target`` (-1: a new block) once no
-        # other block meets target plus pending in ``threshold`` nodes
-        target, members = -1, set()
         while True:
             # the blocks pending meets, with the pending nodes in each: a
             # node of several blocks counts for each of them; the first node
@@ -407,10 +436,11 @@ class PebbleEngine:
 
     Drives a strategy's edge order through :meth:`try_accept`, maintaining
     the inner digraph, the processed flags shared with the strategy, the
-    block store fed by failed searches, and the early-termination cutoff
-    at max(k*n - l, 0) arcs, where :meth:`run` stops.  This class decides
-    l < 2k; :class:`~klsparse.sparse2k.TwoKEngine` configures it for
-    l = 2k with its own :meth:`try_accept` and no cutoff.
+    block store fed by failed searches and grown on acceptance, and the
+    early-termination cutoff at max(k*n - l, 0) arcs, where :meth:`run`
+    stops.  This class decides l < 2k;
+    :class:`~klsparse.sparse2k.TwoKEngine` configures it for l = 2k with
+    its own :meth:`try_accept` and no cutoff.
     """
 
     augmenting = True  # False in the l = 2k configuration
@@ -487,7 +517,9 @@ class PebbleEngine:
 
         Each edge's outcome goes straight into the report's records: an
         edge inside a recorded block is rejected with no further call, any
-        other goes through :meth:`try_accept`.
+        other goes through :meth:`try_accept`.  An accepted edge from a
+        block to a node outside it counts toward that node joining the
+        block, by :meth:`ComponentSet.grow` at its k-th such edge.
 
         Once the digraph holds max(k*n - l, 0) arcs no further edge can be
         accepted, so the run stops there (the l = 2k configuration stops
@@ -519,7 +551,16 @@ class PebbleEngine:
         arcs = self.digraph.arc_tail
         stop = self._stop
         processed = self.processed
-        covers = self.blocks.covers
+        blocks = self.blocks
+        covers = blocks.covers
+        grow = blocks.grow
+        owner = blocks._owner
+        k = self.params.k
+        # per node w: the block its latest counted accepted edges enter, and
+        # how many they are; block ids are never reused, so a stale entry
+        # only under-counts
+        tally_block = [-1] * self.graph.n
+        tally = [0] * self.graph.n
         try_accept = self.try_accept
         next_edge = strategy.next_edge
         orient = strategy.orient
@@ -546,6 +587,24 @@ class PebbleEngine:
             if ok:
                 reasons[e] = _ACCEPTED
                 accepted.add(e)
+                c = owner[u]
+                d = owner[v]
+                if c != d:
+                    # an endpoint in a block: count the edge for the other
+                    # endpoint, which joins that block at its k-th counted
+                    # edge (a loop has one owner, so it never counts)
+                    if c >= 0:
+                        t = tally[v] + 1 if tally_block[v] == c else 1
+                        tally_block[v] = c
+                        tally[v] = t
+                        if t == k:
+                            grow(c, v)
+                    if d >= 0:
+                        t = tally[u] + 1 if tally_block[u] == d else 1
+                        tally_block[u] = d
+                        tally[u] = t
+                        if t == k:
+                            grow(d, u)
             else:
                 reasons[e] = _BLOCKED
                 r = -1 - r

@@ -32,7 +32,12 @@ the endpoints and entered by no arc from outside, so with u and v it
 induces k|X| - 2k accepted edges on |X| >= 3 nodes.  The engine records
 each one in the block store shared with
 :class:`~klsparse.pebble.PebbleEngine` and rejects a later edge inside a
-recorded block with no zeroing and no search.
+recorded block with no zeroing and no search.  The shared loop also grows
+the blocks on acceptance: a node with k accepted edges into a tight block
+B joins it, since i(B + w) >= k|B| - 2k + k = k|B + w| - 2k.  It joins by
+:meth:`~klsparse.pebble.ComponentSet.grow`, not by a record of w and its
+k neighbours, which at k = 2 would be a set of three nodes meeting B in
+only two, below the l = 2k union threshold of three.
 
 Cost per examined edge: at most 2k zeroing searches, plus at most one
 probe per saturated out-neighbour of u or v.  Every search stops at the

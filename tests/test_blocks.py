@@ -1,5 +1,6 @@
 """Tests for the engine's block store: tight blocks found by failed
-searches, the covered-edge short cut, and order invariance."""
+searches, blocks grown on acceptance, the covered-edge short cut, and
+order invariance."""
 
 from __future__ import annotations
 
@@ -21,8 +22,10 @@ from klsparse import (
     extract_with_components,
     gen_erdos_renyi,
     gen_rigid,
+    is_maximal_2k,
     is_sparse_bruteforce,
     make_strategy,
+    max_sparse_size_oracle,
 )
 from klsparse.oracle import _induced_counts
 from klsparse.orientation import InnerDigraph
@@ -54,6 +57,19 @@ def _check_blocks(graph, params, report, blocks) -> None:
             assert not v.accepted and v.reversals_used == 0
             u, w = graph.endpoints(v.edge)
             assert any(u in nodes and w in nodes for nodes in node_sets)
+
+
+def _spy_on_record(engine) -> list:
+    """The node lists of ``engine.blocks.record``'s calls, in call order."""
+    recorded = []
+    record = engine.blocks.record
+
+    def spy(nodes):
+        recorded.append(nodes)
+        record(nodes)
+
+    engine.blocks.record = spy
+    return recorded
 
 
 def test_stored_blocks_are_tight_for_every_strategy():
@@ -162,14 +178,7 @@ def test_failed_drain_records_the_maximal_block():
             p = SparsityParams(k, l)
             for name in ("Basic", "NInDegMin", "Transp", "IncProcMin", "UnionBasic"):
                 engine = PebbleEngine(g, p)
-                recorded = []
-                record = engine.blocks.record
-
-                def spy(nodes, record=record, recorded=recorded):
-                    recorded.append(set(nodes))
-                    record(nodes)
-
-                engine.blocks.record = spy
+                recorded = _spy_on_record(engine)
                 try_accept = engine.try_accept
 
                 def check(e, head=None, try_accept=try_accept, recorded=recorded):
@@ -191,7 +200,7 @@ def test_failed_drain_records_the_maximal_block():
                     ]
                     largest = max(tight, key=lambda mask: bin(mask).count("1"))
                     assert all(mask | largest == largest for mask in tight)
-                    assert recorded[-1] == {x for x in range(n) if largest >> x & 1}
+                    assert set(recorded[-1]) == {x for x in range(n) if largest >> x & 1}
                     checked += 1
                     return r
 
@@ -352,10 +361,15 @@ def test_maximal_2k_blocks_are_tight():
 
 def test_maximal_2k_block_is_the_failed_probe_closure():
     # K4 at k = 1: edge (0,2) fails at the saturated neighbour 1 of node 0,
-    # whose closure is {1, 0}; edge (0,3) likewise, giving a second block
+    # whose closure is {1, 0}; edge (0,3) likewise, giving a second record.
+    # Edge (2,3) is then accepted with 2 in {0,1,2} and 3 in {0,1,3}: its
+    # one edge (k = 1) grows {0,1,2} by node 3, and the grown block meets
+    # {0,1,3} in three nodes, so the two merge into all of K4
     engine = TwoKEngine(Multigraph(4, list(combinations(range(4), 2))), 1)
+    recorded = _spy_on_record(engine)
     engine.run(_FixedOrder(list(range(6))))
-    assert engine.blocks.components() == [[0, 1, 2], [0, 1, 3]]
+    assert recorded == [[1, 0, 0, 2], [1, 0, 0, 3]]
+    assert engine.blocks.components() == [[0, 1, 2, 3]]
 
     rng = random.Random(83)
     checked = smaller = 0
@@ -365,21 +379,18 @@ def test_maximal_2k_block_is_the_failed_probe_closure():
         for k in (1, 2, 3):
             engine = TwoKEngine(g, k)
             digraph = engine.digraph
-            recorded = []
-            record = engine.blocks.record
-
-            def spy(nodes, record=record, recorded=recorded):
-                recorded.append(nodes)
-                record(nodes)
-
-            engine.blocks.record = spy
+            recorded = _spy_on_record(engine)
             try_accept = engine.try_accept
 
             def check(e, head=None, try_accept=try_accept, recorded=recorded):
                 nonlocal checked, smaller
+                before = len(recorded)
                 r = try_accept(e, head)
                 if r >= 0:
+                    assert len(recorded) == before
                     return r
+                # one record per failed probe: its closure plus u and v
+                assert len(recorded) == before + 1
                 u, v = g.endpoints(e)
                 closure = digraph.last_closure
                 assert recorded[-1] == closure + [u, v]
@@ -503,9 +514,11 @@ def _check_node_ids(store: ComponentSet, n: int) -> None:
 
 def test_block_store_matches_naive_fixpoint():
     """Seeded differential test of the block store at merge thresholds 1,
-    2 and 3: after every record its blocks and every coverage answer,
-    loops included, equal those of the naive fixpoint."""
-    nodes_in_two_blocks = 0
+    2 and 3: after every record, and every grow of block c by node w,
+    which the naive fixpoint takes as a record of c's nodes plus w, its
+    blocks and every coverage answer, loops included, equal those of the
+    naive fixpoint."""
+    nodes_in_two_blocks = grown = 0
     for k, l, threshold in ((2, 1, 1), (2, 3, 2), (2, 4, 3)):
         rng = random.Random(1009 * threshold)
         for _ in range(60):
@@ -513,14 +526,25 @@ def test_block_store_matches_naive_fixpoint():
             store = ComponentSet(n, SparsityParams(k, l))
             naive = _NaiveBlocks(threshold)
             for _ in range(rng.randint(1, 20)):
-                # overlapping closures: part of a stored block, plus fresh
-                # nodes; repeats allowed, as in a closure plus its endpoints
-                nodes = [rng.randrange(n) for _ in range(rng.randint(1, 5))]
-                if naive.blocks and rng.random() < 0.7:
-                    block = sorted(rng.choice(naive.blocks))
-                    nodes += rng.sample(block, rng.randint(1, len(block)))
-                store.record(nodes)
-                naive.record(nodes)
+                # blocks of fewer than ``threshold`` nodes never grow, as in
+                # the engine, where no block at l = 2k has fewer than three
+                ids = [c for c, block in store._block_nodes.items()
+                       if len(block) >= threshold]
+                if ids and rng.random() < 0.3:
+                    c, w = rng.choice(ids), rng.randrange(n)
+                    naive.record(store._block_nodes[c] | {w})
+                    store.grow(c, w)
+                    grown += 1
+                else:
+                    # overlapping closures: part of a stored block, plus
+                    # fresh nodes; repeats allowed, as in a closure plus
+                    # its endpoints
+                    nodes = [rng.randrange(n) for _ in range(rng.randint(1, 5))]
+                    if naive.blocks and rng.random() < 0.7:
+                        block = sorted(rng.choice(naive.blocks))
+                        nodes += rng.sample(block, rng.randint(1, len(block)))
+                    store.record(nodes)
+                    naive.record(nodes)
                 assert store.components() == naive.components()
                 for u in range(n):
                     for v in range(n):
@@ -533,4 +557,165 @@ def test_block_store_matches_naive_fixpoint():
                     assert not store._extra
                 nodes_in_two_blocks += len(store._extra)
     # the further-id path was exercised, not just the one-owner path
-    assert nodes_in_two_blocks > 100
+    assert nodes_in_two_blocks > 100 and grown > 300
+
+
+
+def test_grow_adds_a_node_in_no_block():
+    blocks = ComponentSet(5, SparsityParams(2, 3))
+    blocks.record([0, 1, 2])
+    blocks.grow(0, 3)
+    assert blocks.components() == [[0, 1, 2, 3]]
+    assert blocks.covers(3, 1) and not blocks.covers(3, 4)
+    _check_node_ids(blocks, 5)
+
+
+def test_grow_merges_at_the_union_threshold():
+    # l <= k: w's own block shares w with the grown block, one node: merge
+    disjoint = ComponentSet(5, SparsityParams(2, 1))
+    disjoint.record([0, 1, 2])
+    disjoint.record([3, 4])
+    disjoint.grow(0, 3)
+    assert disjoint.components() == [[0, 1, 2, 3, 4]]
+    _check_node_ids(disjoint, 5)
+
+    # k < l < 2k: w alone is one shared node; w and an old shared node
+    # are two, and merge
+    sharing = ComponentSet(6, SparsityParams(2, 3))
+    sharing.record([0, 1, 2])
+    sharing.record([3, 4])
+    sharing.grow(0, 3)
+    assert sharing.components() == [[0, 1, 2, 3], [3, 4]]
+    assert sharing.covers(0, 3) and not sharing.covers(0, 4)
+    _check_node_ids(sharing, 6)
+    sharing.record([2, 5])
+    sharing.grow(1, 2)  # {3,4} plus 2 meets {0,1,2,3} in {2,3}
+    assert sharing.components() == [[0, 1, 2, 3, 4], [2, 5]]
+    _check_node_ids(sharing, 6)
+
+    # l = 2k: two shared nodes keep blocks apart, three merge
+    pinned = ComponentSet(7, SparsityParams(2, 4))
+    pinned.record([0, 1, 2])
+    pinned.record([2, 4, 5])
+    pinned.grow(0, 4)
+    assert pinned.components() == [[0, 1, 2, 4], [2, 4, 5]]
+    assert not pinned.covers(0, 5)
+    _check_node_ids(pinned, 7)
+    pinned.record([1, 2, 6])
+    pinned.grow(2, 4)  # {1,2,6} plus 4 meets {0,1,2,4} in {1,2,4}
+    assert pinned.components() == [[0, 1, 2, 4, 6], [2, 4, 5]]
+    _check_node_ids(pinned, 7)
+
+
+def test_grow_ignores_a_dead_block_and_a_node_inside():
+    blocks = ComponentSet(8, SparsityParams(2, 1))
+    blocks.record([0, 1, 2])  # block 0
+    blocks.record([3, 4, 5, 6])  # block 1
+    blocks.record([2, 3])  # merges block 0 into block 1, the larger
+    assert blocks.components() == [[0, 1, 2, 3, 4, 5, 6]]
+    before = (blocks._owner[:], blocks._block_nodes[1].copy())
+    blocks.grow(0, 7)  # a dead id
+    blocks.grow(1, 3)  # a node already inside
+    blocks.grow(9, 7)  # never an id
+    assert (blocks._owner, blocks._block_nodes[1]) == before
+    _check_node_ids(blocks, 8)
+
+
+def _spy_on_grow(engine, check) -> None:
+    """Wrap ``engine.blocks.grow``: after each call that adds node w to
+    block c, run ``check(w, members)`` with c's nodes from before it."""
+    blocks = engine.blocks
+    grow = blocks.grow
+
+    def spy(c, w):
+        members = blocks._block_nodes.get(c)
+        members = None if members is None or w in members else set(members)
+        grow(c, w)
+        if members is not None:
+            check(w, members)
+
+    blocks.grow = spy
+
+
+def _edges_into(graph, edges, w: int, members: set[int]) -> int:
+    """The edges of ``edges`` between node ``w`` and a node of ``members``
+    (a loop at w is never one, since w lies outside ``members``)."""
+    return sum(
+        1 for e in edges
+        if (graph.edge_u[e] == w and graph.edge_v[e] in members)
+        or (graph.edge_v[e] == w and graph.edge_u[e] in members)
+    )
+
+
+def test_grown_blocks_stay_tight():
+    # each grow adds a node with at least k accepted edges into the block,
+    # and right after it every stored block is tight (brute-force counts);
+    # the accepted sizes stay the matroid rank
+    rng = random.Random(2032)
+    grows = 0
+    for _ in range(60):
+        n = rng.randint(2, 10)
+        g = _random_multigraph(rng, n, rng.randint(n, 4 * n))
+        for k, l in ALL_PAIRS:
+            p = SparsityParams(k, l)
+            rank = max_sparse_size_oracle(g, p)
+            for name in ("Basic", "NInDegMin", "Transp", "TranspOne",
+                         "IncProcMin", "UnionBasic"):
+                engine = PebbleEngine(g, p)
+
+                def check(w, members, engine=engine, k=k, l=l):
+                    nonlocal grows
+                    accepted = engine.report.accepted
+                    assert _edges_into(g, accepted, w, members) >= k
+                    for nodes in engine.blocks.components():
+                        assert _induced(g, accepted, set(nodes)) == k * len(nodes) - l
+                    grows += 1
+
+                _spy_on_grow(engine, check)
+                report = engine.run(make_strategy(name, g, p, seed=rng.randrange(4)))
+                assert report.accepted_count == rank, (name, k, l)
+    assert grows > 500
+
+
+def test_grown_blocks_stay_tight_at_l_equals_2k():
+    # the same on the l = 2k pass over random simple graphs, whose accepted
+    # sets stay sparse and inclusion-maximal
+    rng = random.Random(2033)
+    grows = 0
+    for _ in range(40):
+        n = rng.randint(3, 10)
+        g = gen_erdos_renyi(n, rng.uniform(0.3, 1.0), seed=rng.randrange(10**6))
+        for k in (1, 2, 3):
+            engine = TwoKEngine(g, k)
+
+            def check(w, members, engine=engine, k=k):
+                nonlocal grows
+                accepted = engine.report.accepted
+                assert _edges_into(g, accepted, w, members) >= k
+                for nodes in engine.blocks.components():
+                    assert _induced(g, accepted, set(nodes)) == k * len(nodes) - 2 * k
+                grows += 1
+
+            _spy_on_grow(engine, check)
+            report = engine.run(_FixedOrder(list(range(g.m))))
+            assert is_maximal_2k(g, report.accepted, k)
+    assert grows > 100
+
+
+def test_growth_counts_parallel_edges_and_no_loops():
+    # (2,1): three parallel edges 01 fill {0,1}, and the fourth records it.
+    # Node 2's two parallel edges to 0 grow the block at the second, so
+    # edge 21 is covered.  Node 3 has a loop and one edge to 0: the loop
+    # does not count and one edge is k - 1, so 3 does not join, and edge
+    # 31 pays the search (it fails: the loop makes {0,1,2,3} tight).
+    # Node 4 keeps the tight size out of reach.
+    edges = [(0, 1)] * 4 + [(0, 2), (0, 2), (1, 2), (3, 3), (0, 3), (1, 3)]
+    g = Multigraph(5, edges)
+    engine = PebbleEngine(g, SparsityParams(2, 1))
+    grown = []
+    _spy_on_grow(engine, lambda w, members: grown.append((w, sorted(members))))
+    report = engine.run(_FixedOrder(list(range(g.m))))
+    A, B, C = Reason.ACCEPTED, Reason.INDEGREE_BLOCKED, Reason.COVERED_BY_COMPONENT
+    assert [v.reason for v in report.verdicts] == [A, A, A, B, A, A, C, A, A, B]
+    assert grown == [(2, [0, 1])]
+    assert engine.blocks.components() == [[0, 1, 2, 3]]

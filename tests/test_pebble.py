@@ -249,24 +249,26 @@ def test_report_shape():
 # sha256 of the verdict stream and of the counters over every strategy with
 # seeds 0 and 3; both graphs reach the tight size early under every strategy.
 # The verdict digests are those of each strategy's whole order, walked past
-# the tight size, with its early-terminated suffix sorted by edge id
+# the tight size, with its early-terminated suffix sorted by edge id, taken
+# once blocks grew on acceptance (which moves edges from indegree-blocked to
+# covered and drops their searches; every accepted set stayed the same)
 _PINNED_STREAMS = {
     ((80, 0.3, 5), (2, 3)): (
-        "119272b0de0cb2915021caea8b06e72782ebe0cc31ac694914212d29bb130fc4",
-        "d7d95fddad7379d25ec2298b8128ed6616e6e94eea5608ce612904c71f6e4e67",
+        "7b48fc758d19f72b4b9b69b1461ece0cafaf01bea6ecfefbb1427d0dd1addcc9",
+        "f34f4d37a036ccced2006cb5468028cb5cbfc355a5ba1780d3e62777b794cef2",
     ),
     ((60, 0.4, 6), (1, 1)): (
-        "481b020c80b1ab5228497f91234867b40399c4ed0510bafe6e0fd58d4ec04f56",
-        "d6d8d335a2929cd31b6a63af12e15a11ac4517a73890a7076b0be0cdd2ae9945",
+        "22903adf761e25202e0a886aca134eac7c66bb94bd4d161aab5b009309e875ff",
+        "ec8afe66ebb972b8349e2f797249ae043710eec0248310e72149903f6c65a7c4",
     ),
     # k > l: PForestsBFS/DFS seed pseudoforests here
     ((60, 0.4, 6), (2, 0)): (
-        "04dd6a8d5d063b96bf9fd818621db6ec9cd9cac19895222853c8e20e2210e921",
-        "02ff934a9ecf83bf3980f0a3ab1fd3e70366a0d62788e61f48b04bfe0806a5f8",
+        "f3bd5f9dd2974e457938370d96e42afebd34f9fac9c1fa217487512bb37be1a3",
+        "47ef9197753350efd25e7afe565459be24e7ba3447593b862b3374e2fd9ac6c6",
     ),
     ((60, 0.4, 6), (3, 1)): (
-        "cd5d7069e0da2132c96b78c3f119786cc4d9014d4172b89afb37d771ef2a745a",
-        "e9be88a5e6b4438cf97cc1e649cb2512ec1056b8799518ebf23242e014b77b25",
+        "28333959c8c7d1911db960ad7c42838be9f9a0be37fde9e9dd07e5308c2835ac",
+        "cf3604df5f87f651933153de4fa34f13614007f7139ab7248f94f1c0e5258f8b",
     ),
 }
 

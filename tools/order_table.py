@@ -4,11 +4,13 @@ Usage: python tools/order_table.py   (from anywhere; stdlib only)
 
 Builds each row's graph with the library generators at graph seed 1,
 then runs :func:`klsparse.extract` under each order at strategy seed 0,
-the seed ``decide`` uses.  Per row and order it prints the edges
-examined before the run stopped, the node visits and path reversals of
-the engine's counters, the accepted size, and the best wall time of
-three runs (strategy construction included, graph build excluded).  The accepted size is a matroid rank, so every order
-must reach the same one; the script exits 1 naming the row if not.
+the seed ``decide`` uses; Basic at seed 0 is storage order, the order
+``extract`` runs without ``--heuristic``.  Per row and order it prints
+the edges examined before the run stopped, the node visits and path
+reversals of the engine's counters, the accepted size, and the best wall
+time of three runs (strategy construction included, graph build
+excluded).  The accepted size is a matroid rank, so every order must
+reach the same one; the script exits 1 naming the row if not.
 
 The rows are the heuristic table of ROADMAP item 5, a molecular input at
 (5,6), and inputs where Transp, ``decide``'s order, is slower than
@@ -35,7 +37,7 @@ from klsparse import (  # noqa: E402
     molecular_transform,
 )
 
-ORDERS = ("NInDegMin", "Transp", "TranspOne", "UnionNBasic")
+ORDERS = ("Basic", "NInDegMin", "Transp", "TranspOne", "UnionNBasic")
 
 # (input label, the graph as a function of the graph seed, (k, l))
 ROWS = [
