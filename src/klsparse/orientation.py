@@ -54,11 +54,14 @@ class Instrumentation:
     them, and callers read them as the report's ``counters``.
 
     With epoch stamps a traversal's reset work is one stamp write per node
-    it visits, so ``bfs_node_visits`` counts both.
+    it visits, so ``bfs_node_visits`` counts both.  ``certified_accepts``
+    counts the edges the engine accepted by its degree certificate, with
+    no search, although their endpoints' indegrees demanded one.
     """
 
     bfs_node_visits: int = 0
     path_reversals: int = 0
+    certified_accepts: int = 0
     edges_processed: int = 0
     edges_accepted: int = 0
     early_termination_hit: int = 0

@@ -8,6 +8,19 @@ time.  For 0 <= l < 2k the accepted sets form the independent sets of a
 matroid, so any processing order yields a maximum-size subgraph and
 non-increasing weight order yields a maximum-weight one.
 
+Most edges need no search.  The degree certificate (the count behind
+Henneberg's type-1 move, Lee & Streinu 2008): let e = wx be a non-loop
+edge and A the accepted set.  If w has fewer than k edges in A, none a
+loop and none to x, then A + e is (k,l)-sparse for every 0 <= l < 2k.
+Take X with w and x in it and X' = X - w; w's edges inside X number at
+most k after e is added.  For |X'| >= 2, i(X) <= k|X'| - l + k = k|X| - l.
+For X' = {x}, only e joins w to x, so i(X) <= i({x}) + 1 <= 2k - l, since
+i({x}) <= k - l for l <= k, and no loop exists for l > k.  Also indeg(w) <=
+k - 1, so the arc goes in with no reversal.  When the endpoints' indegree
+sum demands a drain and an endpoint passes this test, the engine inserts
+the arc at once and counts it in ``certified_accepts``.  It cannot fire at
+l = 0, where the drain starts only with both endpoints at indegree k.
+
 A failed search certifies a tight block through u and v: a node set X
 with no arc entering from outside and every node but the endpoints at
 indegree k, so X induces k|X| - l accepted edges, and stays tight as more
@@ -466,6 +479,12 @@ class PebbleEngine:
         """Process edge ``e``: drain its endpoints below the ceiling of
         :meth:`SparsityParams.ceiling`, inserting the arc on success.
 
+        A non-loop edge whose indegree sum reaches its ceiling skips the
+        drain when the degree certificate holds (module docstring): an
+        endpoint with fewer than k accepted edges, none a loop and none to
+        the other endpoint.  The edge is then accepted with 0 reversals, and
+        the arc rule below finds that endpoint, or another, below k.
+
         Returns the path reversals performed, r >= 0, when ``e`` is
         accepted and -1 - r when it is rejected.  The caller checks block
         coverage first; a failed drain records the maximal block through
@@ -483,11 +502,15 @@ class PebbleEngine:
             # a loop at l >= k: no orientation can ever take it
             return -1
         digraph = self.digraph
-        reversals = digraph.drain(u, v, ceiling)
-        if reversals < 0:
-            self.blocks.record(digraph.maximal_block(u, v))
-            return reversals
         indeg = digraph.indeg
+        if u != v and indeg[u] + indeg[v] >= ceiling and self._certified(u, v):
+            digraph.counters.certified_accepts += 1
+            reversals = 0
+        else:
+            reversals = digraph.drain(u, v, ceiling)
+            if reversals < 0:
+                self.blocks.record(digraph.maximal_block(u, v))
+                return reversals
         if preferred_head is not None and indeg[preferred_head] < digraph.k:
             head = preferred_head
         else:
@@ -497,6 +520,27 @@ class PebbleEngine:
             head = u if (indeg[u], u) <= (indeg[v], v) else v
         digraph.insert_arc(u + v - head, head)
         return reversals
+
+    def _certified(self, u: int, v: int) -> bool:
+        """The degree certificate for the non-loop edge uv: an endpoint w
+        with fewer than k accepted edges, none a loop and none to the other
+        endpoint (the module docstring's proof)."""
+        digraph = self.digraph
+        inc = digraph.inc
+        arc_tail = digraph.arc_tail
+        arc_head = digraph.arc_head
+        k = digraph.k
+        for w, x in ((u, v), (v, u)):
+            arcs = inc[w]
+            if len(arcs) < k:
+                for a in arcs:
+                    # the arc's other end: w itself for a loop
+                    y = arc_tail[a] + arc_head[a] - w
+                    if y == w or y == x:
+                        break
+                else:
+                    return True
+        return False
 
     def preaccept(self, e: int, tail: int, head: int) -> None:
         """Record ``e`` as accepted with a caller-supplied orientation.
@@ -701,11 +745,11 @@ def decide(graph: Multigraph, params: SparsityParams) -> ExtractionReport:
     :func:`extract`'s default Basic: the flags and the accepted count
     depend only on the matroid rank, so any order gives the same answer,
     and Transp reaches the tight size after far fewer edges (on
-    G(600, 0.1, seed 1000) at (2,3): 1,199 edges and 35k node visits,
-    against NInDegMin's 2,961 edges and 22k visits and Basic's 17,707
-    edges and 219k visits; ``tools/order_table.py`` compares the orders
-    on more inputs).  The accepted set, the verdicts and the counters do
-    follow the order.
+    G(600, 0.1, seed 1000) at (2,3), strategy seed 0: 1,199 edges and 1.5k
+    node visits, against NInDegMin's 2,905 edges and 6.8k visits and
+    Basic's 17,707 edges and 3.0k visits; ``tools/order_table.py``
+    compares the orders on more inputs).  The accepted set, the verdicts
+    and the counters do follow the order.
 
     For l = 2k the accepted sets form no matroid, so spanning is not
     decided and stays None; one maximal pass of

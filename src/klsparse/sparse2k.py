@@ -25,7 +25,11 @@ The pass is a configuration of :class:`~klsparse.pebble.PebbleEngine`:
 runs the shared loop, which writes the verdicts, over the order it is
 given: storage order (a ``_FixedOrder`` of all edge ids) in
 :func:`extract_maximal_2k`.  It has no early stop: the loop's stop value
-is m arcs, so every edge is examined.
+is m arcs, so every edge is examined.  Its ``try_accept`` skips the
+degree certificate of :meth:`~klsparse.pebble.PebbleEngine.try_accept`,
+whose count needs l < 2k: at k = 2 a node w whose one edge goes to y
+would pass it for an edge wx with xy accepted, closing a triangle of
+3 > 3k - 2k edges.
 
 A failed probe exposes a tight block: the closure of w is saturated off
 the endpoints and entered by no arc from outside, so with u and v it

@@ -31,6 +31,15 @@ def complete_graph(n: int) -> Multigraph:
     return Multigraph(n, list(combinations(range(n), 2)))
 
 
+def hub_pair() -> Multigraph:
+    """Hubs 0 and 1, each with two leaves, then the hub edge 01 last.
+
+    At (2,3), in storage order with the engine's arc rule, the hub edge
+    meets two endpoints that hold k accepted edges each, at indegree 1, so
+    no degree certificate covers it and its drain reverses two paths."""
+    return Multigraph(6, [(0, 2), (0, 3), (1, 4), (1, 5), (0, 1)])
+
+
 def random_multigraph(rng: random.Random, max_n: int = 7, max_m: int = 16) -> Multigraph:
     """A random multigraph with loops and parallel edges allowed."""
     n = rng.randint(1, max_n)

@@ -22,14 +22,16 @@ def test_one_line_per_order_with_one_accepted_size():
     assert header == order_table.HEADER
     cells = [line.strip("| ").split(" | ") for line in lines]
     assert [c[2] for c in cells] == list(order_table.ORDERS)
-    assert len({c[6] for c in cells}) == 1
+    assert len({c[7] for c in cells}) == 1
     m = gen_erdos_renyi(60, 0.15, 1).m
     assert all(0 < int(c[3]) <= m for c in cells)
+    # certified accepts are accepted edges
+    assert all(0 <= int(c[6]) <= int(c[7]) for c in cells)
 
 
 def test_orders_that_disagree_stop_the_table(monkeypatch):
     sizes = iter(range(len(order_table.ORDERS)))
     monkeypatch.setattr(order_table, "measure",
-                        lambda *args: (1, 0, 0, next(sizes), 0.0))
+                        lambda *args: (1, 0, 0, 0, next(sizes), 0.0))
     with pytest.raises(SystemExit, match=r"G\(60, 0.15\) at \(2,3\)"):
         list(order_table.table(_ROWS, graph_seed=1, seed=0, repeat=1))

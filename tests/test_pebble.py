@@ -28,7 +28,7 @@ from klsparse import (
 )
 from klsparse.heuristics import BasicStrategy
 from klsparse.pebble import Strategy, _FixedOrder
-from conftest import complete_graph
+from conftest import complete_graph, hub_pair
 
 
 def test_params_validation():
@@ -118,7 +118,7 @@ def test_reversal_bound_per_acceptance():
 def test_reversal_bound_is_checked_without_assert(monkeypatch):
     monkeypatch.setattr(InnerDigraph, "_flip", lambda self, source, targets: None)
     with pytest.raises(ReversalBoundError):
-        extract(complete_graph(3), SparsityParams(2, 3))
+        extract(hub_pair(), SparsityParams(2, 3))
 
 
 def test_verdict_reasons_cover_run():
@@ -251,15 +251,18 @@ def test_report_shape():
 # The verdict digests are those of each strategy's whole order, walked past
 # the tight size, with its early-terminated suffix sorted by edge id, taken
 # once blocks grew on acceptance (which moves edges from indegree-blocked to
-# covered and drops their searches; every accepted set stayed the same)
+# covered and drops their searches; every accepted set stayed the same), and
+# once the degree certificate accepted edges with no search (fewer
+# reversals and visits; the indegree-keyed orders' sets moved).  At l = 0 the
+# certificate never replaces a search, so the (2,0) digests held
 _PINNED_STREAMS = {
     ((80, 0.3, 5), (2, 3)): (
-        "7b48fc758d19f72b4b9b69b1461ece0cafaf01bea6ecfefbb1427d0dd1addcc9",
-        "f34f4d37a036ccced2006cb5468028cb5cbfc355a5ba1780d3e62777b794cef2",
+        "2aecf97ea0136010d29bcf8e0866fbd21b57aeac9ee126596885f841fdacee63",
+        "93538c8f502b3314e02187134c1d94920349b6a83af1a2682096a5074d68966d",
     ),
     ((60, 0.4, 6), (1, 1)): (
-        "22903adf761e25202e0a886aca134eac7c66bb94bd4d161aab5b009309e875ff",
-        "ec8afe66ebb972b8349e2f797249ae043710eec0248310e72149903f6c65a7c4",
+        "3283e965892117e080fa80c11a9112116e2b86386dc79207493fa047e4d90935",
+        "c0d013f8f31643a36ddeefca5c6676df6445d530a61157c7241310466d7b9ffb",
     ),
     # k > l: PForestsBFS/DFS seed pseudoforests here
     ((60, 0.4, 6), (2, 0)): (
@@ -267,8 +270,8 @@ _PINNED_STREAMS = {
         "47ef9197753350efd25e7afe565459be24e7ba3447593b862b3374e2fd9ac6c6",
     ),
     ((60, 0.4, 6), (3, 1)): (
-        "28333959c8c7d1911db960ad7c42838be9f9a0be37fde9e9dd07e5308c2835ac",
-        "cf3604df5f87f651933153de4fa34f13614007f7139ab7248f94f1c0e5258f8b",
+        "4dfc74fc683b999ea3c755ac3a7a98b0a9e4a31e017350f8326d4f89dc3484b0",
+        "8d891d8c98f3f115cdf51ee4ed153a2ef8961423c3ef06fee35bc082ec269b5d",
     ),
 }
 
@@ -534,10 +537,12 @@ def test_on_processed_sees_the_report_stream():
 
 
 def test_rejection_keeps_the_reversals_it_made():
-    # triangle plus an isolated node under (1,1): the third edge reverses
-    # one path, then its second search fails
-    g = Multigraph(4, [(0, 1), (0, 2), (1, 2)])
-    rep = extract(g, SparsityParams(1, 1))
+    # triangle plus an isolated node under (1,1), in storage order with the
+    # engine's arc rule: arcs 2->0 and 2->1, so the third edge meets two
+    # endpoints with k accepted edges each, reverses one path, then its
+    # second search fails
+    g = Multigraph(4, [(0, 2), (1, 2), (0, 1)])
+    rep = extract(g, SparsityParams(1, 1), order=range(g.m))
     last = rep.verdicts[2]
     assert (last.accepted, last.reason, last.reversals_used) == (
         False, Reason.INDEGREE_BLOCKED, 1)

@@ -6,15 +6,16 @@ Builds each row's graph with the library generators at graph seed 1,
 then runs :func:`klsparse.extract` under each order at strategy seed 0,
 the seed ``decide`` uses; Basic at seed 0 is storage order, the order
 ``extract`` runs without ``--heuristic``.  Per row and order it prints
-the edges examined before the run stopped, the node visits and path
-reversals of the engine's counters, the accepted size, and the best wall
-time of three runs (strategy construction included, graph build
+the edges examined before the run stopped, the node visits, path
+reversals and certified accepts (edges the degree certificate accepted
+with no search) of the engine's counters, the accepted size, and the best
+wall time of three runs (strategy construction included, graph build
 excluded).  The accepted size is a matroid rank, so every order must
 reach the same one; the script exits 1 naming the row if not.
 
 The rows are the heuristic table of ROADMAP item 5, a molecular input at
-(5,6), and inputs where Transp, ``decide``'s order, is slower than
-NInDegMin.
+(5,6), and the inputs where Transp, ``decide``'s order, was slower than
+NInDegMin before the degree certificate.
 """
 
 from __future__ import annotations
@@ -57,13 +58,13 @@ ROWS = [
     ("star(20000)",
      lambda s: Multigraph(20001, [(0, v) for v in range(1, 20001)]), (1, 1)),
 ]
-HEADER = ("| input | (k,l) | order | examined | visits | reversals | accepted "
-          "| wall ms |\n|---|---|---|---|---|---|---|---|")
+HEADER = ("| input | (k,l) | order | examined | visits | reversals | certified "
+          "| accepted | wall ms |\n|---|---|---|---|---|---|---|---|---|")
 
 
 def measure(graph, params, name: str, seed: int, repeat: int) -> tuple:
-    """One order on one graph: (examined, visits, reversals, accepted,
-    best wall seconds)."""
+    """One order on one graph: (examined, visits, reversals, certified
+    accepts, accepted, best wall seconds)."""
     best = float("inf")
     for _ in range(repeat):
         t0 = time.perf_counter()
@@ -72,7 +73,7 @@ def measure(graph, params, name: str, seed: int, repeat: int) -> tuple:
     examined = graph.m - report.reason_counts()[Reason.EARLY_TERMINATED]
     counters = report.counters
     return (examined, counters.bfs_node_visits, counters.path_reversals,
-            report.accepted_count, best)
+            counters.certified_accepts, report.accepted_count, best)
 
 
 def table(rows, graph_seed: int, seed: int, repeat: int):
@@ -84,11 +85,12 @@ def table(rows, graph_seed: int, seed: int, repeat: int):
         params = SparsityParams(k, l)
         sizes = set()
         for name in ORDERS:
-            examined, visits, reversals, accepted, wall = measure(
+            examined, visits, reversals, certified, accepted, wall = measure(
                 graph, params, name, seed, repeat)
             sizes.add(accepted)
-            yield (f"| {label} | ({k},{l}) | {name} | {examined} "
-                   f"| {visits} | {reversals} | {accepted} | {wall * 1e3:.1f} |")
+            yield (f"| {label} | ({k},{l}) | {name} | {examined} | {visits} "
+                   f"| {reversals} | {certified} | {accepted} "
+                   f"| {wall * 1e3:.1f} |")
         if len(sizes) > 1:
             raise SystemExit(f"{label} at ({k},{l}): accepted sizes "
                              f"{sorted(sizes)} differ between orders")
