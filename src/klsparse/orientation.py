@@ -55,8 +55,10 @@ class Instrumentation:
 
     With epoch stamps a traversal's reset work is one stamp write per node
     it visits, so ``bfs_node_visits`` counts both.  ``certified_accepts``
-    counts the edges the engine accepted by its degree certificate, with
-    no search, although their endpoints' indegrees demanded one.
+    counts the edges an engine accepted by its degree certificate, with
+    no search: below l = 2k those whose endpoints' indegrees demanded a
+    drain, and at l = 2k those accepted with no zeroing and no
+    insertability probe.
     """
 
     bfs_node_visits: int = 0

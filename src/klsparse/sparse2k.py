@@ -16,20 +16,35 @@ gets one backward search (the pebble game's search of Lee & Streinu,
 2008) with u and v forbidden as sources; uv is insertable exactly when
 every one of them finds a node of indegree below k.  Within one test the
 nodes on a path an earlier search found are known to be reached, so later
-searches stop at them and a neighbour among them is skipped.  Accepted
-arcs point at the larger endpoint id.  One pass over the edges yields an
+searches stop at them and a neighbour among them is skipped.  The arc
+points at the larger endpoint id.  One pass over the edges yields an
 inclusion-wise maximal (k,2k)-sparse subgraph.
+
+Most edges need neither zeroing nor probes.  The degree certificate (the
+count behind Henneberg's type-1 move, Lee & Streinu 2008, with one more
+test at l = 2k): let e = wx and A the accepted set.  If w has fewer than
+k edges in A, and no node y has more than k - 1 edges of A to {w, x},
+then A + e is (k,2k)-sparse.  Take X with w and x in it, |X| >= 3, and
+X' = X - w; w's edges inside X number at most k once e is added.  For
+|X'| >= 3, i(X) <= (k|X'| - 2k) + k = k|X| - 2k.  For X' = {x, y},
+i(X) = 1 + [wy in A] + [xy in A] <= 1 + (k - 1) = k|X| - 2k.  The second
+test is void for k >= 3, since y has at most two edges to {w, x}.  At
+k = 2 it asks that w and x have no common neighbour in A: w's one edge to
+y and an accepted xy would close a triangle of 3 > 3k - 2k edges.  At
+k = 1 it asks that x hold no edge.  The engine checks the certificate
+before zeroing; when it holds, the arc goes in at once, with 0 reversals,
+and is counted in ``certified_accepts``.  Its head is v, the larger id,
+when indeg(v) < k, and otherwise w, whose indegree is at most its k - 1
+edges.
 
 The pass is a configuration of :class:`~klsparse.pebble.PebbleEngine`:
 :class:`TwoKEngine` supplies the test above as its ``try_accept`` and
 runs the shared loop, which writes the verdicts, over the order it is
 given: storage order (a ``_FixedOrder`` of all edge ids) in
 :func:`extract_maximal_2k`.  It has no early stop: the loop's stop value
-is m arcs, so every edge is examined.  Its ``try_accept`` skips the
-degree certificate of :meth:`~klsparse.pebble.PebbleEngine.try_accept`,
-whose count needs l < 2k: at k = 2 a node w whose one edge goes to y
-would pass it for an edge wx with xy accepted, closing a triangle of
-3 > 3k - 2k edges.
+is m arcs, so every edge is examined.  Its ``_certified`` overrides the
+l < 2k certificate of :meth:`~klsparse.pebble.PebbleEngine.try_accept`
+with the one above, whose extra test the triangle needs.
 
 A failed probe exposes a tight block: the closure of w is saturated off
 the endpoints and entered by no arc from outside, so with u and v it
@@ -43,14 +58,15 @@ B joins it, since i(B + w) >= k|B| - 2k + k = k|B + w| - 2k.  It joins by
 k neighbours, which at k = 2 would be a set of three nodes meeting B in
 only two, below the l = 2k union threshold of three.
 
-Cost per examined edge: at most 2k zeroing searches, plus at most one
-probe per saturated out-neighbour of u or v.  Every search stops at the
-first deficient node it meets and visits at most n nodes over at most kn
-arcs, O(n + kn) in the worst case; probes are usually far shorter.  This
-is the bound the code achieves, not one taken from the paper.  (A global
-forward reach from every deficient node, the test this replaces, costs
-Theta(n + kn) on every examined edge.)  Covered edges cost one coverage
-query.
+Cost per examined edge: the certificate, O(1) but for one scan of the
+shorter incidence list of x and y at k = 2; when it fails, at most 2k
+zeroing searches, plus at most one probe per saturated out-neighbour of
+u or v.  Every search stops at the first deficient node it meets and
+visits at most n nodes over at most kn arcs, O(n + kn) in the worst
+case; probes are usually far shorter.  This is the bound the code
+achieves, not one taken from the paper.  (A global forward reach from
+every deficient node, the test this replaces, costs Theta(n + kn) on
+every examined edge.)  Covered edges cost one coverage query.
 """
 
 from __future__ import annotations
@@ -143,15 +159,25 @@ class TwoKEngine(PebbleEngine):
         self._stop = graph.m
 
     def try_accept(self, e: int, preferred_head: int | None = None) -> int:
-        """Zero both endpoints of ``e``, then insert its arc if insertable.
+        """Accept ``e`` at once if :meth:`_certified` holds; otherwise zero
+        both endpoints and insert its arc if insertable.
 
-        Returns the zeroing reversals r >= 0 when ``e`` is accepted and
-        -1 - r when it is rejected, after recording the failed probe's
-        closure plus {u, v} as a block.  The arc always points at the
-        larger endpoint id; ``preferred_head`` is ignored.
+        Returns the zeroing reversals r >= 0 when ``e`` is accepted (0 for
+        a certified edge) and -1 - r when it is rejected, after recording
+        the failed probe's closure plus {u, v} as a block.  The arc points
+        at the larger endpoint id, except on a certified edge whose larger
+        endpoint is at indegree k: the certified endpoint, the smaller,
+        then takes it.  ``preferred_head`` is ignored.
         """
         u, v = self.graph.edge_u[e], self.graph.edge_v[e]
         digraph = self.digraph
+        if self._certified(u, v):
+            digraph.counters.certified_accepts += 1
+            # v at indegree k cannot be the certified endpoint, so u is,
+            # and u is below k
+            head = v if digraph.indeg[v] < digraph.k else u
+            digraph.insert_arc(u + v - head, head)
+            return 0
         reversals = zero_pair_indegrees(digraph, u, v)
         if insertable(digraph, u, v):
             # arc toward the larger id (v, by canonical endpoint storage)
@@ -160,6 +186,45 @@ class TwoKEngine(PebbleEngine):
         # the failed probe's closure, tight once u and v join it
         self.blocks.record(digraph.last_closure + [u, v])
         return -1 - reversals
+
+    def _certified(self, u: int, v: int) -> bool:
+        """The l = 2k degree certificate for the edge uv (module
+        docstring): an endpoint w with fewer than k accepted edges, and no
+        node with more than k - 1 accepted edges to {u, v}.  The second
+        test is void for k >= 3; at k = 2 it asks that w's one neighbour,
+        if any, not be adjacent to the other endpoint x, and at k = 1 that
+        x hold no edge."""
+        digraph = self.digraph
+        inc = digraph.inc
+        k = digraph.k
+        for w, x in ((u, v), (v, u)):
+            arcs = inc[w]
+            if len(arcs) >= k:
+                continue
+            if k >= 3:
+                return True
+            if k == 2:
+                if not arcs:
+                    return True
+                a = arcs[0]
+                y = digraph.arc_tail[a] + digraph.arc_head[a] - w
+                if not self._adjacent(x, y):
+                    return True
+            elif not inc[x]:
+                return True
+        return False
+
+    def _adjacent(self, x: int, y: int) -> bool:
+        """Whether x and y share an accepted edge; scans the shorter of
+        their incidence lists."""
+        digraph = self.digraph
+        arc_tail, arc_head, inc = digraph.arc_tail, digraph.arc_head, digraph.inc
+        if len(inc[y]) < len(inc[x]):
+            x, y = y, x
+        for a in inc[x]:
+            if arc_tail[a] + arc_head[a] - x == y:
+                return True
+        return False
 
 
 def _raise_first_non_simple_edge(graph: Multigraph) -> None:

@@ -173,20 +173,22 @@ def test_maximal_2k_stream_pinned():
     # l = 2k pass still had its own edge loop: any rewrite of the loop must
     # keep every verdict, every reversal count and every node visit (the
     # last case is the maximal-2k-er benchmark's input 0 of seed 1); re-pinned
-    # once blocks grew on acceptance, with the same accepted sets
+    # once blocks grew on acceptance, and again once the l = 2k degree
+    # certificate skipped zeroing and probes (k = 1 kept both digests), each
+    # time with the same accepted sets
     cases = [
         (gen_erdos_renyi(80, 0.15, seed=5), 1,
          "536d1140964cf75c94c10ad2ec81a11da97ab8bdee074bed723bab36039c1366",
          "93865bfc72a5183466e008a23cc7fe1ab238d49de7c905e94ca94d0106de8ca5"),
         (gen_erdos_renyi(80, 0.15, seed=5), 2,
-         "adf0a2428fa058e0b3d7bb73c8b957eabb3e6d59eac395cb7139d8033bb0dc25",
-         "b484f18260acee1cf57c850f22246a6d34d3825a8d8d35952c412a9dc13d68c0"),
+         "a25be3c46fedc58938282e469e2538e2016214e920f647df84fe08e0385fe54a",
+         "a8e064328d03b8a91662d7193761364a7a2b1bb711812346aa628697de41f8e7"),
         (gen_erdos_renyi(80, 0.15, seed=5), 3,
-         "18ed56cf43718e88c83b41d6a360c57807fbcd2c83b8a14e3c9a52de93ed1bcf",
-         "f62cc56422d31c2f9a611b6d78cc83bb9f30e60156d7bc7a8572fc2692ba22a1"),
+         "105478f04b19565b4d1e52067584e44c5135cdc5e1f2455d265542aee7b6c592",
+         "6354702b2cb6470c0d7d1d3a3f2ec5d741933ba118c6ce7771fc2afa7fbe3085"),
         (gen_erdos_renyi(300, 0.05, seed=1000), 2,
-         "4201b36dc2171e8e2d38ead392f9c221ce51d5090a3c27778f703b91da8e70d1",
-         "550c0bfb190cdf008497f63e273ed15be1d9b557cf0287e42a7f8dec40395c7b"),
+         "824afbe3a3d4cf4648f6103f2688b869a13f2d6852a177732d676068b33c5a3d",
+         "749671aee2a728ff206e41495fdf3e225d5cd67957e4f25c9b1b44937758990c"),
     ]
     for g, k, stream_digest, counts_digest in cases:
         rep = extract_maximal_2k(g, k)
