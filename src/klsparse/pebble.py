@@ -38,9 +38,15 @@ i(B + w) >= k|B| - l + k = k|B + w| - l, for every 0 <= l <= 2k.  After
 each accepted edge whose endpoints have different owner blocks the loop
 counts the edge for each endpoint against the other's block, and at the
 k-th edge :meth:`ComponentSet.grow` adds the node, so its later edges into
-the block are covered instead of searched.  A count restarts when a node's
-edges switch blocks and block ids are never reused, so it can fall short
-but never over.
+the block are covered instead of searched.  A record credits the edges
+already there: each node it adds to a block, new or moved in by a merge,
+has its accepted edges walked, and every endpoint outside the block counts
+toward it in the same tallies, joining at its k-th; the nodes such a join
+adds are walked in turn.  A node enters a given block id once and ids are
+never reused, so each (accepted edge, block) pair counts at most once, and
+a count that restarts when a node's edges switch blocks can fall short but
+never over.  A node that joins at its k-th counted edge is not walked, so
+the edges it held before it joined still go uncounted.
 
 The order comes from a :class:`Strategy`, the protocol the engine loop
 drives: next edge, preferred arc head, verdict callback.  Its one cursor
@@ -53,6 +59,7 @@ from __future__ import annotations
 
 import enum
 import operator
+from collections.abc import Collection
 from dataclasses import dataclass, field
 from itertools import compress
 
@@ -239,7 +246,10 @@ class ComponentSet:
     target block by one more, and spends per-node Python work only on
     nodes that change block, lie in several blocks or lie in none.  A
     :meth:`grow` by one node runs the same union check from the grown
-    block, or none when the node lies in no block.
+    block, or none when the node lies in no block.  Both return the block
+    the nodes joined and the nodes it gained, or None when it gained none:
+    the engine credits those nodes' accepted edges
+    (:meth:`PebbleEngine._credit`).
     """
 
     def __init__(self, n: int, params: SparsityParams) -> None:
@@ -267,31 +277,42 @@ class ComponentSet:
         ids = extra.get(u, set()) | {c}
         return d in ids or not ids.isdisjoint(extra.get(v, ()))
 
-    def record(self, nodes) -> None:
-        """Merge a tight node set into the records (singletons ignored)."""
+    def record(self, nodes) -> tuple[int, set[int]] | None:
+        """Merge a tight node set into the records (singletons ignored).
+
+        Returns :meth:`_merge`'s ``(block id, nodes added)``, or None when
+        no node joined a block."""
         pending = set(nodes)
         if len(pending) >= 2:
-            self._merge(pending, -1, set())
+            return self._merge(pending, -1, set())
+        return None
 
-    def grow(self, c: int, w: int) -> None:
+    def grow(self, c: int, w: int) -> tuple[int, Collection[int]] | None:
         """Add node ``w`` to block ``c``, which stays tight with it once
         ``w`` has k accepted edges into ``c`` (the module docstring's growth
-        rule).  Returns at once when ``c`` is no longer a block id or
-        already holds ``w``; a ``w`` in no block joins in O(1), any other
-        runs :meth:`record`'s union check from the grown block."""
+        rule).  Returns None at once when ``c`` is no longer a block id or
+        already holds ``w``.  A ``w`` in no block joins in O(1) and returns
+        ``(c, (w,))``, a tuple, which costs the engine's frequent calls less
+        than a set; any other runs :meth:`record`'s union check from the
+        grown block and returns as :meth:`record` does."""
         members = self._block_nodes.get(c)
         if members is None or w in members:
-            return
+            return None
         if self._owner[w] < 0:
             self._owner[w] = c
             members.add(w)
-        else:
-            self._merge({w}, c, members)
+            return c, (w,)
+        return self._merge({w}, c, members)
 
-    def _merge(self, pending: set[int], target: int, members: set[int]) -> None:
+    def _merge(self, pending: set[int], target: int,
+               members: set[int]) -> tuple[int, set[int]] | None:
         """Join the ``pending`` nodes to block ``target`` (-1: a new block)
         with node set ``members``, merging every block that the grown block
-        meets in the union threshold, until none does."""
+        meets in the union threshold, until none does.
+
+        Returns the id of the block the nodes joined and the nodes that
+        block did not hold before, those moved in from merged blocks
+        included; None when there are none."""
         owner = self._owner
         extra = self._extra
         block_nodes = self._block_nodes
@@ -341,6 +362,8 @@ class ComponentSet:
                 # every block met joined and no node moved: the rest of
                 # pending lies in no block, so the fixpoint is reached
                 break
+        if not pending:
+            return None
         if target < 0:
             target = self._next_id
             self._next_id += 1
@@ -351,6 +374,7 @@ class ComponentSet:
                 owner[x] = target
             else:
                 extra.setdefault(x, set()).add(target)
+        return target, pending
 
     def _forget(self, c: int, nodes: set[int]) -> None:
         """Drop block id ``c`` from the ids of each of its ``nodes``."""
@@ -474,6 +498,10 @@ class PebbleEngine:
         # SparsityParams.ceiling
         self._pair_ceiling = params.ceiling(0, 1)
         self._loop_ceiling = params.ceiling(0, 0)
+        # per node w: the block its latest counted accepted edges enter, and
+        # how many they are (run and _credit count; see _credit)
+        self._tally_block = [-1] * graph.n
+        self._tally = [0] * graph.n
 
     def try_accept(self, e: int, preferred_head: int | None = None) -> int:
         """Process edge ``e``: drain its endpoints below the ceiling of
@@ -488,7 +516,8 @@ class PebbleEngine:
         Returns the path reversals performed, r >= 0, when ``e`` is
         accepted and -1 - r when it is rejected.  The caller checks block
         coverage first; a failed drain records the maximal block through
-        the endpoints.
+        the endpoints and credits the accepted edges of the nodes the
+        record adds (:meth:`_credit`).
         Reversals performed before a rejection are kept; they only reorient
         the same accepted set.  ``preferred_head`` is honoured if its
         indegree allows, otherwise the other endpoint takes the arc.  The
@@ -509,7 +538,7 @@ class PebbleEngine:
         else:
             reversals = digraph.drain(u, v, ceiling)
             if reversals < 0:
-                self.blocks.record(digraph.maximal_block(u, v))
+                self._credit(self.blocks.record(digraph.maximal_block(u, v)))
                 return reversals
         if preferred_head is not None and indeg[preferred_head] < digraph.k:
             head = preferred_head
@@ -542,6 +571,54 @@ class PebbleEngine:
                     return True
         return False
 
+    def _credit(self, joined: tuple[int, Collection[int]] | None) -> None:
+        """Count the accepted edges that nodes joining a block already hold.
+
+        ``joined`` is a ``(block id, nodes added)`` pair as
+        :meth:`ComponentSet.record` and :meth:`ComponentSet.grow` return
+        it, or None.  Each accepted edge xy of an added node x, with y
+        outside the block, counts for y toward the block in the tallies of
+        :meth:`run`, and y joins by :meth:`ComponentSet.grow` at its k-th
+        counted edge; the nodes grow adds are credited in turn, from a work
+        list.  Sound because a node enters a given block id once and ids
+        are never reused: an edge accepted before x joined counts here, one
+        accepted after in :meth:`run`, so each (accepted edge, block) pair
+        counts at most once, and a tally that restarts only under-counts.
+        """
+        if joined is None:
+            return
+        blocks = self.blocks
+        block_nodes = blocks._block_nodes
+        grow = blocks.grow
+        digraph = self.digraph
+        inc, arc_tail, arc_head = digraph.inc, digraph.arc_tail, digraph.arc_head
+        tally_block, tally = self._tally_block, self._tally
+        k = digraph.k
+        work = [joined]
+        while work:
+            c, added = work.pop()
+            members = block_nodes.get(c)
+            if members is None:
+                # merged into another block since: its nodes were credited
+                # toward that one
+                continue
+            for x in added:
+                for a in inc[x]:
+                    y = arc_tail[a] + arc_head[a] - x
+                    if y in members:
+                        continue
+                    t = tally[y] + 1 if tally_block[y] == c else 1
+                    tally_block[y] = c
+                    tally[y] = t
+                    if t == k:
+                        grown = grow(c, y)
+                        if grown is not None:
+                            work.append(grown)
+                if c not in block_nodes:
+                    # c merged into a larger block: the rest of its nodes
+                    # moved with it and are credited toward that block
+                    break
+
     def preaccept(self, e: int, tail: int, head: int) -> None:
         """Record ``e`` as accepted with a caller-supplied orientation.
 
@@ -563,7 +640,8 @@ class PebbleEngine:
         edge inside a recorded block is rejected with no further call, any
         other goes through :meth:`try_accept`.  An accepted edge from a
         block to a node outside it counts toward that node joining the
-        block, by :meth:`ComponentSet.grow` at its k-th such edge.
+        block, by :meth:`ComponentSet.grow` at its k-th such edge, in the
+        tallies :meth:`_credit` also counts in when a record adds nodes.
 
         Once the digraph holds max(k*n - l, 0) arcs no further edge can be
         accepted, so the run stops there (the l = 2k configuration stops
@@ -600,11 +678,10 @@ class PebbleEngine:
         grow = blocks.grow
         owner = blocks._owner
         k = self.params.k
-        # per node w: the block its latest counted accepted edges enter, and
-        # how many they are; block ids are never reused, so a stale entry
-        # only under-counts
-        tally_block = [-1] * self.graph.n
-        tally = [0] * self.graph.n
+        # block ids are never reused, so a stale tally entry only
+        # under-counts
+        tally_block = self._tally_block
+        tally = self._tally
         try_accept = self.try_accept
         next_edge = strategy.next_edge
         orient = strategy.orient

@@ -20,46 +20,57 @@ searches stop at them and a neighbour among them is skipped.  The arc
 points at the larger endpoint id.  One pass over the edges yields an
 inclusion-wise maximal (k,2k)-sparse subgraph.
 
-Most edges need neither zeroing nor probes.  The degree certificate (the
-count behind Henneberg's type-1 move, Lee & Streinu 2008, with one more
-test at l = 2k): let e = wx and A the accepted set.  If w has fewer than
-k edges in A, and no node y has more than k - 1 edges of A to {w, x},
-then A + e is (k,2k)-sparse.  Take X with w and x in it, |X| >= 3, and
-X' = X - w; w's edges inside X number at most k once e is added.  For
-|X'| >= 3, i(X) <= (k|X'| - 2k) + k = k|X| - 2k.  For X' = {x, y},
-i(X) = 1 + [wy in A] + [xy in A] <= 1 + (k - 1) = k|X| - 2k.  The second
-test is void for k >= 3, since y has at most two edges to {w, x}.  At
-k = 2 it asks that w and x have no common neighbour in A: w's one edge to
-y and an accepted xy would close a triangle of 3 > 3k - 2k edges.  At
-k = 1 it asks that x hold no edge.  The engine checks the certificate
-before zeroing; when it holds, the arc goes in at once, with 0 reversals,
-and is counted in ``certified_accepts``.  Its head is v, the larger id,
-when indeg(v) < k, and otherwise w, whose indegree is at most its k - 1
-edges.
+Most edges need neither zeroing nor probes.  The triangle rule: let
+e = uv and A the accepted set.  If some node y has k edges of A to
+{u, v}, then {u, v, y} holds k = 3k - 2k edges of A, which makes it
+tight, and A + e would put k + 1 on it, so e is rejected with no zeroing
+and {u, v, y} is recorded as a block.  Such a y exists only for k <= 2,
+since y has at most two edges to {u, v} in a simple graph.  At k = 2 it
+is a common neighbour of u and v in A.  At k = 1 it is the other end of
+any edge of A at u or v (an accepted set at (1,2) is a matching).
+
+The degree certificate (the count behind Henneberg's type-1 move, Lee &
+Streinu 2008, with one more test at l = 2k): let e = wx.  If w has fewer
+than k edges in A, and no node y has more than k - 1 edges of A to
+{w, x}, then A + e is (k,2k)-sparse.  Take X with w and x in it,
+|X| >= 3, and X' = X - w; w's edges inside X number at most k once e is
+added.  For |X'| >= 3, i(X) <= (k|X'| - 2k) + k = k|X| - 2k.  For
+X' = {x, y}, i(X) = 1 + [wy in A] + [xy in A] <= 1 + (k - 1) = k|X| - 2k.
+The second test is exactly the failure of the triangle rule, so the
+engine runs that rule first and the certificate after it only asks for
+an endpoint with fewer than k edges of A.  At k = 1 every edge is then
+decided by one of the two: with no edge of A at u or v, both endpoints
+hold none.  When the certificate holds, the arc goes in at once, with 0
+reversals, and is counted in ``certified_accepts``.  Its head is v, the
+larger id, when indeg(v) < k, and otherwise w, whose indegree is at most
+its k - 1 edges.
 
 The pass is a configuration of :class:`~klsparse.pebble.PebbleEngine`:
-:class:`TwoKEngine` supplies the test above as its ``try_accept`` and
+:class:`TwoKEngine` supplies the tests above as its ``try_accept`` and
 runs the shared loop, which writes the verdicts, over the order it is
 given: storage order (a ``_FixedOrder`` of all edge ids) in
 :func:`extract_maximal_2k`.  It has no early stop: the loop's stop value
 is m arcs, so every edge is examined.  Its ``_certified`` overrides the
 l < 2k certificate of :meth:`~klsparse.pebble.PebbleEngine.try_accept`
-with the one above, whose extra test the triangle needs.
+with the endpoint test alone: loops and a second uv edge, which that one
+excludes, do not occur in a simple graph.
 
 A failed probe exposes a tight block: the closure of w is saturated off
 the endpoints and entered by no arc from outside, so with u and v it
 induces k|X| - 2k accepted edges on |X| >= 3 nodes.  The engine records
-each one in the block store shared with
+each one, and each triangle, in the block store shared with
 :class:`~klsparse.pebble.PebbleEngine` and rejects a later edge inside a
-recorded block with no zeroing and no search.  The shared loop also grows
-the blocks on acceptance: a node with k accepted edges into a tight block
-B joins it, since i(B + w) >= k|B| - 2k + k = k|B + w| - 2k.  It joins by
-:meth:`~klsparse.pebble.ComponentSet.grow`, not by a record of w and its
-k neighbours, which at k = 2 would be a set of three nodes meeting B in
-only two, below the l = 2k union threshold of three.
+recorded block with no zeroing and no search.  The blocks grow as in the
+shared loop: a node with k accepted edges into a tight block B joins it,
+since i(B + w) >= k|B| - 2k + k = k|B + w| - 2k.  Those edges count from
+when the block exists, and at a record the edges its new nodes already
+hold count too (:meth:`~klsparse.pebble.PebbleEngine._credit`).  A node
+joins by :meth:`~klsparse.pebble.ComponentSet.grow`, not by a record of
+w and its k neighbours, which at k = 2 would be a set of three nodes
+meeting B in only two, below the l = 2k union threshold of three.
 
-Cost per examined edge: the certificate, O(1) but for one scan of the
-shorter incidence list of x and y at k = 2; when it fails, at most 2k
+Cost per examined edge: the triangle rule and the certificate, O(1) but
+for one scan of the incidence lists of u and v at k = 2; then at most 2k
 zeroing searches, plus at most one probe per saturated out-neighbour of
 u or v.  Every search stops at the first deficient node it meets and
 visits at most n nodes over at most kn arcs, O(n + kn) in the worst
@@ -145,7 +156,7 @@ class TwoKEngine(PebbleEngine):
     """One-pass maximality engine for l = 2k on a simple graph: the
     :class:`~klsparse.pebble.PebbleEngine` loop and records with its own
     :meth:`try_accept` and no early stop, with the tight blocks exposed by
-    failed probes in ``blocks``."""
+    triangles and failed probes in ``blocks``."""
 
     augmenting = False
 
@@ -159,18 +170,29 @@ class TwoKEngine(PebbleEngine):
         self._stop = graph.m
 
     def try_accept(self, e: int, preferred_head: int | None = None) -> int:
-        """Accept ``e`` at once if :meth:`_certified` holds; otherwise zero
-        both endpoints and insert its arc if insertable.
+        """Reject ``e`` at once if a node closes a full triangle with it
+        (:meth:`_apex`), accept it at once if the degree certificate
+        holds; otherwise zero both endpoints and insert its arc if
+        insertable.
 
         Returns the zeroing reversals r >= 0 when ``e`` is accepted (0 for
-        a certified edge) and -1 - r when it is rejected, after recording
-        the failed probe's closure plus {u, v} as a block.  The arc points
-        at the larger endpoint id, except on a certified edge whose larger
-        endpoint is at indegree k: the certified endpoint, the smaller,
-        then takes it.  ``preferred_head`` is ignored.
+        a certified edge) and -1 - r when it is rejected (-1 for a
+        triangle), after recording the triangle, or the failed probe's
+        closure plus {u, v}, as a block and crediting its new nodes'
+        accepted edges (:meth:`~klsparse.pebble.PebbleEngine._credit`).
+        The arc points at the larger endpoint id, except on a certified
+        edge whose larger endpoint is at indegree k: the certified
+        endpoint, the smaller, then takes it.  ``preferred_head`` is
+        ignored.
         """
         u, v = self.graph.edge_u[e], self.graph.edge_v[e]
         digraph = self.digraph
+        y = self._apex(u, v)
+        if y >= 0:
+            # {u, v, y} holds k accepted edges, 3k - 2k: tight and full
+            self._credit(self.blocks.record((u, v, y)))
+            return -1
+        # with no apex the certificate's second test holds (module docstring)
         if self._certified(u, v):
             digraph.counters.certified_accepts += 1
             # v at indegree k cannot be the certified endpoint, so u is,
@@ -184,47 +206,46 @@ class TwoKEngine(PebbleEngine):
             digraph.insert_arc(u, v)
             return reversals
         # the failed probe's closure, tight once u and v join it
-        self.blocks.record(digraph.last_closure + [u, v])
+        self._credit(self.blocks.record(digraph.last_closure + [u, v]))
         return -1 - reversals
 
-    def _certified(self, u: int, v: int) -> bool:
-        """The l = 2k degree certificate for the edge uv (module
-        docstring): an endpoint w with fewer than k accepted edges, and no
-        node with more than k - 1 accepted edges to {u, v}.  The second
-        test is void for k >= 3; at k = 2 it asks that w's one neighbour,
-        if any, not be adjacent to the other endpoint x, and at k = 1 that
-        x hold no edge."""
+    def _apex(self, u: int, v: int) -> int:
+        """A node with k accepted edges to {u, v}, or -1 (module
+        docstring's triangle rule).  None exists for k >= 3; at k = 1 it
+        is the other end of any accepted edge at u or v, at k = 2 a common
+        neighbour, found by one scan of each incidence list."""
         digraph = self.digraph
-        inc = digraph.inc
         k = digraph.k
-        for w, x in ((u, v), (v, u)):
-            arcs = inc[w]
-            if len(arcs) >= k:
-                continue
-            if k >= 3:
-                return True
-            if k == 2:
-                if not arcs:
-                    return True
-                a = arcs[0]
-                y = digraph.arc_tail[a] + digraph.arc_head[a] - w
-                if not self._adjacent(x, y):
-                    return True
-            elif not inc[x]:
-                return True
-        return False
+        if k >= 3:
+            return -1
+        inc, arc_tail, arc_head = digraph.inc, digraph.arc_tail, digraph.arc_head
+        arcs_u, arcs_v = inc[u], inc[v]
+        if k == 1:
+            if arcs_u:
+                a = arcs_u[0]
+                return arc_tail[a] + arc_head[a] - u
+            if arcs_v:
+                a = arcs_v[0]
+                return arc_tail[a] + arc_head[a] - v
+            return -1
+        if not arcs_u or not arcs_v:
+            return -1
+        if len(arcs_v) < len(arcs_u):
+            u, v, arcs_u, arcs_v = v, u, arcs_v, arcs_u
+        neighbours = {arc_tail[a] + arc_head[a] - u for a in arcs_u}
+        for a in arcs_v:
+            y = arc_tail[a] + arc_head[a] - v
+            if y in neighbours:
+                return y
+        return -1
 
-    def _adjacent(self, x: int, y: int) -> bool:
-        """Whether x and y share an accepted edge; scans the shorter of
-        their incidence lists."""
-        digraph = self.digraph
-        arc_tail, arc_head, inc = digraph.arc_tail, digraph.arc_head, digraph.inc
-        if len(inc[y]) < len(inc[x]):
-            x, y = y, x
-        for a in inc[x]:
-            if arc_tail[a] + arc_head[a] - x == y:
-                return True
-        return False
+    def _certified(self, u: int, v: int) -> bool:
+        """The degree certificate for uv once :meth:`_apex` found no node
+        with k accepted edges to {u, v}: an endpoint with fewer than k
+        accepted edges (module docstring)."""
+        inc = self.digraph.inc
+        k = self.digraph.k
+        return len(inc[u]) < k or len(inc[v]) < k
 
 
 def _raise_first_non_simple_edge(graph: Multigraph) -> None:

@@ -66,7 +66,7 @@ def _spy_on_record(engine) -> list:
 
     def spy(nodes):
         recorded.append(nodes)
-        record(nodes)
+        return record(nodes)
 
     engine.blocks.record = spy
     return recorded
@@ -118,7 +118,7 @@ def test_fixed_order_matches_naive_greedy():
         for k, l in ALL_PAIRS:
             p = SparsityParams(k, l)
             runs = [extract(g, p, make_strategy("Basic", g, p, seed=s))
-                    for s in range(4)]
+                    for s in range(30)]
             order = list(range(m))
             rng.shuffle(order)
             explicit = extract(g, p, order)
@@ -240,7 +240,7 @@ def test_local_probe_agrees_with_the_sweep(monkeypatch):
     monkeypatch.setattr(InnerDigraph, "_local_block", checked)
     monkeypatch.setattr(InnerDigraph, "saturated_closure", counted_closure)
     rng = random.Random(31)
-    graphs = [gen_rigid(60, seed=1), gen_rigid(40, seed=2),
+    graphs = [gen_rigid(60, seed=1), gen_rigid(40, seed=2), gen_rigid(50, seed=3),
               _random_multigraph(rng, 200, 700)]
     for g in graphs:
         for pair in ((2, 3), (2, 1), (1, 1), (3, 5)):
@@ -360,38 +360,56 @@ def test_maximal_2k_blocks_are_tight():
 
 
 def test_maximal_2k_block_is_the_failed_probe_closure():
-    # K4 at k = 1: edge (0,2) fails at the saturated neighbour 1 of node 0,
-    # whose closure is {1, 0}; edge (0,3) likewise, giving a second record.
-    # Edge (2,3) is then accepted with 2 in {0,1,2} and 3 in {0,1,3}: its
-    # one edge (k = 1) grows {0,1,2} by node 3, and the grown block meets
-    # {0,1,3} in three nodes, so the two merge into all of K4
+    # K4 at k = 1: edge (0,2) meets the accepted edge 0-1, so the triangle
+    # rule rejects it and records {0, 2, 1}; edge (0,3) likewise records
+    # {0, 3, 1}.  Edge (2,3) is then accepted with 2 in {0,1,2} and 3 in
+    # {0,1,3}: its one edge (k = 1) grows {0,1,2} by node 3, and the grown
+    # block meets {0,1,3} in three nodes, so the two merge into all of K4
     engine = TwoKEngine(Multigraph(4, list(combinations(range(4), 2))), 1)
     recorded = _spy_on_record(engine)
     engine.run(_FixedOrder(list(range(6))))
-    assert recorded == [[1, 0, 0, 2], [1, 0, 0, 3]]
+    assert recorded == [(0, 2, 1), (0, 3, 1)]
     assert engine.blocks.components() == [[0, 1, 2, 3]]
 
     rng = random.Random(83)
-    checked = smaller = 0
+    cases = []
     for _ in range(10):
         n = rng.randint(20, 80)
         g = gen_erdos_renyi(n, rng.uniform(0.05, 0.3), seed=rng.randrange(10**6))
-        for k in (1, 2, 3):
+        cases.append((g, (1, 2, 3)))
+    # the triangle rule rejects most edges of the small graphs with no
+    # probe; sparser, larger graphs keep failed probes coming at k = 2, 3
+    cases += [(gen_erdos_renyi(500, 8 / 500, seed=s), (2, 3)) for s in range(30)]
+    checked = smaller = triangles = 0
+    for g, ks in cases:
+        for k in ks:
             engine = TwoKEngine(g, k)
             digraph = engine.digraph
             recorded = _spy_on_record(engine)
             try_accept = engine.try_accept
 
-            def check(e, head=None, try_accept=try_accept, recorded=recorded):
-                nonlocal checked, smaller
+            def check(e, head=None, try_accept=try_accept, recorded=recorded,
+                      engine=engine):
+                nonlocal checked, smaller, triangles
                 before = len(recorded)
+                u, v = g.endpoints(e)
+                apex = engine._apex(u, v)
                 r = try_accept(e, head)
                 if r >= 0:
                     assert len(recorded) == before
                     return r
-                # one record per failed probe: its closure plus u and v
                 assert len(recorded) == before + 1
-                u, v = g.endpoints(e)
+                if apex >= 0:
+                    # a triangle: rejected with no zeroing, recorded as is
+                    assert r == -1 and recorded[-1] == (u, v, apex)
+                    # apex's accepted edges to {u, v}: k, so the three nodes
+                    # hold k = 3k - 2k (uv itself is not accepted)
+                    ends = [digraph.arc_tail[a] + digraph.arc_head[a] - apex
+                            for a in digraph.inc[apex]]
+                    assert ends.count(u) + ends.count(v) == k
+                    triangles += 1
+                    return r
+                # one record per failed probe: its closure plus u and v
                 closure = digraph.last_closure
                 assert recorded[-1] == closure + [u, v]
                 block = set(recorded[-1])
@@ -417,7 +435,7 @@ def test_maximal_2k_block_is_the_failed_probe_closure():
             engine.run(_FixedOrder(list(range(g.m))))
             _check_blocks(g, engine.params, engine.report, engine.blocks.components())
     # the closure of one neighbour is often smaller than the unreached set
-    assert checked > 1000 and smaller > 100
+    assert checked > 1000 and smaller > 100 and triangles > 100
 
 
 def test_maximal_2k_digests_pinned():

@@ -1,6 +1,7 @@
 """Tests for the l = 2k degree certificate: an edge wx accepted with no
 zeroing and no probe because w holds fewer than k accepted edges and no
-node holds more than k - 1 accepted edges to {w, x}."""
+node holds more than k - 1 accepted edges to {w, x}; and for the triangle
+rule, which rejects wx with no zeroing when some node holds k."""
 
 from __future__ import annotations
 
@@ -21,6 +22,9 @@ from conftest import random_simple_graph
 
 class _ZeroOnly(TwoKEngine):
     """The reference engine: every uncovered edge is zeroed and probed."""
+
+    def _apex(self, u: int, v: int) -> int:
+        return -1
 
     def _certified(self, u: int, v: int) -> bool:
         return False
@@ -60,10 +64,23 @@ def test_certificate_keeps_the_accepted_sets():
                 assert is_maximal_2k(g, rep.accepted, k)
 
 
+def _apex_spec(graph: Multigraph, accepted, k: int, u: int, v: int) -> set[int]:
+    """The nodes with k accepted edges to {u, v}, read off the edge ids."""
+    to_pair: dict[int, int] = {}
+    for e in accepted:
+        a, b = graph.edge_u[e], graph.edge_v[e]
+        for y, z in ((a, b), (b, a)):
+            if z in (u, v):
+                to_pair[y] = to_pair.get(y, 0) + 1
+    return {y for y, c in to_pair.items() if c >= k}
+
+
 def test_certificate_fires_exactly_on_its_condition(monkeypatch):
     calls = []
+    apexes = []
     zeroed = []
     certified = TwoKEngine._certified
+    apex = TwoKEngine._apex
     zero = sparse2k.zero_pair_indegrees
 
     def spy(self, u, v):
@@ -73,26 +90,42 @@ def test_certificate_fires_exactly_on_its_condition(monkeypatch):
         calls.append(fired)
         return fired
 
+    def apex_spy(self, u, v):
+        y = apex(self, u, v)
+        found = _apex_spec(self.graph, self.report.accepted, self.params.k, u, v)
+        assert y in found if found else y == -1, (u, v)
+        apexes.append(y >= 0)
+        return y
+
     def zero_spy(digraph, u, v):
         zeroed.append((u, v))
         return zero(digraph, u, v)
 
     monkeypatch.setattr(TwoKEngine, "_certified", spy)
+    monkeypatch.setattr(TwoKEngine, "_apex", apex_spy)
     monkeypatch.setattr(sparse2k, "zero_pair_indegrees", zero_spy)
     rng = random.Random(34)
     for _ in range(80):
         g = random_simple_graph(rng, max_n=14)
         for k in (1, 2, 3, 4):
-            start, zero_start = len(calls), len(zeroed)
+            start, apex_start, zero_start = len(calls), len(apexes), len(zeroed)
             rep = _run(TwoKEngine, g, k)
             fired = sum(calls[start:])
+            triangles = sum(apexes[apex_start:])
             assert rep.counters.certified_accepts == fired
-            # every uncovered edge runs the certificate once, and only the
-            # edges it fails on are zeroed
+            # every uncovered edge runs the triangle rule once, the edges
+            # it refuses run the certificate, and only the edges both
+            # refuse are zeroed: at k = 1, none
             uncovered = g.m - rep.reason_counts()[Reason.COVERED_BY_COMPONENT]
-            assert len(calls) - start == uncovered
-            assert len(zeroed) - zero_start == uncovered - fired
-    assert any(calls) and not all(calls)
+            assert len(apexes) - apex_start == uncovered
+            assert len(calls) - start == uncovered - triangles
+            assert len(zeroed) - zero_start == uncovered - triangles - fired
+            if k == 1:
+                assert len(zeroed) == zero_start
+            if k >= 3:
+                assert not triangles
+    assert any(calls) and not all(calls) and any(apexes)
+    assert len(zeroed) > 100
 
 
 def _steps(graph: Multigraph, k: int):
@@ -107,13 +140,38 @@ def _steps(graph: Multigraph, k: int):
     return engine, out
 
 
-def test_certificate_skips_the_k2_triangle():
+def _no_zeroing(digraph, u, v):
+    raise AssertionError(f"edge {u}-{v} was zeroed")
+
+
+def test_certificate_skips_the_k2_triangle(monkeypatch):
     # k = 2: 0-2 and 1-2 are certified; for 01 each endpoint's one edge
-    # goes to 2, a common neighbour, so the triangle's third edge is zeroed
-    # and probed, and rejected (3 edges > 3k - 2k)
-    _, steps = _steps(Multigraph(3, [(0, 2), (1, 2), (0, 1)]), 2)
-    assert steps[:2] == [(0, 1), (0, 1)]
-    assert steps[2][0] < 0 and steps[2][1] == 0
+    # goes to 2, a common neighbour, so the triangle rule rejects the
+    # third edge (3 edges > 3k - 2k) with no zeroing and records the
+    # triangle as a block
+    monkeypatch.setattr(sparse2k, "zero_pair_indegrees", _no_zeroing)
+    engine, steps = _steps(Multigraph(3, [(0, 2), (1, 2), (0, 1)]), 2)
+    assert steps == [(0, 1), (0, 1), (-1, 0)]
+    assert engine.blocks.components() == [[0, 1, 2]]
+
+
+def test_triangle_rule_rejects_between_two_full_endpoints(monkeypatch):
+    # k = 2: 0 and 1 hold two edges each, so the certificate cannot fire,
+    # and their common neighbour 4 closes the triangle {0, 1, 4}
+    monkeypatch.setattr(sparse2k, "zero_pair_indegrees", _no_zeroing)
+    edges = [(0, 2), (1, 3), (0, 4), (1, 4), (0, 1)]
+    engine, steps = _steps(Multigraph(5, edges), 2)
+    assert steps == [(0, 1)] * 4 + [(-1, 0)]
+    assert engine.blocks.components() == [[0, 1, 4]]
+
+
+def test_triangle_rule_rejects_the_k1_path(monkeypatch):
+    # k = 1: the path 0-1-2 puts 2 > 3k - 2k edges on three nodes, so its
+    # second edge is rejected with no zeroing, {1, 2, 0} recorded
+    monkeypatch.setattr(sparse2k, "zero_pair_indegrees", _no_zeroing)
+    engine, steps = _steps(Multigraph(3, [(0, 1), (1, 2)]), 1)
+    assert steps == [(0, 1), (-1, 0)]
+    assert engine.blocks.components() == [[0, 1, 2]]
 
 
 def test_certificate_fires_without_a_common_neighbour():
@@ -124,10 +182,9 @@ def test_certificate_fires_without_a_common_neighbour():
 
 def test_certificate_skips_k1_when_x_holds_an_edge():
     # k = 1: node 0 holds no edge, but 1 holds 1-2, and {0, 1, 2} may hold
-    # only one edge
+    # only one edge: the triangle rule rejects 0-1 first
     _, steps = _steps(Multigraph(3, [(1, 2), (0, 1)]), 1)
-    assert steps[0] == (0, 1)
-    assert steps[1][0] < 0 and steps[1][1] == 0
+    assert steps == [(0, 1), (-1, 0)]
 
 
 def test_certificate_needs_no_triangle_test_at_k3():

@@ -409,10 +409,12 @@ def test_decide_reversal_bound_is_internal_error(tmp_path, capsys, monkeypatch):
 
 def test_maximal_2k_zeroing_bound_is_internal_error(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(InnerDigraph, "_flip", lambda self, source, targets: None)
-    # the path 0-1-2: accepting 1-2 first zeroes node 1 by one reversal
-    path = tmp_path / "path.txt"
-    path.write_text("kl-graph 3 2\n0 1\n1 2\n")
-    argv = ["maximal-2k", "-k", "1", "--input", str(path)]
+    # k = 2, hubs 4 and 5 with two leaves each: the hub edge 4-5 meets two
+    # endpoints at indegree 2 with no common neighbour, so it is zeroed,
+    # by two reversals per hub
+    path = tmp_path / "hubs.txt"
+    path.write_text("kl-graph 6 5\n0 4\n1 4\n2 5\n3 5\n4 5\n")
+    argv = ["maximal-2k", "-k", "2", "--input", str(path)]
     assert main(argv) == EXIT_INTERNAL
     _internal_error_line(capsys, "ReversalBoundError")
 
@@ -476,7 +478,9 @@ def test_exit_code_follows_the_exception_class(
 # once failed drains recorded maximal blocks: it orders by live indegrees.
 # IncInDegMin's, NInDegMin's and NInDegMinComp's were taken again once the
 # degree certificate accepted edges with no search, which changes the
-# orientation their live-indegree keys read
+# orientation their live-indegree keys read.  NInDegMin's and
+# NInDegMinComp's were taken again once a record credited its new nodes'
+# accepted edges, for the same reason: fewer failed drains, fewer reversals
 _EXTRACT_STDOUT = {
     "Basic": "d09bc9c6cac40c7afc6db4b7a625c8838f3dbc85a2e435f5c135ea3a5584d18e",
     "DegMin": "970939dea7a6d3fd8b0f88360a795c0cb05a163c1be5709c2206282e82b808e5",
@@ -485,11 +489,11 @@ _EXTRACT_STDOUT = {
     "NBasic": "d6221ed64295134b35684c03d2c353ab3f2c457e780f5ad5837829e009bb5b8a",
     "NDegMin": "970939dea7a6d3fd8b0f88360a795c0cb05a163c1be5709c2206282e82b808e5",
     "NProcMin": "e57ddf02a232848f2d1b7ab19a94d403db0ae64940b8676c3d7a9a9d5a17375e",
-    "NInDegMin": "1cb54c221d39860703c95d731fec1f55542be816c606d77e266d5b4d8ffd1487",
+    "NInDegMin": "267008af24c8435241734a206707363f6fc57b64fa68ee9a8c9e1dd019b45f30",
     "NBasicComp": "d6221ed64295134b35684c03d2c353ab3f2c457e780f5ad5837829e009bb5b8a",
     "NDegMinComp": "970939dea7a6d3fd8b0f88360a795c0cb05a163c1be5709c2206282e82b808e5",
     "NProcMinComp": "e57ddf02a232848f2d1b7ab19a94d403db0ae64940b8676c3d7a9a9d5a17375e",
-    "NInDegMinComp": "0a095f0675161ab5ba5d89a71f23abee5712c9ee496ea6c23ff801a25000b41f",
+    "NInDegMinComp": "9519e02a861da62c410def607268bc8fe887989c7f3a24c243e749ac30f4c650",
     "PForestsBFS": "317b9a27ce17b523e620c34a590c4c307cc28f7b40516c72b433a7004bb68689",
     "PForestsDFS": "f76ef4db7e7bd7f926c9514c035b92e08a0624fe228ba757330423b401e7953f",
     "ForestsBFS": "317b9a27ce17b523e620c34a590c4c307cc28f7b40516c72b433a7004bb68689",

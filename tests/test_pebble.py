@@ -254,11 +254,14 @@ def test_report_shape():
 # covered and drops their searches; every accepted set stayed the same), and
 # once the degree certificate accepted edges with no search (fewer
 # reversals and visits; the indegree-keyed orders' sets moved).  At l = 0 the
-# certificate never replaces a search, so the (2,0) digests held
+# certificate never replaces a search, so the (2,0) digests held.  Cases
+# (2,3), (2,0) and (3,1) were taken again once a record credited the
+# accepted edges its new nodes already held (edges move from
+# indegree-blocked to covered; only the indegree-keyed orders' sets moved)
 _PINNED_STREAMS = {
     ((80, 0.3, 5), (2, 3)): (
-        "2aecf97ea0136010d29bcf8e0866fbd21b57aeac9ee126596885f841fdacee63",
-        "93538c8f502b3314e02187134c1d94920349b6a83af1a2682096a5074d68966d",
+        "2714cd08018b6cb4b10ea13c55afd4668d534df3853bcbac83de1a7c7ba9ee7e",
+        "96b942c7b25ae71454942141ed6f68ddb70b182957792a2c6cccba73900c846e",
     ),
     ((60, 0.4, 6), (1, 1)): (
         "3283e965892117e080fa80c11a9112116e2b86386dc79207493fa047e4d90935",
@@ -266,12 +269,12 @@ _PINNED_STREAMS = {
     ),
     # k > l: PForestsBFS/DFS seed pseudoforests here
     ((60, 0.4, 6), (2, 0)): (
-        "f3bd5f9dd2974e457938370d96e42afebd34f9fac9c1fa217487512bb37be1a3",
-        "47ef9197753350efd25e7afe565459be24e7ba3447593b862b3374e2fd9ac6c6",
+        "fdc61e612b53ad120e697220d7aea4d3d6a423b62ece9afaefe5bdcd6269e2a6",
+        "eaeeee4e1b7ac0dccbae855fea60ea7030025a12b4fffbb81f7c2e13bb75e28c",
     ),
     ((60, 0.4, 6), (3, 1)): (
-        "4dfc74fc683b999ea3c755ac3a7a98b0a9e4a31e017350f8326d4f89dc3484b0",
-        "8d891d8c98f3f115cdf51ee4ed153a2ef8961423c3ef06fee35bc082ec269b5d",
+        "fb6ede128179193be3f2a8b466a0834e01421625676ccf1bc9d660e019224d36",
+        "85caea5daa1665aed864caa857f51788cfdad442577bbd1b9bbb002a45f51fc7",
     ),
 }
 

@@ -164,8 +164,11 @@ def test_empty_and_tiny_graphs():
 
 def test_zeroing_bound_is_checked_without_assert(monkeypatch):
     monkeypatch.setattr(InnerDigraph, "_flip", lambda self, source, targets: None)
+    # hubs 4 and 5 at indegree k = 2 with no common neighbour: the hub
+    # edge is zeroed, and the first reversal that does not flip fails
+    hubs = Multigraph(6, [(0, 4), (1, 4), (2, 5), (3, 5), (4, 5)])
     with pytest.raises(ReversalBoundError):
-        extract_maximal_2k(Multigraph(3, [(0, 1), (1, 2)]), 1)
+        extract_maximal_2k(hubs, 2)
 
 
 def test_maximal_2k_stream_pinned():
@@ -175,20 +178,22 @@ def test_maximal_2k_stream_pinned():
     # last case is the maximal-2k-er benchmark's input 0 of seed 1); re-pinned
     # once blocks grew on acceptance, and again once the l = 2k degree
     # certificate skipped zeroing and probes (k = 1 kept both digests), each
-    # time with the same accepted sets
+    # time with the same accepted sets; and once more when the triangle
+    # rule rejected edges with no zeroing and records credited their new
+    # nodes' accepted edges (k = 1 now runs no search at all)
     cases = [
         (gen_erdos_renyi(80, 0.15, seed=5), 1,
-         "536d1140964cf75c94c10ad2ec81a11da97ab8bdee074bed723bab36039c1366",
-         "93865bfc72a5183466e008a23cc7fe1ab238d49de7c905e94ca94d0106de8ca5"),
+         "41911e82eef018fa117dd85fb7b549a7021230bb661b8ddee84b42712a16acf0",
+         "dee7b4744bf896bfe841c463546d7f4961b1b23b6905119766fde5a873cc9d65"),
         (gen_erdos_renyi(80, 0.15, seed=5), 2,
-         "a25be3c46fedc58938282e469e2538e2016214e920f647df84fe08e0385fe54a",
-         "a8e064328d03b8a91662d7193761364a7a2b1bb711812346aa628697de41f8e7"),
+         "28f19ed2ab4fa8b2aaea0e251b01a99ddbd064f70110fd6c9ee707be245a937b",
+         "c018f6d1e0efd45a36fcc511827c16565145f602a9a87af6bc935a977999928a"),
         (gen_erdos_renyi(80, 0.15, seed=5), 3,
-         "105478f04b19565b4d1e52067584e44c5135cdc5e1f2455d265542aee7b6c592",
-         "6354702b2cb6470c0d7d1d3a3f2ec5d741933ba118c6ce7771fc2afa7fbe3085"),
+         "425edcd4dd49d7a0f2877345295704de63bd093174b907b0059eb98ffc65647a",
+         "a2abea87c5a38c02eac768b834892439546b962e9b169bf983491b31dbe5d95b"),
         (gen_erdos_renyi(300, 0.05, seed=1000), 2,
-         "824afbe3a3d4cf4648f6103f2688b869a13f2d6852a177732d676068b33c5a3d",
-         "749671aee2a728ff206e41495fdf3e225d5cd67957e4f25c9b1b44937758990c"),
+         "99a60c43d8614a56cbf86a8a8eb7ee58ddea6de9701e9ef1c3711f921c6cc5bd",
+         "3546aca84afed247ca245313c8c6598d97167f84a8ed3d257b87df58b5822de2"),
     ]
     for g, k, stream_digest, counts_digest in cases:
         rep = extract_maximal_2k(g, k)

@@ -42,7 +42,7 @@ from klsparse import (  # noqa: E402
     molecular_transform,
 )
 
-ORDERS = ("Basic", "NInDegMin", "Transp", "TranspOne", "UnionNBasic")
+ORDERS = ("Basic", "NInDegMin", "Transp", "TranspOne", "UnionBasic", "UnionNBasic")
 
 # (input label, the graph as a function of the graph seed, (k, l))
 ROWS = [
