@@ -21,20 +21,21 @@ Four families:
 A strategy is a configuration of the :class:`~klsparse.pebble.Strategy`
 protocol, which lives next to the engine loop that drives it (and is
 re-exported here): which edge comes next and where its arc points.  Basic
-is the engine's one edge-sequence cursor, ``pebble._FixedOrder``, over a
-seeded permutation, plus a coin for the arc.  The node orders and the
-sweeps step through incidence lists with one resumable cursor,
-:func:`_take`.  The four keyed orders are a count source mixed into a
-queue cursor: the count is each node's processed edges (``ProcMin``) or
-its live indegree (``InDegMin``), and the cursor takes from a
-:class:`BucketQueue` the edge with the least endpoint-count sum (``Inc``)
-or the node with the least count (``N``).  ``restart`` begins an order
-afresh over the edges not yet flagged, so a two-phase strategy is its
-second-phase class with phase one as a ``start`` step, and a union-find
-phase one restarts that same order for each forest it scans.  One table,
-``_CATALOG``, maps each of the 21 names to its factory and its whole
-configuration, a node order's arc rule (toward the current node or away
-from it) and a two-phase name's structure builder included.  Ordering
+is the engine's one edge-sequence order, ``pebble._FixedOrder``, a C-level
+filter over a seeded permutation, plus a coin for the arc.  Every other
+order is a cursor, a ``next_edge`` that the default ``edges()`` polls: the
+node orders and the sweeps step through incidence lists with one resumable
+cursor, :func:`_take`.  The four keyed orders are a count source mixed
+into a queue cursor: the count is each node's processed edges
+(``ProcMin``) or its live indegree (``InDegMin``), and the cursor takes
+from a :class:`BucketQueue` the edge with the least endpoint-count sum
+(``Inc``) or the node with the least count (``N``).  ``restart`` begins an
+order afresh over the edges not yet flagged, so a two-phase strategy is
+its second-phase class with phase one as a ``start`` step, and a
+union-find phase one restarts that same order for each forest it scans.
+One table, ``_CATALOG``, maps each of the 21 names to its factory and its
+whole configuration, a node order's arc rule (toward the current node or
+away from it) and a two-phase name's structure builder included.  Ordering
 never changes the accepted cardinality (matroid regime); it only moves the
 traversal work around.  Every strategy is deterministic for a fixed seed,
 with seed 0 meaning exact storage order where a shuffle would otherwise
@@ -101,7 +102,7 @@ def _shuffled(items: list[int], seed: int, salt: str) -> list[int]:
 
 
 class BasicStrategy(pebble._FixedOrder):
-    """The sequence cursor over a random edge permutation (seed 0 =
+    """The sequence order over a random edge permutation (seed 0 =
     storage order), with a random arc orientation; the no-frills
     baseline."""
 
@@ -434,17 +435,18 @@ def _structure_union_scan(
     strategy: Strategy, used: bytearray
 ) -> list[tuple[int, int, int]]:
     """Grow one forest with a union-find pass over ``strategy``'s own
-    order, restarted over the unused edges.  Each edge it takes is marked
-    in ``used``, and the order hears every verdict before it yields the
-    next edge.  The scan grows forests only, so a configuration that asks
-    it for a pseudoforest fails on the ``take_extra`` keyword."""
+    order, restarted over the unused edges and read through ``edges()``,
+    as the engine reads it.  Each edge it takes is marked in ``used``, and
+    an order with an ``on_processed`` hook hears every verdict before it
+    yields the next edge.  The scan grows forests only, so a configuration
+    that asks it for a pseudoforest fails on the ``take_extra`` keyword."""
     g = strategy.graph
     parent = list(range(g.n))
     tree: list[int] = []
     seen = bytearray(used)
     strategy.restart(seen)
-    next_edge, on_processed = strategy.next_edge, strategy.on_processed
-    while (e := next_edge()) is not None:
+    on_processed = pebble._hook(strategy, "on_processed")
+    for e in strategy.edges():
         seen[e] = 1
         # the roots of both endpoints, halving the paths walked
         u, v = g.edge_u[e], g.edge_v[e]
@@ -457,7 +459,8 @@ def _structure_union_scan(
             parent[u] = v
             tree.append(e)
             used[e] = 1
-        on_processed(e, took)
+        if on_processed is not None:
+            on_processed(e, took)
         if took and len(tree) == g.n - 1:
             break  # one spanning tree: no further edge joins two trees
     return _orient_forest(g, tree)

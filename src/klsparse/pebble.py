@@ -49,19 +49,22 @@ never over.  A node that joins at its k-th counted edge is not walked, so
 the edges it held before it joined still go uncounted.
 
 The order comes from a :class:`Strategy`, the protocol the engine loop
-drives: next edge, preferred arc head, verdict callback.  Its one cursor
-over an edge sequence, ``_FixedOrder``, runs explicit orders, the weight
-order and the l = 2k storage order; the heuristic Basic is the same cursor
-over a seeded permutation (:mod:`klsparse.heuristics` holds the catalog).
+drives: ``edges()``, an iterator of unprocessed edge ids, and two optional
+hooks, a preferred arc head and a verdict callback, which the loop calls
+only when the strategy overrides them.  Its one order over an edge
+sequence, ``_FixedOrder``, filters the sequence by the processed flags in
+C; it runs explicit orders, the weight order and the l = 2k storage order,
+and the heuristic Basic is the same filter over a seeded permutation
+(:mod:`klsparse.heuristics` holds the catalog).
 """
 
 from __future__ import annotations
 
 import enum
 import operator
-from collections.abc import Collection
+from collections.abc import Collection, Iterator, Sequence
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import compress, filterfalse
 
 from .multigraph import Multigraph
 from .orientation import (
@@ -241,7 +244,9 @@ class ComponentSet:
     of its further blocks, which exist only for l > k, live in a dict of
     sets keyed by the few nodes that lie in two or more blocks.  A
     coverage query is then one comparison of owners, and intersects id
-    sets only at such a node.  A record counts its nodes in each block it
+    sets only at such a node; :meth:`PebbleEngine.run` makes the owner
+    comparison itself and calls :meth:`covers` only while ``_extra`` holds
+    a node.  A record counts its nodes in each block it
     meets by one set difference per block, drops the nodes already in its
     target block by one more, and spends per-node Python work only on
     nodes that change block, lie in several blocks or lie in none.  A
@@ -397,19 +402,23 @@ class ComponentSet:
 class Strategy:
     """The protocol :meth:`PebbleEngine.run` drives.
 
-    ``next_edge`` yields unprocessed edge ids (None when drained);
-    ``orient`` may name a preferred arc head for an accepted edge
-    (None defers to the engine's smaller-indegree rule);
-    ``on_processed`` receives the verdict for bookkeeping.
+    ``edges()`` is the order: an iterator of unprocessed edge ids.  By
+    default it polls ``next_edge``, a cursor that returns the next edge
+    id or None when drained, which every cursor strategy defines.  Two
+    hooks are optional: ``orient`` may name a preferred arc head for an
+    accepted edge (None defers to the engine's smaller-indegree rule), and
+    ``on_processed`` receives the verdict for bookkeeping.  The engine
+    calls a hook only when the strategy overrides this class's no-op, as
+    read when the run starts (:func:`_hook`).
     :func:`~klsparse.heuristics.make_strategy` sets ``name`` to the
     catalog name.
 
-    Contract: called until it returns None, ``next_edge`` yields every
-    edge not yet processed exactly once, and ``graph`` and ``params``,
-    where set, are the engine's.  The engine checks the second part
-    before the run, and during it refuses an edge yielded twice and an
-    order that ends early.  Once the engine stops at the tight size it
-    asks the strategy for nothing more.
+    Contract: read to its end, ``edges()`` yields every edge not yet
+    processed exactly once, reading the flags as they change, and
+    ``graph`` and ``params``, where set, are the engine's.  The engine
+    checks the second part before the run, and during it refuses an edge
+    yielded twice and an order that ends early.  Once the engine stops at
+    the tight size it pulls no further edge.
 
     ``start`` binds what the order reads from the engine (the indegree
     orders also bind its live indegrees), then begins the order over the
@@ -432,6 +441,9 @@ class Strategy:
     def restart(self, flags) -> None:
         self._processed = flags
 
+    def edges(self) -> Iterator[int]:
+        return iter(self.next_edge, None)
+
     def next_edge(self) -> int | None:
         raise NotImplementedError
 
@@ -442,30 +454,33 @@ class Strategy:
         pass
 
 
-class _FixedOrder(Strategy):
-    """The one cursor over an edge sequence: each edge of ``sequence``
-    not yet processed, in turn, with the default orientation rule.  It is
-    the weight order of :func:`extract_weighted`, the storage order of the
-    l = 2k pass and the explicit orders of :func:`extract`, and the
-    heuristic Basic is this cursor over a seeded permutation."""
+def _hook(strategy, name: str):
+    """``strategy``'s bound ``orient`` or ``on_processed``, or None when it
+    is :class:`Strategy`'s no-op.  Both sides are read at the call, so a
+    hook patched onto the class or the instance before then is called."""
+    fn = getattr(strategy, name)
+    return None if getattr(fn, "__func__", None) is getattr(Strategy, name) else fn
 
-    def __init__(self, sequence: list[int], graph=None, params=None, seed=0) -> None:
+
+class _FixedOrder(Strategy):
+    """The one order over an edge sequence: each edge of ``sequence`` not
+    yet processed, in turn, with the default orientation rule.  ``restart``
+    makes it a ``filterfalse`` over the flags, which reads them live, so
+    the order runs at C speed.  It is the weight order of
+    :func:`extract_weighted`, the storage order of the l = 2k pass and the
+    explicit orders of :func:`extract`, and the heuristic Basic is this
+    order over a seeded permutation."""
+
+    def __init__(self, sequence: Sequence[int], graph=None, params=None, seed=0) -> None:
         super().__init__(graph, params, seed)
         self._sequence = sequence
 
     def restart(self, flags) -> None:
         super().restart(flags)
-        self._pos = 0
+        self._edges = filterfalse(flags.__getitem__, self._sequence)
 
-    def next_edge(self) -> int | None:
-        seq = self._sequence
-        processed = self._processed
-        while self._pos < len(seq):
-            e = seq[self._pos]
-            self._pos += 1
-            if not processed[e]:
-                return e
-        return None
+    def edges(self) -> Iterator[int]:
+        return self._edges
 
 
 class PebbleEngine:
@@ -507,11 +522,13 @@ class PebbleEngine:
         """Process edge ``e``: drain its endpoints below the ceiling of
         :meth:`SparsityParams.ceiling`, inserting the arc on success.
 
-        A non-loop edge whose indegree sum reaches its ceiling skips the
-        drain when the degree certificate holds (module docstring): an
-        endpoint with fewer than k accepted edges, none a loop and none to
-        the other endpoint.  The edge is then accepted with 0 reversals, and
-        the arc rule below finds that endpoint, or another, below k.
+        The indegree sum is read once; below the ceiling the arc goes in
+        with no ``drain`` call.  A non-loop edge whose indegree sum reaches
+        its ceiling skips the drain when the degree certificate holds
+        (module docstring): an endpoint with fewer than k accepted edges,
+        none a loop and none to the other endpoint.  The edge is then
+        accepted with 0 reversals, and the arc rule below finds that
+        endpoint, or another, below k.
 
         Returns the path reversals performed, r >= 0, when ``e`` is
         accepted and -1 - r when it is rejected.  The caller checks block
@@ -532,7 +549,10 @@ class PebbleEngine:
             return -1
         digraph = self.digraph
         indeg = digraph.indeg
-        if u != v and indeg[u] + indeg[v] >= ceiling and self._certified(u, v):
+        if indeg[u] + indeg[v] < ceiling:
+            # below the ceiling already: drain would return 0 at once
+            reversals = 0
+        elif u != v and self._certified(u, v):
             digraph.counters.certified_accepts += 1
             reversals = 0
         else:
@@ -636,16 +656,20 @@ class PebbleEngine:
     def run(self, strategy) -> ExtractionReport:
         """Drive ``strategy``'s edge order through the engine.
 
-        Each edge's outcome goes straight into the report's records: an
-        edge inside a recorded block is rejected with no further call, any
-        other goes through :meth:`try_accept`.  An accepted edge from a
+        The one loop iterates ``strategy.edges()`` and calls the hooks
+        ``orient`` and ``on_processed`` only where the strategy overrides
+        them.  Each edge's outcome goes straight into the report's records:
+        an edge inside a recorded block is rejected with no further call,
+        any other goes through :meth:`try_accept`.  An accepted edge from a
         block to a node outside it counts toward that node joining the
         block, by :meth:`ComponentSet.grow` at its k-th such edge, in the
         tallies :meth:`_credit` also counts in when a record adds nodes.
 
         Once the digraph holds max(k*n - l, 0) arcs no further edge can be
-        accepted, so the run stops there (the l = 2k configuration stops
-        only at m arcs, so it examines every edge).  The counters count
+        accepted, so the run pulls no further edge (the l = 2k
+        configuration stops only at m arcs, so it examines every edge).
+        The stop is checked before the first pull and after each
+        acceptance.  The counters count
         the remaining edges as processed and set the early-termination
         flag; the report lists them last in ``order``, in id order.
 
@@ -677,38 +701,41 @@ class PebbleEngine:
         covers = blocks.covers
         grow = blocks.grow
         owner = blocks._owner
+        extra = blocks._extra
         k = self.params.k
         # block ids are never reused, so a stale tally entry only
         # under-counts
         tally_block = self._tally_block
         tally = self._tally
         try_accept = self.try_accept
-        next_edge = strategy.next_edge
-        orient = strategy.orient
-        on_processed = strategy.on_processed
-        while len(arcs) < stop:
-            e = next_edge()
-            if e is None:
-                break
+        orient = _hook(strategy, "orient")
+        on_processed = _hook(strategy, "on_processed")
+        # no edge is pulled at the stop value, which two-phase preaccepts
+        # can reach before the first
+        for e in strategy.edges() if len(arcs) < stop else ():
             if processed[e]:
                 raise StrategyContractError(
                     f"{_name(strategy)} yielded edge {e}, already processed"
                 )
             u = edge_u[e]
             v = edge_v[e]
-            head = orient(u, v)
+            head = None if orient is None else orient(u, v)
             processed[e] = True
             order.append(e)
-            if covers(u, v):
+            # ComponentSet.covers by one owner comparison; the full query
+            # only while some node lies in two blocks
+            c = owner[u]
+            if c >= 0 and (c == owner[v] or extra and covers(u, v)):
                 reasons[e] = _COVERED
-                on_processed(e, False)
+                if on_processed is not None:
+                    on_processed(e, False)
                 continue
             r = try_accept(e, head)
             ok = r >= 0
             if ok:
                 reasons[e] = _ACCEPTED
                 accepted.add(e)
-                c = owner[u]
+                # an acceptance records no block, so c is still u's owner
                 d = owner[v]
                 if c != d:
                     # an endpoint in a block: count the edge for the other
@@ -731,7 +758,10 @@ class PebbleEngine:
                 r = -1 - r
             if r:
                 reversals_of[e] = r
-            on_processed(e, ok)
+            if on_processed is not None:
+                on_processed(e, ok)
+            if ok and len(arcs) >= stop:
+                break
         rest = report.m - len(order)
         if rest > 0 and len(arcs) < stop:
             raise StrategyContractError(
@@ -772,7 +802,7 @@ def resolve_order(order, graph: Multigraph, params: SparsityParams, default: str
         from .heuristics import make_strategy
 
         return make_strategy(default, graph, params)
-    if hasattr(order, "next_edge"):
+    if hasattr(order, "edges"):
         return order
     m = graph.m
     seen = bytearray(m)

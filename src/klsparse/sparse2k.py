@@ -266,4 +266,4 @@ def _raise_first_non_simple_edge(graph: Multigraph) -> None:
 def extract_maximal_2k(graph: Multigraph, k: int) -> ExtractionReport:
     """Extract an inclusion-wise maximal (k,2k)-sparse subgraph of a
     simple graph, processing edges in storage order."""
-    return TwoKEngine(graph, k).run(_FixedOrder(list(range(graph.m))))
+    return TwoKEngine(graph, k).run(_FixedOrder(range(graph.m)))

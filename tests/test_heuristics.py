@@ -303,7 +303,7 @@ def _drain(strategy, flags, accepted) -> list[int]:
     it each edge's verdict by membership in ``accepted``."""
     strategy.restart(flags)
     drained = []
-    while (e := strategy.next_edge()) is not None:
+    for e in strategy.edges():
         flags[e] = 1
         drained.append(e)
         strategy.on_processed(e, e in accepted)

@@ -6,6 +6,7 @@ import gc
 import hashlib
 import re
 import weakref
+from itertools import takewhile
 
 import pytest
 
@@ -27,7 +28,8 @@ from klsparse import (
     make_strategy,
 )
 from klsparse.heuristics import BasicStrategy
-from klsparse.pebble import Strategy, _FixedOrder
+from klsparse.pebble import Strategy, _FixedOrder, resolve_order
+from klsparse.sparse2k import TwoKEngine
 from conftest import complete_graph, hub_pair
 
 
@@ -365,12 +367,27 @@ def _count_calls(monkeypatch, cls, attrs) -> dict[str, int]:
     return calls
 
 
+def _count_pulls(monkeypatch, cls, calls) -> None:
+    """Count in ``calls["edges"]`` each edge pulled from ``cls.edges()``."""
+    edges = cls.edges
+
+    def counted(self):
+        for e in edges(self):
+            calls["edges"] += 1
+            yield e
+
+    calls["edges"] = 0
+    monkeypatch.setattr(cls, "edges", counted)
+
+
 def test_run_stops_at_the_tight_size_and_defers_the_tail(monkeypatch):
-    calls = _count_calls(monkeypatch, BasicStrategy, ("next_edge", "on_processed"))
+    calls = _count_calls(monkeypatch, BasicStrategy, ("on_processed",))
+    _count_pulls(monkeypatch, BasicStrategy, calls)
     g = complete_graph(50)
     rep = extract(g, SparsityParams(1, 1))
-    # K_50 under (1,1) is tight after 49 edges: no strategy call past the cut
-    assert calls == {"next_edge": 49, "on_processed": 49}
+    # K_50 under (1,1) is tight after 49 edges: no edge is pulled past the
+    # cut
+    assert calls == {"edges": 49, "on_processed": 49}
     assert rep.counters.edges_processed == g.m == 1225
     assert rep.counters.early_termination_hit == 1
     assert rep.accepted_count == 49
@@ -383,7 +400,7 @@ def test_run_stops_at_the_tight_size_and_defers_the_tail(monkeypatch):
     assert rep.order is order
     rep.reason_counts()
     # listing them asks the strategy for nothing
-    assert calls == {"next_edge": 49, "on_processed": 49}
+    assert calls == {"edges": 49, "on_processed": 49}
 
 
 @pytest.mark.parametrize("first_read", ["order", "verdicts", "reason_counts"])
@@ -403,22 +420,22 @@ def test_each_reader_walks_the_deferred_tail(first_read):
 
 
 class _DropsLastEdge(BasicStrategy):
-    """Basic in storage order that never yields the last edge id."""
+    """Basic in storage order that ends before the last edge id."""
 
-    def next_edge(self):
-        e = super().next_edge()
-        return None if e == self.graph.m - 1 else e
+    def edges(self):
+        last = self.graph.m - 1
+        return takewhile(last.__ne__, super().edges())
 
 
 class _RepeatsAfterCut(BasicStrategy):
     """Basic in storage order that yields edge 0 again past the cut."""
 
-    def next_edge(self):
-        e = super().next_edge()
-        if e is not None and e == self.params.tight_size(self.graph.n):
-            self._pos -= 1
-            return 0
-        return e
+    def edges(self):
+        cut = self.params.tight_size(self.graph.n)
+        for e in super().edges():
+            if e == cut:
+                yield 0
+            yield e
 
 
 class _RepeatsBeforeCut(Strategy):
@@ -468,6 +485,63 @@ def test_tail_contract_is_checked_without_assert(stub):
         Reason.ACCEPTED: 49, Reason.INDEGREE_BLOCKED: 0,
         Reason.COVERED_BY_COMPONENT: 0, Reason.EARLY_TERMINATED: 1176,
     }
+    # read to its end, the stub's order does break the contract
+    full = stub(g, p)
+    full.restart([False] * g.m)
+    assert list(full.edges()) != list(range(g.m))
+
+
+def _log_pulls(strategy) -> list[list[int]]:
+    """Wrap ``strategy.edges`` so that each iterator it returns logs the
+    edges pulled from it; one list per call, the engine's call last."""
+    edges = strategy.edges
+    pulls: list[list[int]] = []
+
+    def logged():
+        pulled: list[int] = []
+        pulls.append(pulled)
+        for e in edges():
+            pulled.append(e)
+            yield e
+
+    strategy.edges = logged
+    return pulls
+
+
+@pytest.mark.parametrize("case", [*STRATEGY_NAMES, "explicit", "maximal-2k"])
+def test_engine_pulls_exactly_the_edges_it_examines(case):
+    # G(40, 0.3, seed 4) reaches the tight size under (2,3) in every order;
+    # the l = 2k pass has no cut and examines every edge
+    g = gen_erdos_renyi(40, 0.3, seed=4)
+    if case == "maximal-2k":
+        engine = TwoKEngine(g, 2)
+        strategy = _FixedOrder(range(g.m))
+    else:
+        p = SparsityParams(2, 3)
+        engine = PebbleEngine(g, p)
+        if case == "explicit":
+            strategy = resolve_order(range(g.m - 1, -1, -1), g, p, "Basic")
+        else:
+            strategy = make_strategy(case, g, p, seed=1)
+    pulls = _log_pulls(strategy)
+    preaccepted: list[int] = []
+    preaccept = engine.preaccept
+
+    def spy(e, tail, head):
+        preaccepted.append(e)
+        preaccept(e, tail, head)
+
+    engine.preaccept = spy
+    report = engine.run(strategy)
+    examined = list(report._order)
+    pre = len(preaccepted)
+    assert examined[:pre] == preaccepted
+    # every pulled edge was recorded as examined, and none past the cut
+    # was pulled
+    assert pulls[-1] == examined[pre:]
+    counts = report.reason_counts()
+    assert len(examined) == g.m - counts[Reason.EARLY_TERMINATED]
+    assert report.counters.early_termination_hit == (case != "maximal-2k")
 
 
 def test_strategy_for_another_graph_is_refused():
