@@ -20,19 +20,20 @@ Four families:
 
 A strategy is a configuration of the :class:`~klsparse.pebble.Strategy`
 protocol, which lives next to the engine loop that drives it (and is
-re-exported here): which edge comes next and where its arc points.  Basic
-is the engine's one edge-sequence order, ``pebble._FixedOrder``, a C-level
-filter over a seeded permutation, plus a coin for the arc.  Every other
-order is a cursor, a ``next_edge`` that the default ``edges()`` polls: the
-node orders and the sweeps step through incidence lists with one resumable
-cursor, :func:`_take`.  The four keyed orders are a count source mixed
-into a queue cursor: the count is each node's processed edges
-(``ProcMin``) or its live indegree (``InDegMin``), and the cursor takes
-from a :class:`BucketQueue` the edge with the least endpoint-count sum
-(``Inc``) or the node with the least count (``N``).  ``restart`` begins an
-order afresh over the edges not yet flagged, so a two-phase strategy is
-its second-phase class with phase one as a ``start`` step, and a
-union-find phase one restarts that same order for each forest it scans.
+re-exported here): which edge comes next and where its arc points.  Each
+order is its own ``edges(flags)`` iterator over the edges whose flag is
+clear, built afresh on each call.  Basic is the engine's one
+edge-sequence order, ``pebble._FixedOrder``, a C-level filter over a
+seeded permutation, plus a coin for the arc.  The node orders drain one
+node's incidence list at a time through the same filter, and the sweeps
+keep one read position per node on a ring of live nodes.  The four keyed
+orders are a count source mixed into a queue order: the count is each
+node's processed edges (``ProcMin``) or its live indegree (``InDegMin``),
+and the order pops from a :class:`BucketQueue` the edge with the least
+endpoint-count sum (``Inc``) or the node with the least count (``N``).  A
+two-phase strategy is its second-phase class with phase one as a
+``start`` step, and a union-find phase one reads that same order afresh,
+on flags of its own, for each forest it scans.
 One table, ``_CATALOG``, maps each of the 21 names to its factory and its
 whole configuration, a node order's arc rule (toward the current node or
 away from it) and a two-phase name's structure builder included.  Ordering
@@ -46,7 +47,9 @@ from __future__ import annotations
 
 import random
 from collections import deque
+from collections.abc import Iterator
 from functools import partial
+from itertools import compress, filterfalse
 
 from . import pebble
 from .multigraph import Multigraph
@@ -119,12 +122,12 @@ class BasicStrategy(pebble._FixedOrder):
 
 class _ProcCountStrategy(Strategy):
     """Count source: ``_count[v]`` is the number of processed edges at
-    node ``v`` (a loop counts once), made afresh by ``restart``."""
+    node ``v`` (a loop counts once), made afresh by each ``edges`` call."""
 
-    def restart(self, flags):
-        # bound before the queue cursor's restart builds its key on it
+    def edges(self, flags):
+        # bound before the queue order builds its key on it
         self._count = [0] * self.graph.n
-        super().restart(flags)
+        return super().edges(flags)
 
     def on_processed(self, edge, accepted):
         g = self.graph
@@ -144,21 +147,18 @@ class _InDegreeStrategy(Strategy):
 
 
 class _EdgeKeyStrategy(Strategy):
-    """Queue cursor over edges: next edge by minimum ``_count[u] +
-    _count[v]``, from a queue of all edges made in ``restart``; an edge
-    set in the restart flags is popped and passed over."""
+    """Queue order over edges: next edge by minimum ``_count[u] +
+    _count[v]``, popped from a queue of all edges; a flagged edge is popped
+    and passed over."""
 
-    def restart(self, flags):
-        super().restart(flags)
-        self._bq = BucketQueue(self.graph.m)
+    def edges(self, flags):
         count, edge_u, edge_v = self._count, self.graph.edge_u, self.graph.edge_v
-        self._key = lambda e: count[edge_u[e]] + count[edge_v[e]]
 
-    def next_edge(self):
-        pop, key, flags = self._bq.pop, self._key, self._processed
-        while (e := pop(key)) is not None and flags[e]:
-            pass
-        return e
+        def key(e):
+            return count[edge_u[e]] + count[edge_v[e]]
+
+        pops = iter(partial(BucketQueue(self.graph.m).pop, key), None)
+        return filterfalse(flags.__getitem__, pops)
 
 
 class IncProcMinStrategy(_ProcCountStrategy, _EdgeKeyStrategy):
@@ -175,54 +175,25 @@ class IncInDegMinStrategy(_InDegreeStrategy, _EdgeKeyStrategy):
     engine's default rule already orients toward the smaller indegree."""
 
 
-def _take(incidence: list[list[int]], ptr: list[int], flags, v: int) -> int | None:
-    """The incidence cursor: node ``v``'s next edge whose flag is clear,
-    from ``ptr[v]`` on, moving ``ptr[v]`` past it; None when the list is
-    drained.  Flagged edges are skipped for good, so each node's list is
-    walked once in total."""
-    inc = incidence[v]
-    i = ptr[v]
-    end = len(inc)
-    while i < end and flags[inc[i]]:
-        i += 1
-    if i < end:
-        ptr[v] = i + 1
-        return inc[i]
-    ptr[v] = i
-    return None
-
-
 class _NodeOrderStrategy(Strategy):
-    """Shared machinery: select a node, drain all its unprocessed incident
-    edges (in incidence order), move on.  Subclasses pick the node;
-    ``toward_current`` is the arc rule: point each accepted arc at the
-    current node, or away from it."""
+    """Shared machinery: take a node from ``_nodes()``, drain all its
+    unflagged incident edges (in incidence order), move on.  Each node is
+    current once.  Subclasses pick the nodes; ``toward_current`` is the
+    arc rule: point each accepted arc at the current node, or away from
+    it."""
 
     def __init__(self, graph, params, seed=0, *, toward_current):
         super().__init__(graph, params, seed)
         self._toward_current = toward_current
 
-    def restart(self, flags):
-        super().restart(flags)
-        self._ptr = [0] * self.graph.n
-        self._cur = None
-
-    def _select_node(self) -> int | None:
+    def _nodes(self) -> Iterator[int]:
         raise NotImplementedError
 
-    def next_edge(self):
-        incidence = self.graph.incidence
-        processed = self._processed
-        ptr = self._ptr
-        v = self._cur
-        while True:
-            if v is not None:
-                e = _take(incidence, ptr, processed, v)
-                if e is not None:
-                    return e
-            v = self._cur = self._select_node()
-            if v is None:
-                return None
+    def edges(self, flags):
+        incidence, skip = self.graph.incidence, flags.__getitem__
+        for v in self._nodes():
+            self._cur = v
+            yield from filterfalse(skip, incidence[v])
 
     def orient(self, u, v):
         c = self._cur
@@ -241,12 +212,8 @@ class NBasicStrategy(_NodeOrderStrategy):
     def _node_order(self) -> list[int]:
         return _shuffled(list(range(self.graph.n)), self.seed, "node-order")
 
-    def restart(self, flags):
-        super().restart(flags)
-        self._nodes = iter(self._perm)
-
-    def _select_node(self):
-        return next(self._nodes, None)
+    def _nodes(self):
+        return self._perm
 
 
 class NDegMinStrategy(NBasicStrategy):
@@ -262,15 +229,12 @@ class NDegMinStrategy(NBasicStrategy):
 
 
 class _NodeKeyStrategy(_NodeOrderStrategy):
-    """Queue cursor over nodes: next node by minimum ``_count``, from a
-    queue of all nodes made in ``restart``."""
+    """Queue order over nodes: next node by minimum ``_count``, popped
+    from a queue of all nodes."""
 
-    def restart(self, flags):
-        super().restart(flags)
-        self._bq = BucketQueue(self.graph.n)
-
-    def _select_node(self):
-        return self._bq.pop(self._count.__getitem__)
+    def _nodes(self):
+        pop = partial(BucketQueue(self.graph.n).pop, self._count.__getitem__)
+        return iter(pop, None)
 
 
 class NProcMinStrategy(_ProcCountStrategy, _NodeKeyStrategy):
@@ -284,48 +248,42 @@ class NInDegMinStrategy(_InDegreeStrategy, _NodeKeyStrategy):
 
 
 class TranspStrategy(Strategy):
-    """Cyclic node sweep taking one unprocessed edge per visited node;
-    arcs point toward the current node.
+    """Cyclic node sweep taking one unflagged edge per visited node; arcs
+    point toward the current node.
 
-    The sweep walks a ring of live nodes, a successor list in id order
-    made in ``restart`` over the nodes with incident edges.  A node is
-    unlinked when the incidence cursor first finds it drained: the flags
-    only grow within a restart, so it would yield nothing again, and the
-    ring visits the remaining nodes in the order the full cyclic scan
-    would.  Each node thus costs at most one failed probe per restart,
-    not one per edge."""
+    The sweep walks a ring of live nodes, a ``deque`` in id order of the
+    nodes with incident edges, whose front is the current node: it rotates
+    after each edge and pops a node when it first finds it drained.  The
+    flags only grow within one read, so a popped node would yield nothing
+    again, and the ring visits the remaining nodes in the order the full
+    cyclic scan would.  Each node keeps one int, how far its incidence list
+    has been read, so each list is walked once per read of the order and
+    each node costs at most one failed probe, not one per edge.
+    TranspOne's ``on_processed`` sets ``_stay`` to skip one rotation."""
 
-    def restart(self, flags):
-        super().restart(flags)
+    def edges(self, flags):
+        self._stay = False
         n, incidence = self.graph.n, self.graph.incidence
-        live = [v for v in range(n) if incidence[v]]
-        self._ptr = [0] * n
-        self._succ = succ = [0] * n
-        for v, w in zip(live, live[1:] + live[:1]):
-            succ[v] = w
-        # the node of the last edge taken, where the next scan starts
-        # after; None once the ring is empty
-        self._tail = live[-1] if live else None
-        self._pred = -1  # the ring node before the last edge's node
-
-    def next_edge(self):
-        p = self._tail
-        if p is None:
-            return None
-        incidence = self.graph.incidence
-        ptr, succ, flags = self._ptr, self._succ, self._processed
-        v = succ[p]
-        while (e := _take(incidence, ptr, flags, v)) is None:
-            if v == p:  # the last live node is drained
-                self._tail = None
-                return None
-            succ[p] = v = succ[v]
-        self._pred = p
-        self._tail = v
-        return e
+        ptr = [0] * n
+        self._ring = ring = deque(compress(range(n), incidence))
+        while ring:
+            v = ring[0]
+            inc = incidence[v]
+            i, end = ptr[v], len(inc)
+            while i < end and flags[inc[i]]:
+                i += 1
+            if i == end:
+                ring.popleft()
+                continue
+            ptr[v] = i + 1
+            yield inc[i]
+            if self._stay:
+                self._stay = False
+            else:
+                ring.rotate(-1)
 
     def orient(self, u, v):
-        return self._tail
+        return self._ring[0]
 
 
 class TranspOneStrategy(TranspStrategy):
@@ -335,7 +293,7 @@ class TranspOneStrategy(TranspStrategy):
 
     def on_processed(self, edge, accepted):
         if accepted:
-            self._tail = self._pred
+            self._stay = True
 
 
 def _orient_component_tree(
@@ -435,8 +393,8 @@ def _structure_union_scan(
     strategy: Strategy, used: bytearray
 ) -> list[tuple[int, int, int]]:
     """Grow one forest with a union-find pass over ``strategy``'s own
-    order, restarted over the unused edges and read through ``edges()``,
-    as the engine reads it.  Each edge it takes is marked in ``used``, and
+    order, read afresh through ``edges`` over the unused edges, as the
+    engine reads it.  Each edge it takes is marked in ``used``, and
     an order with an ``on_processed`` hook hears every verdict before it
     yields the next edge.  The scan grows forests only, so a configuration
     that asks it for a pseudoforest fails on the ``take_extra`` keyword."""
@@ -444,9 +402,8 @@ def _structure_union_scan(
     parent = list(range(g.n))
     tree: list[int] = []
     seen = bytearray(used)
-    strategy.restart(seen)
     on_processed = pebble._hook(strategy, "on_processed")
-    for e in strategy.edges():
+    for e in strategy.edges(seen):
         seen[e] = 1
         # the roots of both endpoints, halving the paths walked
         u, v = g.edge_u[e], g.edge_v[e]

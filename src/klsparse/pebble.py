@@ -48,13 +48,15 @@ a count that restarts when a node's edges switch blocks can fall short but
 never over.  A node that joins at its k-th counted edge is not walked, so
 the edges it held before it joined still go uncounted.
 
-The order comes from a :class:`Strategy`, the protocol the engine loop
-drives: ``edges()``, an iterator of unprocessed edge ids, and two optional
-hooks, a preferred arc head and a verdict callback, which the loop calls
-only when the strategy overrides them.  Its one order over an edge
-sequence, ``_FixedOrder``, filters the sequence by the processed flags in
-C; it runs explicit orders, the weight order and the l = 2k storage order,
-and the heuristic Basic is the same filter over a seeded permutation
+The order comes from a :class:`Strategy`, whose protocol is four methods:
+``start`` binds what the order reads from the engine, ``edges(flags)``
+iterates the edge ids whose flag is clear, reading the flags live, and two
+optional hooks give a preferred arc head and hear each verdict; the loop
+calls a hook only when the strategy overrides it.  The loop reads
+``edges(self.processed)``.  Its one order over an edge sequence,
+``_FixedOrder``, filters the sequence by the flags in C; it runs explicit
+orders, the weight order and the l = 2k storage order, and the heuristic
+Basic is the same filter over a seeded permutation
 (:mod:`klsparse.heuristics` holds the catalog).
 """
 
@@ -402,30 +404,30 @@ class ComponentSet:
 class Strategy:
     """The protocol :meth:`PebbleEngine.run` drives.
 
-    ``edges()`` is the order: an iterator of unprocessed edge ids.  By
-    default it polls ``next_edge``, a cursor that returns the next edge
-    id or None when drained, which every cursor strategy defines.  Two
-    hooks are optional: ``orient`` may name a preferred arc head for an
-    accepted edge (None defers to the engine's smaller-indegree rule), and
+    ``edges(flags)`` is the order: an iterator over the edge ids whose
+    flag in ``flags`` is clear.  It reads the flags live, as the engine
+    sets them, and builds all of its per-read state itself, so each call
+    begins the order afresh over the edges not yet flagged.  Two hooks are
+    optional: ``orient`` may name a preferred arc head for an accepted
+    edge (None defers to the engine's smaller-indegree rule), and
     ``on_processed`` receives the verdict for bookkeeping.  The engine
     calls a hook only when the strategy overrides this class's no-op, as
     read when the run starts (:func:`_hook`).
     :func:`~klsparse.heuristics.make_strategy` sets ``name`` to the
     catalog name.
 
-    Contract: read to its end, ``edges()`` yields every edge not yet
-    processed exactly once, reading the flags as they change, and
-    ``graph`` and ``params``, where set, are the engine's.  The engine
-    checks the second part before the run, and during it refuses an edge
-    yielded twice and an order that ends early.  Once the engine stops at
-    the tight size it pulls no further edge.
+    Contract: read to its end, ``edges(flags)`` yields every edge whose
+    flag is clear exactly once, and ``graph`` and ``params``, where set,
+    are the engine's.  The engine checks the second part before the run,
+    and during it refuses an edge yielded twice and an order that ends
+    early.  Once the engine stops at the tight size it pulls no further
+    edge.
 
-    ``start`` binds what the order reads from the engine (the indegree
-    orders also bind its live indegrees), then begins the order over the
-    engine's processed flags with ``restart``.  ``restart(flags)`` makes
-    all of a run's order state afresh, over the edges not set in
-    ``flags``; phase one's union scan restarts its second phase's order
-    this way, once per structure, on flags of its own.
+    ``start`` is a no-op that subclasses extend: it binds what the order
+    reads from the engine (the indegree orders bind its live indegrees)
+    before the run reads ``edges(engine.processed)``.  Phase one's union
+    scan reads its second phase's order through ``edges`` too, once per
+    structure, on flags of its own.
     """
 
     name = ""
@@ -436,15 +438,9 @@ class Strategy:
         self.seed = seed
 
     def start(self, engine: PebbleEngine) -> None:
-        self.restart(engine.processed)
+        pass
 
-    def restart(self, flags) -> None:
-        self._processed = flags
-
-    def edges(self) -> Iterator[int]:
-        return iter(self.next_edge, None)
-
-    def next_edge(self) -> int | None:
+    def edges(self, flags) -> Iterator[int]:
         raise NotImplementedError
 
     def orient(self, u: int, v: int) -> int | None:
@@ -463,10 +459,10 @@ def _hook(strategy, name: str):
 
 
 class _FixedOrder(Strategy):
-    """The one order over an edge sequence: each edge of ``sequence`` not
-    yet processed, in turn, with the default orientation rule.  ``restart``
-    makes it a ``filterfalse`` over the flags, which reads them live, so
-    the order runs at C speed.  It is the weight order of
+    """The one order over an edge sequence: each edge of ``sequence`` whose
+    flag is clear, in turn, with the default orientation rule.  ``edges``
+    is a ``filterfalse`` over the flags, which reads them live, so the
+    order runs at C speed.  It is the weight order of
     :func:`extract_weighted`, the storage order of the l = 2k pass and the
     explicit orders of :func:`extract`, and the heuristic Basic is this
     order over a seeded permutation."""
@@ -475,12 +471,8 @@ class _FixedOrder(Strategy):
         super().__init__(graph, params, seed)
         self._sequence = sequence
 
-    def restart(self, flags) -> None:
-        super().restart(flags)
-        self._edges = filterfalse(flags.__getitem__, self._sequence)
-
-    def edges(self) -> Iterator[int]:
-        return self._edges
+    def edges(self, flags) -> Iterator[int]:
+        return filterfalse(flags.__getitem__, self._sequence)
 
 
 class PebbleEngine:
@@ -656,14 +648,15 @@ class PebbleEngine:
     def run(self, strategy) -> ExtractionReport:
         """Drive ``strategy``'s edge order through the engine.
 
-        The one loop iterates ``strategy.edges()`` and calls the hooks
-        ``orient`` and ``on_processed`` only where the strategy overrides
-        them.  Each edge's outcome goes straight into the report's records:
-        an edge inside a recorded block is rejected with no further call,
-        any other goes through :meth:`try_accept`.  An accepted edge from a
-        block to a node outside it counts toward that node joining the
-        block, by :meth:`ComponentSet.grow` at its k-th such edge, in the
-        tallies :meth:`_credit` also counts in when a record adds nodes.
+        The one loop iterates ``strategy.edges(self.processed)`` and calls
+        the hooks ``orient`` and ``on_processed`` only where the strategy
+        overrides them.  Each edge's outcome goes straight into the
+        report's records: an edge inside a recorded block is rejected with
+        no further call, any other goes through :meth:`try_accept`.  An
+        accepted edge from a block to a node outside it counts toward that
+        node joining the block, by :meth:`ComponentSet.grow` at its k-th
+        such edge, in the tallies :meth:`_credit` also counts in when a
+        record adds nodes.
 
         Once the digraph holds max(k*n - l, 0) arcs no further edge can be
         accepted, so the run pulls no further edge (the l = 2k
@@ -712,7 +705,7 @@ class PebbleEngine:
         on_processed = _hook(strategy, "on_processed")
         # no edge is pulled at the stop value, which two-phase preaccepts
         # can reach before the first
-        for e in strategy.edges() if len(arcs) < stop else ():
+        for e in strategy.edges(processed) if len(arcs) < stop else ():
             if processed[e]:
                 raise StrategyContractError(
                     f"{_name(strategy)} yielded edge {e}, already processed"

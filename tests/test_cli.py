@@ -6,7 +6,7 @@ import hashlib
 import os
 import subprocess
 import sys
-from itertools import combinations
+from itertools import combinations, repeat
 
 import pytest
 
@@ -520,15 +520,13 @@ def test_extract_stdout_pinned_per_strategy(tmp_path, capsys, name):
 def test_strategy_contract_failure_is_internal_error(tmp_path, capsys, monkeypatch):
     from klsparse.heuristics import TranspStrategy
 
-    original = TranspStrategy.next_edge
+    original = TranspStrategy.edges
 
-    def first_edge_again(self):
-        # the order yields its first edge on every call
-        if not hasattr(self, "_first"):
-            self._first = original(self)
-        return self._first
+    def first_edge_again(self, flags):
+        # the order yields its first edge on every pull
+        return repeat(next(original(self, flags)))
 
-    monkeypatch.setattr(TranspStrategy, "next_edge", first_edge_again)
+    monkeypatch.setattr(TranspStrategy, "edges", first_edge_again)
     # decide runs Transp; the engine refuses the repeat
     argv = ["decide", "-k", "2", "-l", "3", "--input", k4_path(tmp_path)]
     assert main(argv) == EXIT_INTERNAL

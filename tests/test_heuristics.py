@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import tracemalloc
 
 import pytest
 
@@ -269,8 +270,8 @@ _SINGLE_PHASE = [
         heuristics._TwoPhase,
     )
 ]
-# the single-phase orders that read no live indegree: restarting one over
-# clear flags must give back the order of a run
+# the single-phase orders that read no live indegree: reading one afresh
+# over clear flags must give back the order of a run
 _FLAG_ORDERS = [name for name in _SINGLE_PHASE if "InDeg" not in name]
 
 
@@ -299,11 +300,10 @@ def test_restart_reproduces_the_order(name):
 
 
 def _drain(strategy, flags, accepted) -> list[int]:
-    """Restart ``strategy`` over ``flags`` and take its whole order, telling
-    it each edge's verdict by membership in ``accepted``."""
-    strategy.restart(flags)
+    """Read ``strategy``'s whole order afresh over ``flags``, telling it
+    each edge's verdict by membership in ``accepted``."""
     drained = []
-    for e in strategy.edges():
+    for e in strategy.edges(flags):
         flags[e] = 1
         drained.append(e)
         strategy.on_processed(e, e in accepted)
@@ -402,6 +402,28 @@ _SWEEP_INPUTS = {
 }
 
 
+class _CountingFlags:
+    """Processed flags that count their reads."""
+
+    def __init__(self, flags):
+        self._flags = flags
+        self.reads = 0
+
+    def __getitem__(self, e):
+        self.reads += 1
+        return self._flags[e]
+
+
+class _CountingList(list):
+    """A list that counts its index reads; iteration reads none."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
 @pytest.mark.parametrize("name, graph", [
     ("Transp", "pairs"),
     ("TranspOne", "pairs"),
@@ -410,22 +432,45 @@ _SWEEP_INPUTS = {
     ("TranspOne", "leaves"),
 ])
 def test_transp_sweep_probes_a_drained_node_once(name, graph, monkeypatch):
-    # the sweep's ring drops a node once it is found drained; a scan over
-    # every node made about n incidence probes per edge here
-    calls = 0
-    original = heuristics._take
+    # each read of the order walks each incidence list once, and its ring
+    # drops a node once it is found drained; reading a list from its start
+    # at each visit made about 1000 flag reads per edge here, and keeping
+    # drained nodes on the ring about n incidence probes per edge
+    reads = []
+    original = heuristics.TranspStrategy.edges
 
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return original(*args)
+    def counted(self, flags):
+        reads.append(counting := _CountingFlags(flags))
+        return original(self, counting)
 
-    monkeypatch.setattr(heuristics, "_take", counted)
+    monkeypatch.setattr(heuristics.TranspStrategy, "edges", counted)
     g = Multigraph(8000, _SWEEP_INPUTS[graph])
+    g.incidence = probes = _CountingList(g.incidence)
     p = SparsityParams(2, 3)
     rep = extract(g, p, order=make_strategy(name, g, p))
     assert sorted(rep.order) == list(range(g.m))
-    assert calls <= g.m + 2 * g.n
+    incidence_total = sum(map(len, g.incidence))
+    assert reads and all(c.reads <= incidence_total for c in reads)
+    assert probes.reads <= g.m + 2 * g.n
+
+
+def test_transp_cursor_state_is_one_int_per_node():
+    # pulling the first edge builds the sweep's whole state: per node its
+    # id in the ring (a 28-byte int and an 8-byte deque slot) and an 8-byte
+    # read position; a filterfalse cursor per node cost about 100 bytes
+    # more per node here
+    n = 20000
+    g = Multigraph(n, [(v, (v + 1) % n) for v in range(n)])
+    strategy = make_strategy("Transp", g, SparsityParams(2, 3))
+    flags = [False] * g.m
+    tracemalloc.start()
+    try:
+        edges = strategy.edges(flags)
+        assert next(edges) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 80 * n
 
 
 def test_node_order_strategies_cover_isolated_free_graphs():

@@ -368,11 +368,11 @@ def _count_calls(monkeypatch, cls, attrs) -> dict[str, int]:
 
 
 def _count_pulls(monkeypatch, cls, calls) -> None:
-    """Count in ``calls["edges"]`` each edge pulled from ``cls.edges()``."""
+    """Count in ``calls["edges"]`` each edge pulled from ``cls.edges``."""
     edges = cls.edges
 
-    def counted(self):
-        for e in edges(self):
+    def counted(self, flags):
+        for e in edges(self, flags):
             calls["edges"] += 1
             yield e
 
@@ -422,17 +422,17 @@ def test_each_reader_walks_the_deferred_tail(first_read):
 class _DropsLastEdge(BasicStrategy):
     """Basic in storage order that ends before the last edge id."""
 
-    def edges(self):
+    def edges(self, flags):
         last = self.graph.m - 1
-        return takewhile(last.__ne__, super().edges())
+        return takewhile(last.__ne__, super().edges(flags))
 
 
 class _RepeatsAfterCut(BasicStrategy):
     """Basic in storage order that yields edge 0 again past the cut."""
 
-    def edges(self):
+    def edges(self, flags):
         cut = self.params.tight_size(self.graph.n)
-        for e in super().edges():
+        for e in super().edges(flags):
             if e == cut:
                 yield 0
             yield e
@@ -442,12 +442,8 @@ class _RepeatsBeforeCut(Strategy):
     """Yields edge 0 three times, then each other edge of a 6-edge graph
     once."""
 
-    def restart(self, flags):
-        super().restart(flags)
-        self._rest = iter([0, 0, 0, 1, 2, 3, 4, 5])
-
-    def next_edge(self):
-        return next(self._rest, None)
+    def edges(self, flags):
+        return iter([0, 0, 0, 1, 2, 3, 4, 5])
 
 
 @pytest.mark.parametrize("graph, params", [
@@ -487,8 +483,7 @@ def test_tail_contract_is_checked_without_assert(stub):
     }
     # read to its end, the stub's order does break the contract
     full = stub(g, p)
-    full.restart([False] * g.m)
-    assert list(full.edges()) != list(range(g.m))
+    assert list(full.edges([False] * g.m)) != list(range(g.m))
 
 
 def _log_pulls(strategy) -> list[list[int]]:
@@ -497,10 +492,10 @@ def _log_pulls(strategy) -> list[list[int]]:
     edges = strategy.edges
     pulls: list[list[int]] = []
 
-    def logged():
+    def logged(flags):
         pulled: list[int] = []
         pulls.append(pulled)
-        for e in edges():
+        for e in edges(flags):
             pulled.append(e)
             yield e
 
